@@ -19,8 +19,9 @@ from .data import (LabeledImages, SyntheticSpec, base_pattern, gen_synthetic,
 from .metrics import (VerificationSet, cosine_sim, pair_accuracy, pair_scores,
                       tar_at_far)
 from .model import (MarginKind, MarginLossConfig, StageSpec, TinyNetConfig,
-                    cosine_scores, init_params, margin_ce_on_tape, margin_loss,
-                    normalize_rows, tinynet_embed, tinynet_forward)
+                    cosine_scores, cost_rows, init_params, margin_ce_on_tape,
+                    margin_loss, normalize_rows, tinynet_embed,
+                    tinynet_forward)
 from .msct import (FormatError, load_tensors, read_manifest, read_tensor,
                    save_tensors, tensor_bytes, tensor_from_bytes,
                    write_manifest, write_tensor)

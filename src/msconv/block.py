@@ -33,16 +33,21 @@ class FusionKind(Enum):
 
     MSCONV = "msconv"              # attention on U1*U2, reweights U1-U2
     MSCONV_SUM = "msconv_sum"      # attention on U1+U2, reweights U1-U2
-    NO_MO = "no_mo"                # multiplication removed: same as MSCONV_SUM
+    NO_MO = "msconv_sum"           # multiplication removed: alias of MSCONV_SUM
     NO_SO = "no_so"                # attention on U1*U2, reweights U1+U2
     NO_MO_NO_SO = "no_mo_no_so"    # both replaced by sums
     SKCONV_REFERENCE = "skconv"    # softmax-weighted sum of U1, U2
+
+    @classmethod
+    def _missing_(cls, value):
+        # "no_mo" names the same dataflow as "msconv_sum"; accept the spelling
+        return cls.MSCONV_SUM if value == "no_mo" else None
 
 
 # fusion kinds whose attention input is the element-wise product
 _MUL_ATTENTION = frozenset({FusionKind.MSCONV, FusionKind.NO_SO})
 # fusion kinds whose reweighted tensor is the element-wise difference
-_SUB_TARGET = frozenset({FusionKind.MSCONV, FusionKind.MSCONV_SUM, FusionKind.NO_MO})
+_SUB_TARGET = frozenset({FusionKind.MSCONV, FusionKind.MSCONV_SUM})
 
 # Branch dilation pairs with equal parameter cost: a 3x3 kernel at dilation D
 # covers a (2D+1)-square extent, so (1,2) pairs a 3x3 with an effective 5x5.
@@ -68,6 +73,10 @@ def reduced_width(channels: int, reduction: int = DEFAULT_REDUCTION,
 def param_rng(seed: int, tag: str) -> np.random.Generator:
     """Deterministic per-layer stream; distinct tags give independent streams."""
     return np.random.default_rng([seed, zlib.crc32(tag.encode())])
+
+
+# serialized names of a block's learnable arrays, in MSConvState field order
+BLOCK_PARAM_NAMES = ("k3", "k5", "w_reduce", "b_reduce", "w_expand", "b_expand")
 
 
 def _gauss(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
@@ -145,29 +154,31 @@ class MSConvState:
             min_width=min_width,
         )
 
+    @classmethod
+    def from_params(cls, params: dict[str, np.ndarray], *,
+                    dilations: tuple[int, int], stride: int, reduction: int,
+                    min_width: int) -> "MSConvState":
+        """State from arrays keyed by BLOCK_PARAM_NAMES plus the geometry."""
+        k3, k5, w_reduce, b_reduce, w_expand, b_expand = (
+            params[name] for name in BLOCK_PARAM_NAMES)
+        return cls(k3=T.ConvKernel(k3, dilations[0], stride),
+                   k5=T.ConvKernel(k5, dilations[1], stride),
+                   w_reduce=w_reduce, b_reduce=b_reduce,
+                   w_expand=w_expand, b_expand=b_expand,
+                   reduction=reduction, min_width=min_width)
+
     def param_dict(self) -> dict[str, np.ndarray]:
         """Learnable arrays keyed by their serialized names."""
-        return {
-            "k3": self.k3.weights,
-            "k5": self.k5.weights,
-            "w_reduce": self.w_reduce,
-            "b_reduce": self.b_reduce,
-            "w_expand": self.w_expand,
-            "b_expand": self.b_expand,
-        }
+        return dict(zip(BLOCK_PARAM_NAMES, (
+            self.k3.weights, self.k5.weights, self.w_reduce, self.b_reduce,
+            self.w_expand, self.b_expand)))
 
     def with_params(self, params: dict[str, np.ndarray]) -> "MSConvState":
         """Same geometry, new parameter arrays."""
-        return MSConvState(
-            k3=T.ConvKernel(params["k3"], self.k3.dilation, self.k3.stride),
-            k5=T.ConvKernel(params["k5"], self.k5.dilation, self.k5.stride),
-            w_reduce=params["w_reduce"],
-            b_reduce=params["b_reduce"],
-            w_expand=params["w_expand"],
-            b_expand=params["b_expand"],
-            reduction=self.reduction,
-            min_width=self.min_width,
-        )
+        return MSConvState.from_params(
+            params, dilations=(self.k3.dilation, self.k5.dilation),
+            stride=self.stride, reduction=self.reduction,
+            min_width=self.min_width)
 
 
 # The selective-kernel reference twin holds exactly the same parameters; only
@@ -379,17 +390,8 @@ def load_block(directory, *, dilations: tuple[int, int] = KERNEL_COMBOS["k3k5"],
     and must be supplied; model checkpoints echo it in their config file.
     """
     arrs = msct.load_tensors(directory)
-    missing = [k for k in ("k3", "k5", "w_reduce", "b_reduce", "w_expand",
-                           "b_expand") if k not in arrs]
+    missing = [k for k in BLOCK_PARAM_NAMES if k not in arrs]
     if missing:
         raise msct.FormatError(f"block manifest missing entries: {missing}")
-    return MSConvState(
-        k3=T.ConvKernel(arrs["k3"], dilations[0], stride),
-        k5=T.ConvKernel(arrs["k5"], dilations[1], stride),
-        w_reduce=arrs["w_reduce"],
-        b_reduce=arrs["b_reduce"],
-        w_expand=arrs["w_expand"],
-        b_expand=arrs["b_expand"],
-        reduction=reduction,
-        min_width=min_width,
-    )
+    return MSConvState.from_params(arrs, dilations=dilations, stride=stride,
+                                   reduction=reduction, min_width=min_width)

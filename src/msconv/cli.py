@@ -16,12 +16,11 @@ import numpy as np
 
 from . import msct
 from .autograd import finite_diff_check
-from .block import (FusionKind, MSConvState, block_forward_on_tape,
-                    params_flops_breakdown)
+from .block import FusionKind, MSConvState, block_forward_on_tape
 from .data import gen_synthetic, load_dataset, make_pairs, read_pairs, \
     save_dataset, write_pairs
-from .model import (MarginLossConfig, StageSpec, TinyNetConfig, init_params,
-                    margin_ce_on_tape, tinynet_forward)
+from .model import (MarginLossConfig, StageSpec, TinyNetConfig, cost_rows,
+                    init_params, margin_ce_on_tape, tinynet_forward)
 from .train import (ConfigError, DEFAULT_ABLATION_KINDS, ablation_run,
                     build_config, evaluate_verification, format_ablation_report,
                     load_checkpoint, parse_kv_lines, save_checkpoint, train)
@@ -215,35 +214,13 @@ def _cmd_verify(args, _extra) -> int:
 
 def _cmd_flops(args, extra) -> int:
     cfg = _load_config(args.config, extra)
-    model = cfg.model.with_fusion(cfg.fusion)
-    h = w = cfg.data.height
-    stem_params = 9 * model.in_channels * model.stem_channels
+    rows = cost_rows(cfg.model.with_fusion(cfg.fusion), cfg.data.height,
+                     cfg.data.width)
+    total_p = sum(p for _, p, _ in rows)
+    total_f = sum(f for _, _, f in rows)
     print(f"{'layer':<10} {'params':>10} {'flops':>12}")
-    print(f"{'stem':<10} {stem_params:>10} "
-          f"{h * w * model.stem_channels * 9 * model.in_channels:>12}")
-    total_p, total_f = stem_params, h * w * model.stem_channels * 9 * model.in_channels
-    for name, c_in, c_out, stride, kind in model.block_layout():
-        st = MSConvState.init(c_in, c_out, dilations=model.dilations,
-                              stride=stride, reduction=model.reduction,
-                              min_width=model.min_width)
-        bd = params_flops_breakdown(st, h, w, kind)
-        print(f"{name:<10} {bd['params']:>10} {bd['flops']:>12}")
-        total_p += bd["params"]
-        total_f += bd["flops"]
-        h, w = -(-h // stride), -(-w // stride)
-        if stride != 1 or c_in != c_out:
-            proj_p = c_in * c_out
-            proj_f = h * w * c_out * c_in
-            print(f"{name + '/proj':<10} {proj_p:>10} {proj_f:>12}")
-            total_p += proj_p
-            total_f += proj_f
-    head_p = cfg.model.stages[-1].channels * model.embed_dim + model.embed_dim
-    head_f = (h * w * cfg.model.stages[-1].channels
-              + cfg.model.stages[-1].channels * model.embed_dim + model.embed_dim)
-    print(f"{'head':<10} {head_p:>10} {head_f:>12}")
-    total_p += head_p
-    total_f += head_f
-    print(f"{'total':<10} {total_p:>10} {total_f:>12}")
+    for name, p, f in rows + [("total", total_p, total_f)]:
+        print(f"{name:<10} {p:>10} {f:>12}")
     print(f"total_params={total_p}")
     print(f"total_flops={total_f}")
     return 0

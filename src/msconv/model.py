@@ -16,10 +16,8 @@ import numpy as np
 
 from . import tensor as T
 from .autograd import Tape, Var
-from .block import (FusionKind, MSConvState, _gauss, block_forward_on_tape,
-                    param_rng)
-
-BLOCK_PARAM_NAMES = ("k3", "k5", "w_reduce", "b_reduce", "w_expand", "b_expand")
+from .block import (BLOCK_PARAM_NAMES, FusionKind, MSConvState, _gauss,
+                    block_forward_on_tape, param_rng, params_flops_breakdown)
 
 
 @dataclass(frozen=True)
@@ -79,6 +77,11 @@ class TinyNetConfig:
                 c_prev = stage.channels
 
 
+def _has_proj(c_in: int, c_out: int, stride: int) -> bool:
+    """Whether a block's shortcut needs a 1x1 projection."""
+    return stride != 1 or c_in != c_out
+
+
 def init_params(cfg: TinyNetConfig, seed: int) -> dict[str, np.ndarray]:
     """Fresh parameter set: fan-in Gaussian weights, zero biases.
 
@@ -95,7 +98,7 @@ def init_params(cfg: TinyNetConfig, seed: int) -> dict[str, np.ndarray]:
                               reduction=cfg.reduction, min_width=cfg.min_width)
         for pname, arr in st.param_dict().items():
             params[f"{name}/{pname}"] = arr
-        if stride != 1 or c_in != c_out:
+        if _has_proj(c_in, c_out, stride):
             params[f"{name}/proj"] = _gauss(param_rng(seed, name + "/proj"),
                                             (1, 1, c_in, c_out), c_in)
     c_last = cfg.stages[-1].channels
@@ -137,6 +140,35 @@ def tinynet_forward(tape: Tape, x: Var, params: dict[str, Var],
     return tape.l2_normalize_rows(emb)
 
 
+def cost_rows(cfg: TinyNetConfig, height: int, width: int,
+              ) -> list[tuple[str, int, int]]:
+    """(row, params, flops) per layer of one sample's forward pass.
+
+    Rows: ``stem``; per block ``<block>`` (params_flops_breakdown),
+    ``<block>/proj`` for a projected shortcut and ``<block>/add`` for the
+    residual sum; ``head``.  Counts follow block.count_params_flops: one MAC
+    per conv or FC tap, one op per element-wise add, pool adds plus one
+    divide per channel.  relu, sigmoid and the final l2 normalisation are
+    not counted.
+    """
+    stem_params = 9 * cfg.in_channels * cfg.stem_channels
+    rows = [("stem", stem_params, height * width * stem_params)]
+    h, w = height, width
+    for name, c_in, c_out, stride, kind in cfg.block_layout():
+        st = MSConvState.init(c_in, c_out, dilations=cfg.dilations,
+                              stride=stride, reduction=cfg.reduction,
+                              min_width=cfg.min_width)
+        bd = params_flops_breakdown(st, h, w, kind)
+        rows.append((name, bd["params"], bd["flops"]))
+        h, w = T.conv_out_len(h, stride), T.conv_out_len(w, stride)
+        if _has_proj(c_in, c_out, stride):
+            rows.append((f"{name}/proj", c_in * c_out, h * w * c_out * c_in))
+        rows.append((f"{name}/add", 0, h * w * c_out))
+    c, e = cfg.stages[-1].channels, cfg.embed_dim
+    rows.append(("head", c * e + e, h * w * c + c + c * e + e))
+    return rows
+
+
 def tinynet_embed(x: T.Tensor4, params: dict[str, np.ndarray],
                   cfg: TinyNetConfig) -> T.ChannelVec:
     """Pure embedding extraction on a throwaway tape."""
@@ -156,6 +188,15 @@ class MarginKind(Enum):
     ARC = "arc"
     COS = "cos"
     COMBINED = "combined"
+
+
+# (m1, m2, m3) each loss kind takes for the margins a caller leaves unset
+MARGIN_DEFAULTS = {
+    MarginKind.PLAIN: (1.0, 0.0, 0.0),
+    MarginKind.ARC: (1.0, 0.5, 0.0),
+    MarginKind.COS: (1.0, 0.0, 0.35),
+    MarginKind.COMBINED: (1.0, 0.3, 0.2),
+}
 
 
 @dataclass(frozen=True)
@@ -187,21 +228,27 @@ class MarginLossConfig:
             raise ValueError("plain loss takes no margins")
 
     @classmethod
+    def of_kind(cls, kind: MarginKind, class_count: int, scale: float = 64.0,
+                **margins: float) -> "MarginLossConfig":
+        """The kind's MARGIN_DEFAULTS, with any margin named in ``margins``."""
+        defaults = dict(zip(("m1", "m2", "m3"), MARGIN_DEFAULTS[kind]))
+        return cls(kind, class_count, scale, **{**defaults, **margins})
+
+    @classmethod
     def plain(cls, class_count: int, scale: float = 1.0):
         return cls(MarginKind.PLAIN, class_count, scale)
 
     @classmethod
-    def arc(cls, class_count: int, scale: float = 64.0, m2: float = 0.5):
-        return cls(MarginKind.ARC, class_count, scale, m2=m2)
+    def arc(cls, class_count: int, scale: float = 64.0, **margins: float):
+        return cls.of_kind(MarginKind.ARC, class_count, scale, **margins)
 
     @classmethod
-    def cos(cls, class_count: int, scale: float = 64.0, m3: float = 0.35):
-        return cls(MarginKind.COS, class_count, scale, m3=m3)
+    def cos(cls, class_count: int, scale: float = 64.0, **margins: float):
+        return cls.of_kind(MarginKind.COS, class_count, scale, **margins)
 
     @classmethod
-    def combined(cls, class_count: int, scale: float = 64.0, m1: float = 1.0,
-                 m2: float = 0.3, m3: float = 0.2):
-        return cls(MarginKind.COMBINED, class_count, scale, m1, m2, m3)
+    def combined(cls, class_count: int, scale: float = 64.0, **margins: float):
+        return cls.of_kind(MarginKind.COMBINED, class_count, scale, **margins)
 
 
 def _check_margin_inputs(emb: np.ndarray, labels: np.ndarray,

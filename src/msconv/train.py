@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field, replace
+from enum import Enum
+from operator import attrgetter
 
 import numpy as np
 
@@ -80,8 +82,7 @@ class RunConfig:
     model: TinyNetConfig = TinyNetConfig()
     # scale 16 keeps the epoch-loss trend smooth at desk size; the
     # conventional 64 overshoots once the tiny set is separated
-    loss: MarginLossConfig = MarginLossConfig(MarginKind.COS, 10, scale=16.0,
-                                              m3=0.35)
+    loss: MarginLossConfig = MarginLossConfig.cos(10, scale=16.0)
     fusion: FusionKind = FusionKind.MSCONV
     lr_init: float = 0.02
     lr_min: float = 5e-6
@@ -104,6 +105,11 @@ class RunConfig:
             raise ValueError("seed must be non-negative")
         if self.loss.class_count != self.data.identity_count:
             raise ValueError("loss class_count must equal identity_count")
+        # the flat config text carries one image_size and one channels key
+        if self.data.height != self.data.width:
+            raise ValueError("images must be square")
+        if self.data.channels != self.model.in_channels:
+            raise ValueError("data channels must equal model in_channels")
 
 
 def _decayed(name: str) -> bool:
@@ -233,9 +239,18 @@ def train(cfg: RunConfig, dataset: LabeledImages | None = None) -> TrainResult:
 # -- verification evaluation -------------------------------------------------
 
 def verification_set(embs: np.ndarray, pairs) -> VerificationSet:
-    """Cosine scores of (i, j, same) index pairs, split by same-flag."""
-    ii = np.array([p[0] for p in pairs])
-    jj = np.array([p[1] for p in pairs])
+    """Cosine scores of (i, j, same) index pairs, split by same-flag.
+
+    Raises ValueError naming the first pair with an index outside ``embs``.
+    """
+    ii = np.array([p[0] for p in pairs], dtype=np.int64)
+    jj = np.array([p[1] for p in pairs], dtype=np.int64)
+    n = embs.shape[0]
+    bad = np.flatnonzero((ii < 0) | (ii >= n) | (jj < 0) | (jj >= n))
+    if bad.size:
+        k = int(bad[0])
+        raise ValueError(f"pair {k + 1} {tuple(pairs[k])} indexes an image "
+                         f"outside the {n} loaded")
     same = np.array([p[2] for p in pairs], dtype=bool)
     scores = pair_scores(embs[ii], embs[jj])
     return VerificationSet(scores[same], scores[~same])
@@ -283,8 +298,11 @@ def ablation_run(cfg: RunConfig, kinds=DEFAULT_ABLATION_KINDS, *,
 
     Held-out evaluation uses a freshly generated identity set (data seed + 1)
     so the verification numbers measure the embedding space, not memorized
-    training samples.
+    training samples.  A kind listed twice (aliases included) is rejected.
     """
+    if len(set(kinds)) != len(kinds):
+        raise ValueError("a fusion kind is listed more than once: "
+                         f"{[k.value for k in kinds]}")
     ds = gen_synthetic(cfg.data)
     eval_spec = replace(cfg.data, seed=cfg.data.seed + 1)
     eval_ds = gen_synthetic(eval_spec)
@@ -329,101 +347,60 @@ def format_ablation_report(report: AblationReport) -> str:
 
 # -- flat key=value configuration ---------------------------------------------
 
-def _parse_int(v: str) -> int:
-    return int(v)
-
-
-def _parse_float(v: str) -> float:
-    return float(v)
-
-
-def _parse_int_list(v: str) -> tuple[int, ...]:
+def _int_list(v: str) -> tuple[int, ...]:
     return tuple(int(part) for part in v.split(","))
 
 
-def _parse_fusion(v: str) -> FusionKind:
-    try:
-        return FusionKind(v)
-    except ValueError:
-        raise ConfigError(f"unknown fusion kind {v!r}; choose from "
-                          f"{[k.value for k in FusionKind]}") from None
+def _choice(kind: type[Enum]):
+    """Parser for the values of one enum."""
+    def parse(v: str):
+        try:
+            return kind(v)
+        except ValueError:
+            raise ValueError(f"{v!r} is not one of "
+                             f"{[k.value for k in kind]}") from None
+    return parse
 
 
-def _parse_loss(v: str) -> MarginKind:
-    try:
-        return MarginKind(v)
-    except ValueError:
-        raise ConfigError(f"unknown loss kind {v!r}; choose from "
-                          f"{[k.value for k in MarginKind]}") from None
+def _stage_list(attr: str):
+    return lambda cfg: tuple(getattr(s, attr) for s in cfg.model.stages)
 
 
-_SCHEMA = {
-    "identities": _parse_int,
-    "samples_per_identity": _parse_int,
-    "image_size": _parse_int,
-    "channels": _parse_int,
-    "noise_sigma": _parse_float,
-    "shift_range": _parse_int,
-    "data_seed": _parse_int,
-    "stem_channels": _parse_int,
-    "stage_blocks": _parse_int_list,
-    "stage_channels": _parse_int_list,
-    "stage_strides": _parse_int_list,
-    "embed_dim": _parse_int,
-    "dilations": _parse_int_list,
-    "reduction": _parse_int,
-    "min_width": _parse_int,
-    "fusion": _parse_fusion,
-    "loss": _parse_loss,
-    "scale": _parse_float,
-    "m1": _parse_float,
-    "m2": _parse_float,
-    "m3": _parse_float,
-    "lr_init": _parse_float,
-    "lr_min": _parse_float,
-    "momentum": _parse_float,
-    "weight_decay": _parse_float,
-    "batch_size": _parse_int,
-    "epochs": _parse_int,
-    "seed": _parse_int,
-}
-
-# margins filled in per loss kind when the config does not pin them
-_MARGIN_DEFAULTS = {
-    MarginKind.PLAIN: (1.0, 0.0, 0.0),
-    MarginKind.ARC: (1.0, 0.5, 0.0),
-    MarginKind.COS: (1.0, 0.0, 0.35),
-    MarginKind.COMBINED: (1.0, 0.3, 0.2),
-}
-
-_BASE = RunConfig()
-_DEFAULTS = {
-    "identities": _BASE.data.identity_count,
-    "samples_per_identity": _BASE.data.samples_per_identity,
-    "image_size": _BASE.data.height,
-    "channels": _BASE.data.channels,
-    "noise_sigma": _BASE.data.noise_sigma,
-    "shift_range": _BASE.data.shift_range,
-    "data_seed": _BASE.data.seed,
-    "stem_channels": _BASE.model.stem_channels,
-    "stage_blocks": tuple(s.blocks for s in _BASE.model.stages),
-    "stage_channels": tuple(s.channels for s in _BASE.model.stages),
-    "stage_strides": tuple(s.stride for s in _BASE.model.stages),
-    "embed_dim": _BASE.model.embed_dim,
-    "dilations": _BASE.model.dilations,
-    "reduction": _BASE.model.reduction,
-    "min_width": _BASE.model.min_width,
-    "fusion": _BASE.fusion,
-    "loss": _BASE.loss.kind,
-    "scale": _BASE.loss.scale,
-    "lr_init": _BASE.lr_init,
-    "lr_min": _BASE.lr_min,
-    "momentum": _BASE.momentum,
-    "weight_decay": _BASE.weight_decay,
-    "batch_size": _BASE.batch_size,
-    "epochs": _BASE.epochs,
-    "seed": _BASE.seed,
-}
+# Every config key once: (key, parse text, read the value from a RunConfig).
+# Unset keys default to the value read from RunConfig(), except the margins,
+# which default per loss kind (model.MARGIN_DEFAULTS).
+CONFIG_KEYS = (
+    ("identities", int, attrgetter("data.identity_count")),
+    ("samples_per_identity", int, attrgetter("data.samples_per_identity")),
+    ("image_size", int, attrgetter("data.height")),
+    ("channels", int, attrgetter("data.channels")),
+    ("noise_sigma", float, attrgetter("data.noise_sigma")),
+    ("shift_range", int, attrgetter("data.shift_range")),
+    ("data_seed", int, attrgetter("data.seed")),
+    ("stem_channels", int, attrgetter("model.stem_channels")),
+    ("stage_blocks", _int_list, _stage_list("blocks")),
+    ("stage_channels", _int_list, _stage_list("channels")),
+    ("stage_strides", _int_list, _stage_list("stride")),
+    ("embed_dim", int, attrgetter("model.embed_dim")),
+    ("dilations", _int_list, attrgetter("model.dilations")),
+    ("reduction", int, attrgetter("model.reduction")),
+    ("min_width", int, attrgetter("model.min_width")),
+    ("fusion", _choice(FusionKind), attrgetter("fusion")),
+    ("loss", _choice(MarginKind), attrgetter("loss.kind")),
+    ("scale", float, attrgetter("loss.scale")),
+    ("m1", float, attrgetter("loss.m1")),
+    ("m2", float, attrgetter("loss.m2")),
+    ("m3", float, attrgetter("loss.m3")),
+    ("lr_init", float, attrgetter("lr_init")),
+    ("lr_min", float, attrgetter("lr_min")),
+    ("momentum", float, attrgetter("momentum")),
+    ("weight_decay", float, attrgetter("weight_decay")),
+    ("batch_size", int, attrgetter("batch_size")),
+    ("epochs", int, attrgetter("epochs")),
+    ("seed", int, attrgetter("seed")),
+)
+_PARSERS = {key: parse for key, parse, _ in CONFIG_KEYS}
+_MARGINS = ("m1", "m2", "m3")
 
 
 def parse_kv_lines(lines) -> dict[str, str]:
@@ -437,7 +414,7 @@ def parse_kv_lines(lines) -> dict[str, str]:
         if not sep:
             raise ConfigError(f"line {lineno}: expected key = value, got {raw!r}")
         key, value = key.strip(), value.strip()
-        if key not in _SCHEMA:
+        if key not in _PARSERS:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
         if key in pairs:
             raise ConfigError(f"line {lineno}: duplicate config key {key!r}")
@@ -449,19 +426,14 @@ def build_config(pairs: dict[str, str]) -> RunConfig:
     """RunConfig from raw string pairs layered over desk defaults."""
     vals: dict[str, object] = {}
     for key, raw in pairs.items():
-        if key not in _SCHEMA:
+        if key not in _PARSERS:
             raise ConfigError(f"unknown config key {key!r}")
         try:
-            vals[key] = _SCHEMA[key](raw)
-        except ConfigError:
-            raise
+            vals[key] = _PARSERS[key](raw)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {exc}") from None
-    merged = {**_DEFAULTS, **vals}
-    m1d, m2d, m3d = _MARGIN_DEFAULTS[merged["loss"]]
-    merged.setdefault("m1", m1d)
-    merged.setdefault("m2", m2d)
-    merged.setdefault("m3", m3d)
+    base = RunConfig()
+    merged = {**{key: get(base) for key, _, get in CONFIG_KEYS}, **vals}
 
     blocks = merged["stage_blocks"]
     chans = merged["stage_channels"]
@@ -485,10 +457,9 @@ def build_config(pairs: dict[str, str]) -> RunConfig:
                          for b, c, s in zip(blocks, chans, strides)),
             embed_dim=merged["embed_dim"], dilations=merged["dilations"],
             reduction=merged["reduction"], min_width=merged["min_width"])
-        loss = MarginLossConfig(
-            kind=merged["loss"], class_count=merged["identities"],
-            scale=merged["scale"], m1=merged["m1"], m2=merged["m2"],
-            m3=merged["m3"])
+        loss = MarginLossConfig.of_kind(
+            merged["loss"], merged["identities"], merged["scale"],
+            **{m: vals[m] for m in _MARGINS if m in vals})
         return RunConfig(
             data=data, model=model, loss=loss, fusion=merged["fusion"],
             lr_init=merged["lr_init"], lr_min=merged["lr_min"],
@@ -499,48 +470,19 @@ def build_config(pairs: dict[str, str]) -> RunConfig:
         raise ConfigError(str(exc)) from None
 
 
+def _format_value(v) -> str:
+    if isinstance(v, Enum):
+        return v.value
+    if isinstance(v, tuple):
+        return ",".join(str(x) for x in v)
+    if isinstance(v, float):
+        return repr(v)
+    return str(v)
+
+
 def config_to_lines(cfg: RunConfig) -> list[str]:
     """Flat echo of the config; feeding these lines back reproduces cfg."""
-    def fmt(v):
-        if isinstance(v, (FusionKind, MarginKind)):
-            return v.value
-        if isinstance(v, tuple):
-            return ",".join(str(x) for x in v)
-        if isinstance(v, float):
-            return repr(v)
-        return str(v)
-
-    values = {
-        "identities": cfg.data.identity_count,
-        "samples_per_identity": cfg.data.samples_per_identity,
-        "image_size": cfg.data.height,
-        "channels": cfg.data.channels,
-        "noise_sigma": cfg.data.noise_sigma,
-        "shift_range": cfg.data.shift_range,
-        "data_seed": cfg.data.seed,
-        "stem_channels": cfg.model.stem_channels,
-        "stage_blocks": tuple(s.blocks for s in cfg.model.stages),
-        "stage_channels": tuple(s.channels for s in cfg.model.stages),
-        "stage_strides": tuple(s.stride for s in cfg.model.stages),
-        "embed_dim": cfg.model.embed_dim,
-        "dilations": cfg.model.dilations,
-        "reduction": cfg.model.reduction,
-        "min_width": cfg.model.min_width,
-        "fusion": cfg.fusion,
-        "loss": cfg.loss.kind,
-        "scale": cfg.loss.scale,
-        "m1": cfg.loss.m1,
-        "m2": cfg.loss.m2,
-        "m3": cfg.loss.m3,
-        "lr_init": cfg.lr_init,
-        "lr_min": cfg.lr_min,
-        "momentum": cfg.momentum,
-        "weight_decay": cfg.weight_decay,
-        "batch_size": cfg.batch_size,
-        "epochs": cfg.epochs,
-        "seed": cfg.seed,
-    }
-    return [f"{key} = {fmt(val)}" for key, val in values.items()]
+    return [f"{key} = {_format_value(get(cfg))}" for key, _, get in CONFIG_KEYS]
 
 
 def config_from_lines(lines) -> RunConfig:

@@ -237,6 +237,55 @@ def counting_block_forward(st, x, kind="msconv"):
     return v, counter
 
 
+def counting_net_forward(x, stem, blocks, w_embed, b_embed):
+    """Single-sample scalar-loop forward of the residual backbone.
+
+    ``blocks`` holds (state, kind, projection kernel or None) per block, in
+    order.  Returns (embedding before l2 normalisation, counter).  Inside
+    each block the counts are counting_block_forward's; around the blocks
+    they are the stem and projection conv MACs, one add per element of each
+    residual sum, and for the head the pool adds plus per-channel divides
+    and the FC MACs plus bias adds.  The l2 normalisation is not counted.
+    """
+    counter = OpCounter()
+    cur = _conv_count(x, stem, 1, 1, counter, "stem")
+    for st, kind, proj in blocks:
+        v, block_counter = counting_block_forward(st, cur, kind)
+        for key, amount in block_counter.counts.items():
+            counter.bump(key, amount)
+        if proj is None:
+            shortcut = cur
+        else:
+            shortcut = _conv_count(cur, proj, 1, st.stride, counter, "proj")
+        oh, ow, c = v.shape
+        cur = np.zeros_like(v)
+        for i in range(oh):
+            for j in range(ow):
+                for ch in range(c):
+                    counter.bump("residual_add")
+                    cur[i, j, ch] = v[i, j, ch] + shortcut[i, j, ch]
+
+    h, w, c = cur.shape
+    pooled = np.zeros(c)
+    for ch in range(c):
+        acc = 0.0
+        for i in range(h):
+            for j in range(w):
+                counter.bump("head")
+                acc += cur[i, j, ch]
+        counter.bump("head")
+        pooled[ch] = acc / (h * w)
+    emb = np.zeros(w_embed.shape[1])
+    for o in range(w_embed.shape[1]):
+        acc = 0.0
+        for i in range(c):
+            counter.bump("head")
+            acc += pooled[i] * w_embed[i, o]
+        counter.bump("head")
+        emb[o] = acc + b_embed[o]
+    return emb, counter
+
+
 def count_state_params(st):
     """Brute-force enumeration of every learnable element in the state."""
     total = 0

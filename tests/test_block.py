@@ -271,7 +271,6 @@ class TestAblate:
     @pytest.mark.parametrize("kind,mul_attention,sub_target", [
         (FusionKind.MSCONV, True, True),
         (FusionKind.MSCONV_SUM, False, True),
-        (FusionKind.NO_MO, False, True),
         (FusionKind.NO_SO, True, False),
         (FusionKind.NO_MO_NO_SO, False, False),
     ])
@@ -310,6 +309,12 @@ class TestAblate:
         v_mul = ablate(FusionKind.MSCONV, x, st)
         v_sum = ablate(FusionKind.MSCONV_SUM, x, st)
         assert np.abs(v_mul - v_sum).max() > 1e-8
+
+    def test_no_mo_is_an_alias_of_msconv_sum(self):
+        assert FusionKind.NO_MO is FusionKind.MSCONV_SUM
+        assert FusionKind("no_mo") is FusionKind.MSCONV_SUM
+        with pytest.raises(ValueError):
+            FusionKind("no_mul")
 
     def test_unknown_kind(self):
         st = make_state()

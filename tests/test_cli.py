@@ -231,6 +231,24 @@ class TestVerifyCommand:
         assert "verification over 40 pairs (15 genuine)" in stdout
         assert "tar=" in kv_lines(stdout) or "tar" in kv_lines(stdout)
 
+    def test_out_of_range_pair_rejected(self, trained, tmp_path, capsys):
+        """A pair naming an image past the dataset fails with exit code 2."""
+        cfg_path, out = trained
+        data_dir = tmp_path / "data"
+        assert cli.main(["gen-data", "--config", cfg_path,
+                         "--out", str(data_dir),
+                         "--genuine", "4", "--impostor", "4"]) == 0
+        capsys.readouterr()
+        (data_dir / "pairs.txt").write_text(
+            "img00000.msct,img00001.msct,1\n"
+            "img00099.msct,img00001.msct,0\n")
+        code = cli.main(["verify", "--checkpoint", str(out / "checkpoint"),
+                         "--data", str(data_dir)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: pair 2 (99, 1, 0)")
+        assert "18 loaded" in err
+
     def test_extra_arguments_rejected(self, trained, capsys):
         """verify takes no config overrides."""
         _, out = trained
@@ -275,6 +293,19 @@ class TestFlopsCommand:
         assert int(kv_lines(stdout)["total_params"]) == totals[0]
         assert int(kv_lines(stdout)["total_flops"]) == totals[1]
 
+    def test_desk_totals(self, capsys):
+        """Desk defaults: the stem, projection and residual rows and totals."""
+        assert cli.main(["flops"]) == 0
+        stdout = capsys.readouterr().out
+        rows = {parts[0]: (int(parts[1]), int(parts[2]))
+                for parts in map(str.split, stdout.splitlines())
+                if len(parts) == 3 and parts[1].isdigit()}
+        assert rows["stem"] == (432, 442368)
+        assert rows["s0b0/proj"] == (512, 131072)
+        assert rows["s0b0/add"] == (0, 16 * 16 * 32)
+        assert kv_lines(stdout)["total_params"] == "15440"
+        assert kv_lines(stdout)["total_flops"] == "2995456"
+
 
 class TestAblateCommand:
     """Fusion-variant sweeps sharing one initialization."""
@@ -295,6 +326,18 @@ class TestAblateCommand:
                        .splitlines()) == 1
             _, kind_cfg = load_checkpoint(out / kind)
             assert kind_cfg.fusion == FusionKind(kind)
+
+    @pytest.mark.parametrize("kinds", ["msconv,msconv", "no_mo,msconv_sum"])
+    def test_repeated_kind_rejected(self, tmp_path, capsys, kinds):
+        """A kind listed twice, also through an alias, fails before training."""
+        cfg_path = write_config(tmp_path / "run.cfg", epochs=1)
+        out = tmp_path / "o"
+        code = cli.main(["ablate", "--config", cfg_path, "--out", str(out),
+                         "--kinds", kinds])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "error: a fusion kind is listed more than once")
+        assert not out.exists()
 
     def test_bad_kind_rejected(self, tmp_path, capsys):
         """An unknown fusion kind fails before any training starts."""

@@ -13,11 +13,12 @@ import pytest
 
 from msconv import tensor as T
 from msconv.autograd import Tape, finite_diff_check
-from msconv.block import FusionKind
+from msconv.block import BLOCK_PARAM_NAMES, FusionKind, MSConvState
 from msconv.model import (COS_CLAMP, MarginKind, MarginLossConfig, StageSpec,
-                          TinyNetConfig, cosine_scores, init_params,
+                          TinyNetConfig, cosine_scores, cost_rows, init_params,
                           margin_ce_on_tape, margin_loss, normalize_rows,
                           tinynet_embed, tinynet_forward)
+from oracles import counting_net_forward
 
 
 def rand(shape, seed=0, scale=1.0):
@@ -129,6 +130,41 @@ class TestLayout:
             StageSpec(blocks=0, channels=4)
         with pytest.raises(ValueError):
             TinyNetConfig(dilations=(0, 2))
+
+
+class TestCostModel:
+    def test_network_flops_match_instrumented_counter(self):
+        """Every cost row equals a scalar-loop count of the whole backbone."""
+        cfg = small_config(stages=(
+            StageSpec(1, 3, 1, FusionKind.MSCONV),
+            StageSpec(1, 4, 2, FusionKind.SKCONV_REFERENCE)))
+        params = init_params(cfg, seed=12)
+        x = rand((6, 6, 2), 13)
+        blocks = []
+        for name, _, _, stride, kind in cfg.block_layout():
+            st = MSConvState.from_params(
+                {p: params[f"{name}/{p}"] for p in BLOCK_PARAM_NAMES},
+                dilations=cfg.dilations, stride=stride,
+                reduction=cfg.reduction, min_width=cfg.min_width)
+            blocks.append((st, kind.value, params.get(f"{name}/proj")))
+        emb, counter = counting_net_forward(x, params["stem"], blocks,
+                                            params["w_embed"],
+                                            params["b_embed"])
+        rows = cost_rows(cfg, 6, 6)
+        assert [r[0] for r in rows] == ["stem", "s0b0", "s0b0/add", "s1b0",
+                                        "s1b0/proj", "s1b0/add", "head"]
+        flops = {name: f for name, _, f in rows}
+        assert flops["stem"] == counter.counts["stem"]
+        assert flops["s1b0/proj"] == counter.counts["proj"]
+        assert flops["s0b0/add"] + flops["s1b0/add"] == \
+            counter.counts["residual_add"]
+        assert flops["head"] == counter.counts["head"]
+        assert sum(flops.values()) == counter.total()
+        assert sum(p for _, p, _ in rows) == \
+            sum(arr.size for arr in params.values())
+        np.testing.assert_allclose(normalize_rows(emb[None]),
+                                   tinynet_embed(x[None], params, cfg),
+                                   rtol=0, atol=1e-12)
 
 
 class TestBackboneGradients:

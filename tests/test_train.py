@@ -1,15 +1,18 @@
 """Schedule, optimizer, training-loop, config, and checkpoint tests."""
 
 import math
+import os
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
 from msconv.block import FusionKind
 from msconv.data import SyntheticSpec, gen_synthetic
 from msconv.model import (MarginKind, MarginLossConfig, StageSpec,
                           TinyNetConfig)
-from msconv.train import (ConfigError, LRSchedule, RunConfig,
+from msconv.train import (CONFIG_KEYS, ConfigError, LRSchedule, RunConfig,
                           TrainingDivergedError, ablation_run, build_config,
                           config_from_lines, config_to_lines,
                           evaluate_verification, format_ablation_report,
@@ -29,6 +32,57 @@ def tiny_config(**kw):
         batch_size=6, epochs=2, lr_init=0.05, lr_min=1e-4)
     defaults.update(kw)
     return RunConfig(**defaults)
+
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
+@st.composite
+def run_configs(draw):
+    """RunConfigs the constructor accepts, over every field of the config text.
+
+    Width and model in_channels are drawn apart from height and data channels
+    half the time, so configs the flat text cannot carry are generated too;
+    RunConfig must reject those.
+    """
+    def ints(lo, hi):
+        return draw(st.integers(lo, hi))
+
+    def floats(lo, hi):
+        return draw(st.floats(lo, hi))
+
+    def either(same, lo, hi):
+        return draw(st.one_of(st.just(same), st.integers(lo, hi)))
+
+    identities, size, channels = ints(2, 50), ints(1, 64), ints(1, 4)
+    data = SyntheticSpec(
+        identity_count=identities, samples_per_identity=ints(1, 20),
+        height=size, width=either(size, 1, 64), channels=channels,
+        noise_sigma=floats(0.0, 2.0), shift_range=ints(0, 5),
+        seed=ints(0, 2**32))
+    model = TinyNetConfig(
+        in_channels=either(channels, 1, 4), stem_channels=ints(1, 64),
+        stages=tuple(StageSpec(ints(1, 3), ints(1, 64), ints(1, 3))
+                     for _ in range(ints(1, 3))),
+        embed_dim=ints(1, 128), dilations=(ints(1, 4), ints(1, 4)),
+        reduction=ints(1, 32), min_width=ints(1, 64))
+    kind = draw(st.sampled_from(MarginKind))
+    margins = {} if kind is MarginKind.PLAIN else dict(
+        m1=floats(1e-3, 4.0), m2=floats(0.0, 1.0), m3=floats(0.0, 1.0))
+    lr_min = floats(1e-9, 0.5)
+    try:
+        return RunConfig(
+            data=data, model=model,
+            loss=MarginLossConfig(kind, identities,
+                                  scale=floats(1e-3, 128.0), **margins),
+            fusion=draw(st.sampled_from(FusionKind)),
+            lr_init=draw(st.floats(lr_min, 1.0, exclude_min=True)),
+            lr_min=lr_min,
+            momentum=draw(st.floats(0.0, 1.0, exclude_max=True)),
+            weight_decay=floats(0.0, 0.1), batch_size=ints(1, 256),
+            epochs=ints(0, 100), seed=ints(0, 2**32))
+    except ValueError:
+        reject()
 
 
 class TestLRSchedule:
@@ -134,6 +188,14 @@ class TestRunConfig:
             tiny_config(epochs=-1)
         with pytest.raises(ValueError):
             tiny_config(loss=MarginLossConfig.cos(4, scale=16.0))
+
+    def test_shapes_the_config_text_cannot_carry(self):
+        with pytest.raises(ValueError, match="square"):
+            tiny_config(data=SyntheticSpec(identity_count=3, height=8,
+                                           width=6, channels=2))
+        with pytest.raises(ValueError, match="channels"):
+            tiny_config(data=SyntheticSpec(identity_count=3, height=8,
+                                           width=8, channels=3))
 
     def test_desk_defaults(self):
         cfg = RunConfig()
@@ -276,6 +338,26 @@ class TestConfigText:
         again = config_from_lines(config_to_lines(cfg))
         assert again.model.stages == cfg.model.stages
         assert again.model.dilations == (2, 3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(run_configs())
+    def test_round_trip_property(self, cfg):
+        assert config_from_lines(config_to_lines(cfg)) == cfg
+
+    def test_readme_lists_every_key(self):
+        """The README's config-key table names exactly CONFIG_KEYS, in order."""
+        with open(README) as fh:
+            text = fh.read()
+        section = text.split("## Config keys", 1)[1].split("\n## ", 1)[0]
+        documented = [name for line in section.splitlines()
+                      if line.startswith("| `")
+                      for name in re.findall(r"`(\w+)`",
+                                             line.split("|")[1])]
+        assert documented == [key for key, _, _ in CONFIG_KEYS]
+
+    def test_alias_spelling_parses(self):
+        assert build_config({"fusion": "no_mo"}).fusion is \
+            FusionKind.MSCONV_SUM
 
     def test_margin_defaults_by_loss_kind(self):
         arc = config_from_lines(["loss = arc"])
