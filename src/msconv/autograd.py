@@ -6,9 +6,18 @@ gradient to gradients for every input.  ``Tape.backward`` walks the records
 in reverse, summing gradients where a value fans out, in a fixed traversal
 order so results are reproducible.
 
-Values on the tape are plain numpy arrays and must not be mutated while the
-tape is alive; the optimizer produces fresh arrays instead of updating in
-place.  A tape is single-owner and is consumed by ``backward``.
+Values enter the tape in one of two ways.  ``Tape.leaf`` enters a value that
+needs a gradient (a parameter, or an input under test); ``Tape.constant``
+enters one that needs none (training images, or every value of an inference
+pass).  An op's output needs a gradient when any of its inputs does, and only
+such ops are recorded: a tape fed constants alone records nothing, keeps no
+vjp closure, and holds no value beyond the Vars its caller keeps, while
+running the same forward code as training.  Constants never receive a
+gradient.
+
+Values are plain numpy arrays and must not be mutated while the tape is
+alive; the optimizer produces fresh arrays instead of updating in place.  A
+tape is single-owner and is consumed by ``backward``.
 """
 
 from __future__ import annotations
@@ -30,17 +39,14 @@ class GradientCheckError(RuntimeError):
 
 
 class Var:
-    """Handle to one value recorded on a tape."""
+    """Handle to one value on a tape: its slot number and the value itself."""
 
-    __slots__ = ("tape", "index")
+    __slots__ = ("tape", "index", "value")
 
-    def __init__(self, tape: "Tape", index: int):
+    def __init__(self, tape: "Tape", index: int, value: np.ndarray):
         self.tape = tape
         self.index = index
-
-    @property
-    def value(self) -> np.ndarray:
-        return self.tape._values[self.index]
+        self.value = value
 
     @property
     def shape(self):
@@ -83,15 +89,26 @@ class Gradients:
 
 class Tape:
     def __init__(self):
-        self._values: list[np.ndarray] = []
+        self._count = 0
+        # slot -> shape, for every value that needs a gradient
+        self._grad_shapes: dict[int, tuple[int, ...]] = {}
         self._records: list[GradRecord] = []
+        # (slot, value) of the last op's output, the default loss; kept
+        # apart from its Var so the tape holds no reference back to itself
+        self._last: tuple[int, np.ndarray] | None = None
         self._consumed = False
 
     # -- plumbing ----------------------------------------------------------
 
-    def _push(self, value: np.ndarray) -> Var:
-        self._values.append(np.asarray(value))
-        return Var(self, len(self._values) - 1)
+    def _push(self, value: np.ndarray, needs_grad: bool) -> Var:
+        var = Var(self, self._count, np.asarray(value))
+        self._count += 1
+        if needs_grad:
+            self._grad_shapes[var.index] = var.value.shape
+        return var
+
+    def _needs_grad(self, var: Var) -> bool:
+        return var.index in self._grad_shapes
 
     def _guard(self):
         if self._consumed:
@@ -104,22 +121,34 @@ class Tape:
                 raise ValueError("Var belongs to a different tape")
 
     def leaf(self, value: np.ndarray) -> Var:
-        """Enter an input or parameter; leaves have no record."""
+        """Enter a value that needs a gradient; leaves have no record."""
         self._guard()
-        return self._push(value)
+        return self._push(value, True)
+
+    def constant(self, value: np.ndarray) -> Var:
+        """Enter a value that needs no gradient and never receives one."""
+        self._guard()
+        return self._push(value, False)
 
     def emit(self, op_id: str, inputs: Sequence[Var], value: np.ndarray,
              vjp: Callable[[np.ndarray], tuple]) -> Var:
-        """Record a custom op.  ``vjp(g)`` must return one gradient per input."""
+        """Add a custom op.  ``vjp(g)`` must return one gradient per input.
+
+        The op is recorded only when one of its inputs needs a gradient;
+        otherwise its output is a constant and ``vjp`` is dropped.
+        """
         self._check(*inputs)
         if T.debug_checks_enabled():
             arr = np.asarray(value)
             if arr.size and not np.isfinite(arr).all():
                 raise T.NonFiniteError(f"non-finite output of {op_id}")
-        out = self._push(value)
-        self._records.append(
-            GradRecord(op_id, tuple(v.index for v in inputs), out.index, vjp)
-        )
+        needs_grad = any(self._needs_grad(v) for v in inputs)
+        out = self._push(value, needs_grad)
+        if needs_grad:
+            self._records.append(
+                GradRecord(op_id, tuple(v.index for v in inputs), out.index, vjp)
+            )
+        self._last = (out.index, out.value)
         return out
 
     # -- ops ---------------------------------------------------------------
@@ -127,9 +156,10 @@ class Tape:
     def conv2d(self, x: Var, w: Var, *, dilation: int = 1, stride: int = 1) -> Var:
         out = T.conv2d_raw(x.value, w.value, dilation, stride)
         xv, wv = x.value, w.value
+        need_x, need_w = self._needs_grad(x), self._needs_grad(w)
 
         def vjp(g):
-            return _conv2d_vjp(g, xv, wv, dilation, stride)
+            return _conv2d_vjp(g, xv, wv, dilation, stride, need_x, need_w)
 
         return self.emit("conv2d", (x, w), out, vjp)
 
@@ -241,14 +271,14 @@ class Tape:
     def backward(self, loss: Var | None = None, seed: float = 1.0) -> Gradients:
         """Propagate a scalar seed from the loss back to every recorded value.
 
-        Consumes the tape: a second backward, or any further op, raises
-        :class:`TapeReuseError`.
+        The loss defaults to the output of the last op.  Consumes the tape: a
+        second backward, or any further op, raises :class:`TapeReuseError`.
         """
         self._guard()
-        if not self._records and loss is None:
-            raise ValueError("empty tape has no loss to differentiate")
         if loss is None:
-            loss = Var(self, self._records[-1].output)
+            if self._last is None:
+                raise ValueError("empty tape has no loss to differentiate")
+            loss = Var(self, *self._last)
         if loss.tape is not self:
             raise ValueError("loss Var belongs to a different tape")
         if loss.value.size != 1:
@@ -258,7 +288,9 @@ class Tape:
         grads: dict[int, np.ndarray] = {
             loss.index: np.full(loss.value.shape, seed, dtype=loss.value.dtype)
         }
-        for rec in reversed(self._records):
+        # popping each record frees the values its vjp saved once used
+        while self._records:
+            rec = self._records.pop()
             g = grads.get(rec.output)
             if g is None:
                 continue
@@ -267,12 +299,13 @@ class Tape:
                 raise RuntimeError(f"{rec.op_id} returned {len(partials)} gradients "
                                    f"for {len(rec.inputs)} inputs")
             for idx, gi in zip(rec.inputs, partials):
-                if gi is None:
+                shape = self._grad_shapes.get(idx)
+                if gi is None or shape is None:
                     continue
-                if gi.shape != self._values[idx].shape:
+                if gi.shape != shape:
                     raise RuntimeError(
                         f"{rec.op_id} gradient shape {gi.shape} != value shape "
-                        f"{self._values[idx].shape}"
+                        f"{shape}"
                     )
                 if idx in grads:
                     grads[idx] = grads[idx] + gi
@@ -282,12 +315,13 @@ class Tape:
 
 
 def _conv2d_vjp(g: np.ndarray, x: np.ndarray, w: np.ndarray,
-                dilation: int, stride: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of conv2d_raw w.r.t. input and weights.
+                dilation: int, stride: int, need_x: bool = True,
+                need_w: bool = True) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Gradients of conv2d_raw w.r.t. input and weights; None where unneeded.
 
     Mirrors the forward tap loop: each tap scatters g @ w[ky,kx]^T back into
     its strided input slice and contracts the same slice with g for the
-    weight gradient.
+    weight gradient, one 2-D GEMM over a contiguous copy of the slice.
     """
     n, h, wd, c_in = x.shape
     kh, kw, _, c_out = w.shape
@@ -295,19 +329,26 @@ def _conv2d_vjp(g: np.ndarray, x: np.ndarray, w: np.ndarray,
     pw = T.same_pad(kw, dilation)
     oh, ow = g.shape[1], g.shape[2]
 
-    xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
-    dxp = np.zeros_like(xp)
-    dw = np.zeros_like(w)
-    for ky in range(kh):
-        y0 = ky * dilation
-        ys = slice(y0, y0 + (oh - 1) * stride + 1, stride)
-        for kx in range(kw):
-            x0 = kx * dilation
-            xs = slice(x0, x0 + (ow - 1) * stride + 1, stride)
-            patch = xp[:, ys, xs, :]
-            dw[ky, kx] = np.tensordot(patch, g, axes=([0, 1, 2], [0, 1, 2]))
-            dxp[:, ys, xs, :] += g @ w[ky, kx].T
-    return dxp[:, ph:ph + h, pw:pw + wd, :], dw
+    xp = T._pad_same(x, kh, kw, dilation)
+    dxp = dw = None
+    if need_x:
+        dxp = np.zeros_like(xp)
+        g_tap = np.empty((n, oh, ow, c_in), dtype=np.result_type(g, w))
+    if need_w:
+        dw = np.empty_like(w)
+        patch = np.empty((n, oh, ow, c_in), dtype=x.dtype)
+        g_rows = g.reshape(-1, c_out)
+    for ky, kx, ys, xs in T._tap_slices(kh, kw, dilation, stride, oh, ow):
+        if need_w:
+            np.copyto(patch, xp[:, ys, xs, :])
+            np.matmul(patch.reshape(-1, c_in).T, g_rows, out=dw[ky, kx])
+        if need_x:
+            # per-image-row GEMMs, as the forward: one batched GEMM over all
+            # rows rounds differently
+            np.matmul(g, w[ky, kx].T, out=g_tap)
+            dxp[:, ys, xs, :] += g_tap
+    dx = None if dxp is None else dxp[:, ph:ph + h, pw:pw + wd, :]
+    return dx, dw
 
 
 def finite_diff_check(build, params: dict[str, np.ndarray], eps: float = 1e-5) -> float:
@@ -326,7 +367,8 @@ def finite_diff_check(build, params: dict[str, np.ndarray], eps: float = 1e-5) -
 
     def evaluate(with_grads: bool):
         tape = Tape()
-        leaves = {name: tape.leaf(v) for name, v in work.items()}
+        enter = tape.leaf if with_grads else tape.constant
+        leaves = {name: enter(v) for name, v in work.items()}
         loss = build(tape, leaves)
         val = float(loss.value)
         if not np.isfinite(val):

@@ -250,8 +250,8 @@ def msconv_forward(x: T.Tensor4, st: MSConvState,
     """Pure forward pass returning the fused output and all intermediates."""
     T.check_tensor4(x, "x")
     tape = Tape()
-    leaves = {name: tape.leaf(arr) for name, arr in st.param_dict().items()}
-    v, tr = block_forward_on_tape(tape, tape.leaf(x), leaves,
+    consts = {name: tape.constant(arr) for name, arr in st.param_dict().items()}
+    v, tr = block_forward_on_tape(tape, tape.constant(x), consts,
                                   dilations=(st.k3.dilation, st.k5.dilation),
                                   stride=st.stride, kind=kind)
     values = {name: (var.value if var is not None else None)

@@ -239,9 +239,9 @@ def _cmd_viz(args, _extra) -> int:
 def _cmd_gen_data(args, extra) -> int:
     cfg = _load_config(args.config, extra)
     ds = gen_synthetic(cfg.data)
-    save_dataset(args.out, ds)
     pairs = make_pairs(ds.labels, args.genuine, args.impostor,
                        seed=cfg.data.seed)
+    save_dataset(args.out, ds)
     write_pairs(os.path.join(args.out, "pairs.txt"), pairs)
     print(f"images={ds.images.shape[0]} identities={cfg.data.identity_count} "
           f"genuine_pairs={args.genuine} impostor_pairs={args.impostor}")

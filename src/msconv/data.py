@@ -125,9 +125,12 @@ def make_pairs(labels: np.ndarray, genuine_count: int, impostor_count: int,
     """Sampled (index_a, index_b, same) triples, deterministic given seed.
 
     Genuine pairs draw two distinct samples of one identity; impostor pairs
-    draw samples of two distinct identities.  Requires at least two samples
-    for some identity and at least two identities.
+    draw samples of two distinct identities.  Requires non-negative counts,
+    at least two samples for some identity and at least two identities.
     """
+    if genuine_count < 0 or impostor_count < 0:
+        raise ValueError(f"pair counts must be non-negative, got genuine="
+                         f"{genuine_count} impostor={impostor_count}")
     labels = np.asarray(labels)
     rng = np.random.default_rng([seed, 2])
     by_id: dict[int, np.ndarray] = {

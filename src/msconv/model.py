@@ -171,10 +171,10 @@ def cost_rows(cfg: TinyNetConfig, height: int, width: int,
 
 def tinynet_embed(x: T.Tensor4, params: dict[str, np.ndarray],
                   cfg: TinyNetConfig) -> T.ChannelVec:
-    """Pure embedding extraction on a throwaway tape."""
+    """Pure embedding extraction; the tape holds constants and records nothing."""
     tape = Tape()
-    leaves = {k: tape.leaf(v) for k, v in params.items()}
-    return tinynet_forward(tape, tape.leaf(x), leaves, cfg).value
+    consts = {k: tape.constant(v) for k, v in params.items()}
+    return tinynet_forward(tape, tape.constant(x), consts, cfg).value
 
 
 # -- margin losses -----------------------------------------------------------

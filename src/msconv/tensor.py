@@ -5,8 +5,10 @@ Activations live in numpy arrays laid out channel-last, shape ``(n, h, w, c)``
 ``(n, c)``.  Every function here is pure: inputs are never mutated and the
 same inputs produce bit-identical outputs (accumulation order is fixed).
 
-Precision follows the inputs: feed float64 arrays for checking work, float32
-for training.
+Precision follows the inputs.  The library feeds float64 everywhere: the
+synthetic data and the parameter initialisation are float64, so training,
+inference and the gradient checks all run in it.  Only checkpoint and
+dataset files store float32.
 """
 
 from __future__ import annotations
@@ -136,6 +138,29 @@ def conv_out_len(size: int, stride: int) -> int:
     return -(-size // stride)
 
 
+def _pad_same(x: Tensor4, kh: int, kw: int, dilation: int) -> Tensor4:
+    """``x`` with the same-padding of a (kh, kw) kernel; ``x`` itself if none."""
+    ph = same_pad(kh, dilation)
+    pw = same_pad(kw, dilation)
+    if ph == pw == 0:
+        return x
+    return np.pad(x, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
+
+
+def _tap_slices(kh: int, kw: int, dilation: int, stride: int, oh: int, ow: int):
+    """Yields (ky, kx, rows, cols): each tap's slices of the padded input.
+
+    Taps come in row-major (ky, kx) order, the accumulation order of
+    conv2d_raw and its vjp.
+    """
+    for ky in range(kh):
+        y0 = ky * dilation
+        ys = slice(y0, y0 + (oh - 1) * stride + 1, stride)
+        for kx in range(kw):
+            x0 = kx * dilation
+            yield ky, kx, ys, slice(x0, x0 + (ow - 1) * stride + 1, stride)
+
+
 def conv2d_raw(
     x: Tensor4, weights: np.ndarray, dilation: int = 1, stride: int = 1
 ) -> Tensor4:
@@ -158,20 +183,19 @@ def conv2d_raw(
         raise UnsupportedConfigError(
             f"dilation and stride must be >= 1, got {dilation}, {stride}"
         )
-    ph = same_pad(kh, dilation)
-    pw = same_pad(kw, dilation)
     oh = conv_out_len(h, stride)
     ow = conv_out_len(w, stride)
 
-    xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
-    out = np.zeros((n, oh, ow, c_out), dtype=np.result_type(x, weights))
-    for ky in range(kh):
-        y0 = ky * dilation
-        ys = slice(y0, y0 + (oh - 1) * stride + 1, stride)
-        for kx in range(kw):
-            x0 = kx * dilation
-            xs = slice(x0, x0 + (ow - 1) * stride + 1, stride)
-            out += xp[:, ys, xs, :] @ weights[ky, kx]
+    xp = _pad_same(x, kh, kw, dilation)
+    out = buf = None
+    for ky, kx, ys, xs in _tap_slices(kh, kw, dilation, stride, oh, ow):
+        if out is None:
+            out = xp[:, ys, xs, :] @ weights[ky, kx]
+        else:
+            if buf is None:
+                buf = np.empty_like(out)
+            np.matmul(xp[:, ys, xs, :], weights[ky, kx], out=buf)
+            out += buf
     return _finite_guard(out, "conv2d")
 
 

@@ -206,7 +206,7 @@ def train(cfg: RunConfig, dataset: LabeledImages | None = None) -> TrainResult:
             lr = lr_at(sched, step)
             tape = Tape()
             leaves = {k: tape.leaf(v) for k, v in params.items()}
-            emb = tinynet_forward(tape, tape.leaf(ds.images[idx]),
+            emb = tinynet_forward(tape, tape.constant(ds.images[idx]),
                                   leaves, model_cfg)
             # non-finite values and zero rows (norm overflow) both mean the
             # optimization state is unusable
@@ -223,6 +223,9 @@ def train(cfg: RunConfig, dataset: LabeledImages | None = None) -> TrainResult:
             params, velocity = sgd_step(
                 params, {k: grads[v] for k, v in leaves.items()},
                 velocity, cfg, lr)
+            # it holds every intermediate's gradient; free it before the
+            # next step's forward
+            del grads
             step_losses.append(loss)
             step += 1
         epoch_loss = float(np.mean(step_losses))
@@ -500,7 +503,19 @@ def save_checkpoint(directory, params: dict[str, np.ndarray],
 
 
 def load_checkpoint(directory) -> tuple[dict[str, np.ndarray], RunConfig]:
+    """Tensors and config of a checkpoint directory.
+
+    Raises msct.FormatError naming the first parameter whose presence or
+    shape differs from what the config's model needs.
+    """
     params = msct.load_tensors(directory)
     with open(os.path.join(directory, "config.txt")) as fh:
         cfg = config_from_lines(fh.readlines())
+    expected = full_init(cfg)
+    for name in [*expected, *params]:
+        got = params[name].shape if name in params else "nothing"
+        want = expected[name].shape if name in expected else "nothing"
+        if got != want:
+            raise msct.FormatError(f"checkpoint parameter {name!r}: the files "
+                                   f"hold {got}, the config needs {want}")
     return params, cfg

@@ -73,9 +73,10 @@ def visualize_features(params: dict[str, np.ndarray], cfg: TinyNetConfig,
         raise ValueError(f"expected one (h, w, c) image, got shape {image.shape}")
 
     tape = Tape()
-    leaves = {k_: tape.leaf(v) for k_, v in params.items() if k_ != "centers"}
+    consts = {k_: tape.constant(v) for k_, v in params.items()
+              if k_ != "centers"}
     traces: list = []
-    tinynet_forward(tape, tape.leaf(image), leaves, cfg, traces=traces)
+    tinynet_forward(tape, tape.constant(image), consts, cfg, traces=traces)
     if not 0 <= layer < len(traces):
         raise ValueError(f"layer {layer} out of range [0, {len(traces)})")
     name, trace = traces[layer]

@@ -10,7 +10,7 @@ import pytest
 
 from msconv import tensor as T
 from msconv.autograd import (GradientCheckError, Gradients, Tape,
-                             TapeReuseError, finite_diff_check)
+                             TapeReuseError, _conv2d_vjp, finite_diff_check)
 
 
 def rand(shape, seed=0, scale=1.0):
@@ -259,6 +259,13 @@ class TestTapeSemantics:
 
         assert run() == run()
 
+    def test_backward_releases_records(self):
+        """The consumed tape drops its vjp closures and their saved values."""
+        tape = Tape()
+        x = tape.leaf(rand((1, 2, 2, 1), 56))
+        tape.backward(tape.sum(tape.relu(x)))
+        assert tape._records == []
+
 
 class TestEdgeBehavior:
     def test_l2_normalize_zero_row(self):
@@ -310,3 +317,77 @@ class TestEdgeBehavior:
         g = tape.backward(tape.sum(used))
         assert isinstance(g, Gradients)
         assert g[spare].shape == (2, 7)
+
+
+class TestConstants:
+    def test_constant_gets_no_gradient(self):
+        """A constant factor scales the leaf's gradient but receives none."""
+        tape = Tape()
+        cv = rand((1, 2, 2, 3), 42)
+        x, c = tape.leaf(rand((1, 2, 2, 3), 43)), tape.constant(cv)
+        grads = tape.backward(tape.sum(tape.mul(x, c)))
+        np.testing.assert_array_equal(grads[x], cv)
+        np.testing.assert_array_equal(grads[c], np.zeros_like(cv))
+
+    def test_constant_ops_are_not_recorded(self):
+        """Ops on constants alone keep no record; a leaf input makes one."""
+        tape = Tape()
+        c = tape.constant(rand((1, 3, 3, 2), 44))
+        k = tape.constant(rand((3, 3, 2, 2), 45))
+        y = tape.relu(tape.conv2d(c, k))
+        assert tape._records == []
+        w = tape.leaf(rand((3, 3, 2, 2), 46))
+        tape.conv2d(y, w)
+        assert [r.op_id for r in tape._records] == ["conv2d"]
+
+    def test_default_loss_is_last_op_even_when_constant(self):
+        """With no loss given, backward starts from the last op's output,
+        recorded or not."""
+        tape = Tape()
+        x = tape.leaf(rand((1, 2, 2, 1), 49))
+        tape.sum(x)
+        tape.sum(tape.constant(t4(5.0)))
+        grads = tape.backward()
+        assert not grads[x].any()
+
+
+def _vjp_reference(g, x, w, dilation, stride):
+    """The tap loop with np.tensordot for dW and a 4-D matmul for dx."""
+    kh, kw = w.shape[:2]
+    ph, pw = T.same_pad(kh, dilation), T.same_pad(kw, dilation)
+    oh, ow = g.shape[1:3]
+    xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
+    dxp, dw = np.zeros_like(xp), np.zeros_like(w)
+    for ky in range(kh):
+        ys = slice(ky * dilation, ky * dilation + (oh - 1) * stride + 1, stride)
+        for kx in range(kw):
+            xs = slice(kx * dilation, kx * dilation + (ow - 1) * stride + 1,
+                       stride)
+            dw[ky, kx] = np.tensordot(xp[:, ys, xs, :], g,
+                                      axes=([0, 1, 2], [0, 1, 2]))
+            dxp[:, ys, xs, :] += g @ w[ky, kx].T
+    return dxp[:, ph:ph + x.shape[1], pw:pw + x.shape[2], :], dw
+
+
+class TestConvVjpKernels:
+    @pytest.mark.parametrize("k,dilation,stride", [
+        (3, 1, 2), (3, 2, 1), (3, 2, 2), (1, 1, 1), (1, 1, 2)])
+    def test_bytes_match_tensordot_reference(self, k, dilation, stride):
+        """dW and dx keep every bit of the tensordot tap loop."""
+        x = rand((3, 8, 8, 16), 50)
+        w = rand((k, k, 16, 32), 51)
+        oh = T.conv_out_len(8, stride)
+        g = rand((3, oh, oh, 32), 52)
+        ref_dx, ref_dw = _vjp_reference(g, x, w, dilation, stride)
+        dx, dw = _conv2d_vjp(g, x, w, dilation, stride)
+        assert dw.tobytes() == ref_dw.tobytes()
+        assert dx.tobytes() == ref_dx.tobytes()
+
+    def test_unneeded_gradients_are_none(self):
+        x, w = rand((2, 6, 6, 3), 53), rand((3, 3, 3, 4), 54)
+        g = rand((2, 6, 6, 4), 55)
+        full_dx, full_dw = _conv2d_vjp(g, x, w, 2, 1)
+        dx, dw = _conv2d_vjp(g, x, w, 2, 1, need_x=False)
+        assert dx is None and dw.tobytes() == full_dw.tobytes()
+        dx, dw = _conv2d_vjp(g, x, w, 2, 1, need_w=False)
+        assert dw is None and dx.tobytes() == full_dx.tobytes()

@@ -6,6 +6,9 @@ lines are parsed back and checked against library-side recomputations.
 
 import os
 import re
+import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -176,6 +179,29 @@ class TestTrainCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_bytes_independent_of_blas_threads(self, tmp_path):
+        """A short desk run writes the same bytes on one and on two BLAS
+        threads: metrics.log and every checkpoint file."""
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        outs = []
+        for n in ("1", "2"):
+            path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=n, OMP_NUM_THREADS=n,
+                       PYTHONPATH=os.pathsep.join(path))
+            out = tmp_path / f"threads{n}"
+            subprocess.run(
+                [sys.executable, "-m", "msconv.cli", "train", "--out", str(out),
+                 "--samples_per_identity", "10", "--epochs", "2"],
+                env=env, check=True, capture_output=True)
+            outs.append(out)
+        a, b = outs
+        assert (a / "metrics.log").read_bytes() == (b / "metrics.log").read_bytes()
+        names = sorted(os.listdir(a / "checkpoint"))
+        assert names == sorted(os.listdir(b / "checkpoint"))
+        for name in names:
+            assert (a / "checkpoint" / name).read_bytes() == \
+                (b / "checkpoint" / name).read_bytes()
+
 
 class TestGenDataCommand:
     """Synthetic dataset directories with verification pairs."""
@@ -196,6 +222,16 @@ class TestGenDataCommand:
         pairs = read_pairs(out / "pairs.txt")
         assert len(pairs) == 50
         assert sum(label for _, _, label in pairs) == 20
+
+    def test_negative_pair_count_rejected(self, tmp_path, capsys):
+        """A negative count ends in exit 2 before anything is written."""
+        cfg_path = write_config(tmp_path / "run.cfg")
+        out = tmp_path / "data"
+        code = cli.main(["gen-data", "--config", cfg_path, "--out", str(out),
+                         "--genuine", "-3", "--impostor", "4"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: pair counts")
+        assert not out.exists()
 
 
 class TestVerifyCommand:
@@ -248,6 +284,46 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: pair 2 (99, 1, 0)")
         assert "18 loaded" in err
+
+    def test_negative_pair_count_rejected(self, trained, capsys):
+        _, out = trained
+        code = cli.main(["verify", "--checkpoint", str(out / "checkpoint"),
+                         "--genuine", "5", "--impostor", "-2"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: pair counts")
+
+    @pytest.mark.parametrize("command", ["verify", "viz"])
+    def test_checkpoint_missing_parameter_rejected(self, trained, tmp_path,
+                                                   capsys, command):
+        """A manifest without the w_embed line ends in exit 2, not a
+        KeyError traceback."""
+        _, out = trained
+        ckpt = tmp_path / "checkpoint"
+        shutil.copytree(out / "checkpoint", ckpt)
+        manifest = ckpt / "manifest.txt"
+        manifest.write_text("".join(
+            line for line in manifest.read_text().splitlines(keepends=True)
+            if not line.startswith("w_embed=")))
+        img_path = tmp_path / "img.msct"
+        msct.write_tensor(img_path, np.zeros((8, 8, 2)))
+        argv = {"verify": ["verify", "--checkpoint", str(ckpt)],
+                "viz": ["viz", "--checkpoint", str(ckpt), "--image",
+                        str(img_path), "--out", str(tmp_path / "maps")]}
+        assert cli.main(argv[command]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: checkpoint parameter 'w_embed': the files hold nothing")
+
+    def test_checkpoint_misshapen_parameter_rejected(self, trained, tmp_path,
+                                                     capsys):
+        _, out = trained
+        ckpt = tmp_path / "checkpoint"
+        shutil.copytree(out / "checkpoint", ckpt)
+        filename = msct.read_manifest(ckpt / "manifest.txt")["stem"]
+        msct.write_tensor(ckpt / filename, np.zeros((3, 3, 2, 5)))
+        assert cli.main(["verify", "--checkpoint", str(ckpt)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: checkpoint parameter 'stem': the files "
+                              "hold (3, 3, 2, 5), the config needs (3, 3, 2, 4)")
 
     def test_extra_arguments_rejected(self, trained, capsys):
         """verify takes no config overrides."""

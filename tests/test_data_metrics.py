@@ -134,6 +134,11 @@ class TestPairs:
         with pytest.raises(ValueError):
             make_pairs(np.array([0, 1, 2]), 1, 0, seed=0)
 
+    @pytest.mark.parametrize("genuine,impostor", [(-3, 4), (2, -1)])
+    def test_negative_counts_rejected(self, genuine, impostor):
+        with pytest.raises(ValueError, match="non-negative"):
+            make_pairs(self.LABELS, genuine, impostor, seed=0)
+
     def test_impostor_needs_two_identities(self):
         with pytest.raises(ValueError):
             make_pairs(np.array([0, 0, 0]), 1, 1, seed=0)

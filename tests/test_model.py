@@ -85,6 +85,31 @@ class TestBackboneStructure:
                                      "a_hat", "b_hat", "c"}
 
 
+class TestForwardOnly:
+    def test_embed_matches_recording_tape_and_records_nothing(self, monkeypatch):
+        """tinynet_embed gives the bytes of a training forward, unrecorded."""
+        from msconv import model
+        cfg = small_config(stages=(StageSpec(2, 4, 2),))
+        params = init_params(cfg, seed=9)
+        x = rand((3, 4, 4, 2), 10)
+        tape = Tape()
+        leaves = {k: tape.leaf(v) for k, v in params.items()}
+        recorded = tinynet_forward(tape, tape.leaf(x), leaves, cfg).value
+        assert tape._records
+
+        tapes = []
+
+        class SpyTape(Tape):
+            def __init__(self):
+                super().__init__()
+                tapes.append(self)
+
+        monkeypatch.setattr(model, "Tape", SpyTape)
+        emb = tinynet_embed(x, params, cfg)
+        assert emb.tobytes() == recorded.tobytes()
+        assert len(tapes) == 1 and tapes[0]._records == []
+
+
 class TestLayout:
     def test_block_layout_strides_and_widths(self):
         cfg = TinyNetConfig(in_channels=3, stem_channels=8,

@@ -290,3 +290,22 @@ class TestValidators:
         assert T.same_pad(5, 2) == 4
         with pytest.raises(T.UnsupportedConfigError):
             T.same_pad(4, 1)
+
+
+class TestConvKernelBytes:
+    @pytest.mark.parametrize("k,dilation,stride", [
+        (3, 1, 2), (3, 2, 1), (1, 1, 1), (1, 1, 2)])
+    def test_bytes_match_zero_init_accumulation(self, k, dilation, stride):
+        """The first tap assigned, later ones added: bits of 0 + taps."""
+        x = rand((3, 8, 8, 16), 60)
+        w = rand((k, k, 16, 32), 61)
+        pad = T.same_pad(k, dilation)
+        xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+        oh = T.conv_out_len(8, stride)
+        ref = np.zeros((3, oh, oh, 32))
+        for ky in range(k):
+            for kx in range(k):
+                ref += xp[:, ky * dilation:ky * dilation + (oh - 1) * stride + 1:stride,
+                          kx * dilation:kx * dilation + (oh - 1) * stride + 1:stride,
+                          :] @ w[ky, kx]
+        assert T.conv2d_raw(x, w, dilation, stride).tobytes() == ref.tobytes()

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
+from msconv import msct
+from msconv.autograd import Tape
 from msconv.block import FusionKind
 from msconv.data import SyntheticSpec, gen_synthetic
 from msconv.model import (MarginKind, MarginLossConfig, StageSpec,
-                          TinyNetConfig)
+                          TinyNetConfig, margin_ce_on_tape, tinynet_forward)
 from msconv.train import (CONFIG_KEYS, ConfigError, LRSchedule, RunConfig,
                           TrainingDivergedError, ablation_run, build_config,
                           config_from_lines, config_to_lines,
@@ -221,6 +223,26 @@ class TestTrainLoop:
         for k, arr in init.items():
             np.testing.assert_array_equal(res.params[k], arr)
 
+    def test_constant_images_keep_gradient_bytes(self):
+        """One desk step: parameter gradients are the same bytes whether the
+        images enter the tape as a leaf or as a constant."""
+        cfg = RunConfig()
+        ds = gen_synthetic(cfg.data)
+        params = full_init(cfg)
+        grads = []
+        for enter in (Tape.leaf, Tape.constant):
+            tape = Tape()
+            leaves = {k: tape.leaf(v) for k, v in params.items()}
+            images = enter(tape, ds.images[:cfg.batch_size])
+            emb = tinynet_forward(tape, images, leaves, cfg.model)
+            centers = tape.l2_normalize_rows(leaves["centers"])
+            loss = margin_ce_on_tape(tape, emb, centers,
+                                     ds.labels[:cfg.batch_size], cfg.loss)
+            g = tape.backward(loss)
+            grads.append({k: g[v].tobytes() for k, v in leaves.items()})
+            assert g[images].any() == (enter is Tape.leaf)
+        assert grads[0] == grads[1]
+
     def test_runs_are_byte_identical(self):
         a, b = train(tiny_config()), train(tiny_config())
         assert a.log_lines == b.log_lines
@@ -289,6 +311,11 @@ class TestVerificationEvaluation:
 
 class TestAblationHarness:
     KINDS = (FusionKind.MSCONV, FusionKind.SKCONV_REFERENCE)
+
+    def test_negative_pair_count_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            ablation_run(tiny_config(epochs=1), kinds=self.KINDS,
+                         genuine_pairs=-1, impostor_pairs=4)
 
     def test_rows_and_shared_init(self):
         report = ablation_run(tiny_config(epochs=1), kinds=self.KINDS,
@@ -422,4 +449,28 @@ class TestCheckpoint:
 
     def test_missing_config_file(self, tmp_path):
         with pytest.raises(OSError):
+            load_checkpoint(tmp_path)
+
+    def test_missing_parameter_rejected(self, tmp_path):
+        cfg = tiny_config(epochs=0)
+        params = full_init(cfg)
+        del params["w_embed"]
+        save_checkpoint(tmp_path, params, cfg)
+        with pytest.raises(msct.FormatError, match="'w_embed': the files hold nothing"):
+            load_checkpoint(tmp_path)
+
+    def test_misshapen_parameter_rejected(self, tmp_path):
+        cfg = tiny_config(epochs=0)
+        params = full_init(cfg)
+        params["s0b0/k5"] = params["s0b0/k5"][:, :, :1, :]
+        save_checkpoint(tmp_path, params, cfg)
+        with pytest.raises(msct.FormatError, match=r"'s0b0/k5': the files hold \(3, 3, 1, 6\)"):
+            load_checkpoint(tmp_path)
+
+    def test_unknown_parameter_rejected(self, tmp_path):
+        cfg = tiny_config(epochs=0)
+        params = full_init(cfg)
+        params["extra"] = np.zeros(3)
+        save_checkpoint(tmp_path, params, cfg)
+        with pytest.raises(msct.FormatError, match="'extra': the files hold .*the config needs nothing"):
             load_checkpoint(tmp_path)
