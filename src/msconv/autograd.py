@@ -18,6 +18,11 @@ gradient.
 Values are plain numpy arrays and must not be mutated while the tape is
 alive; the optimizer produces fresh arrays instead of updating in place.  A
 tape is single-owner and is consumed by ``backward``.
+
+``backward`` frees each recorded op's output gradient once the record that
+produced the value has used it, so only leaf gradients live to the end: the
+returned :class:`Gradients` answers for leaves and constants and raises
+``ValueError`` for the output of a recorded op.
 """
 
 from __future__ import annotations
@@ -72,15 +77,24 @@ class GradRecord:
 
 
 class Gradients:
-    """Result of backward: gradient lookup by Var, zero for untouched values."""
+    """Result of backward: gradient lookup by Var, zero for untouched values.
 
-    def __init__(self, tape: "Tape", grads: dict[int, np.ndarray]):
+    Answers for leaves and constants; a recorded op's output raises
+    ValueError, as backward freed its gradient.
+    """
+
+    def __init__(self, tape: "Tape", grads: dict[int, np.ndarray],
+                 freed: set[int]):
         self._tape = tape
         self._grads = grads
+        self._freed = freed
 
     def __getitem__(self, var: Var) -> np.ndarray:
         if var.tape is not self._tape:
             raise ValueError("Var belongs to a different tape")
+        if var.index in self._freed:
+            raise ValueError(f"{var!r} is a recorded op's output; its gradient "
+                             "was freed during backward")
         g = self._grads.get(var.index)
         if g is None:
             return np.zeros_like(var.value)
@@ -273,6 +287,7 @@ class Tape:
 
         The loss defaults to the output of the last op.  Consumes the tape: a
         second backward, or any further op, raises :class:`TapeReuseError`.
+        The result holds leaf gradients only; see :class:`Gradients`.
         """
         self._guard()
         if loss is None:
@@ -288,10 +303,13 @@ class Tape:
         grads: dict[int, np.ndarray] = {
             loss.index: np.full(loss.value.shape, seed, dtype=loss.value.dtype)
         }
-        # popping each record frees the values its vjp saved once used
+        # popping each record frees the values its vjp saved once used, and
+        # popping its output's gradient frees that once the vjp has read it
+        freed: set[int] = set()
         while self._records:
             rec = self._records.pop()
-            g = grads.get(rec.output)
+            freed.add(rec.output)
+            g = grads.pop(rec.output, None)
             if g is None:
                 continue
             partials = rec.vjp(g)
@@ -311,7 +329,7 @@ class Tape:
                     grads[idx] = grads[idx] + gi
                 else:
                     grads[idx] = gi
-        return Gradients(self, grads)
+        return Gradients(self, grads, freed)
 
 
 def _conv2d_vjp(g: np.ndarray, x: np.ndarray, w: np.ndarray,

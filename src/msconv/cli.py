@@ -193,7 +193,7 @@ def _cmd_verify(args, _extra) -> int:
     model_cfg = cfg.model.with_fusion(cfg.fusion)
     if args.data:
         ds = load_dataset(args.data)
-        pairs = read_pairs(os.path.join(args.data, "pairs.txt"))
+        pairs = read_pairs(os.path.join(args.data, "pairs.txt"), ds.names)
     else:
         spec = replace(cfg.data, seed=cfg.data.seed + args.seed_offset)
         ds = gen_synthetic(spec)

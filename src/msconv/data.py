@@ -48,10 +48,15 @@ class SyntheticSpec:
 
 @dataclass(frozen=True)
 class LabeledImages:
-    """images: (total, h, w, c) in [-1, 1]; labels: (total,) identity ids."""
+    """images: (total, h, w, c) in [-1, 1]; labels: (total,) identity ids.
+
+    ``names`` holds the image filenames in row order when the set was read
+    from a directory, None when it was generated.
+    """
 
     images: np.ndarray
     labels: np.ndarray
+    names: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if self.images.ndim != 4 or self.labels.shape != (self.images.shape[0],):
@@ -109,15 +114,16 @@ def load_dataset(directory) -> LabeledImages:
     path = os.path.join(directory, "labels.txt")
     with open(path) as fh:
         rows = [line.strip() for line in fh if line.strip()]
-    images, labels = [], []
+    images, labels, names = [], [], []
     for row in rows:
         name, _, ident = row.partition(",")
         if not ident:
             raise msct.FormatError(f"bad labels line {row!r}")
         images.append(msct.read_tensor(os.path.join(directory, name)))
         labels.append(int(ident))
+        names.append(name)
     stack = np.stack(images).astype(np.float64)
-    return LabeledImages(stack, np.asarray(labels, dtype=np.int64))
+    return LabeledImages(stack, np.asarray(labels, dtype=np.int64), tuple(names))
 
 
 def make_pairs(labels: np.ndarray, genuine_count: int, impostor_count: int,
@@ -161,8 +167,23 @@ def write_pairs(path, pairs: list[tuple[int, int, int]]) -> None:
             fh.write(f"{_image_name(i)},{_image_name(j)},{int(bool(same))}\n")
 
 
-def read_pairs(path) -> list[tuple[int, int, int]]:
+def read_pairs(path, names) -> list[tuple[int, int, int]]:
+    """(row_a, row_b, same) triples of a pair list file.
+
+    ``names`` lists the image filenames in dataset row order, as
+    ``load_dataset`` reads them from ``labels.txt``; each filename resolves
+    to its row, and one that is not listed raises FormatError.
+    """
     pairs = []
+    rows = {name: i for i, name in enumerate(names)}
+
+    def row_of(name: str) -> int:
+        if name not in rows:
+            raise msct.FormatError(
+                f"pair {len(pairs) + 1} names {name!r}, which is not "
+                f"among the {len(names)} images in labels.txt")
+        return rows[name]
+
     with open(path) as fh:
         for line in fh:
             line = line.strip()
@@ -171,12 +192,5 @@ def read_pairs(path) -> list[tuple[int, int, int]]:
             parts = line.split(",")
             if len(parts) != 3 or parts[2] not in ("0", "1"):
                 raise msct.FormatError(f"bad pairs line {line!r}")
-            pairs.append((_image_index(parts[0]), _image_index(parts[1]),
-                          int(parts[2])))
+            pairs.append((row_of(parts[0]), row_of(parts[1]), int(parts[2])))
     return pairs
-
-
-def _image_index(name: str) -> int:
-    if not (name.startswith("img") and name.endswith(".msct")):
-        raise msct.FormatError(f"unrecognized image filename {name!r}")
-    return int(name[3:-5])

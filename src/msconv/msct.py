@@ -75,19 +75,32 @@ def read_manifest(path: str | os.PathLike) -> dict[str, str]:
             if "=" not in line:
                 raise FormatError(f"{path}:{lineno}: expected name=filename")
             name, filename = line.split("=", 1)
+            # a plain basename: the file must sit in the manifest's directory
+            if filename in ("", ".", "..") or os.path.basename(filename) != filename:
+                raise FormatError(f"{path}:{lineno}: filename {filename!r} is "
+                                  "not a plain file name")
             entries[name] = filename
     return entries
 
 
 def save_tensors(directory: str | os.PathLike, tensors: dict[str, np.ndarray],
                  manifest_name: str = "manifest.txt") -> None:
-    """Write one .msct per tensor plus a manifest, names sorted for stable bytes."""
+    """Write one .msct per tensor plus a manifest, names sorted for stable bytes.
+
+    Raises ValueError, before writing anything, when two names map to the
+    same file.
+    """
+    entries = {name: name.replace("/", "_").replace(".", "_") + ".msct"
+               for name in sorted(tensors)}
+    owner: dict[str, str] = {}
+    for name, filename in entries.items():
+        first = owner.setdefault(filename, name)
+        if first != name:
+            raise ValueError(f"tensor names {first!r} and {name!r} both map "
+                             f"to the file {filename!r}")
     os.makedirs(directory, exist_ok=True)
-    entries = {}
-    for name in sorted(tensors):
-        filename = name.replace("/", "_").replace(".", "_") + ".msct"
+    for name, filename in entries.items():
         write_tensor(os.path.join(directory, filename), tensors[name])
-        entries[name] = filename
     write_manifest(os.path.join(directory, manifest_name), entries)
 
 

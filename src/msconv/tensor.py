@@ -5,6 +5,12 @@ Activations live in numpy arrays laid out channel-last, shape ``(n, h, w, c)``
 ``(n, c)``.  Every function here is pure: inputs are never mutated and the
 same inputs produce bit-identical outputs (accumulation order is fixed).
 
+``conv2d_raw`` walks the batch in chunks sized from the input's shape: as
+many images as fit ``_CHUNK_BYTES`` (256 KiB) of output, at least one, so a
+chunk's accumulator stays in cache while every tap adds into it.  Each image
+row still gets the same GEMM per tap, summed in the same row-major tap
+order, so the chunk size never changes a bit of the result.
+
 Precision follows the inputs.  The library feeds float64 everywhere: the
 synthetic data and the parameter initialisation are float64, so training,
 inference and the gradient checks all run in it.  Only checkpoint and
@@ -147,6 +153,11 @@ def _pad_same(x: Tensor4, kh: int, kw: int, dilation: int) -> Tensor4:
     return np.pad(x, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
 
 
+# Output bytes of one conv2d_raw chunk: with its padded input and one tap
+# product beside it, a chunk's working set stays well inside a 2 MiB L2.
+_CHUNK_BYTES = 256 * 1024
+
+
 def _tap_slices(kh: int, kw: int, dilation: int, stride: int, oh: int, ow: int):
     """Yields (ky, kx, rows, cols): each tap's slices of the padded input.
 
@@ -170,6 +181,14 @@ def conv2d_raw(
     outside the input read zero.  Accumulation runs over taps in row-major
     (ky, kx) order, with the channel reduction done per tap, so results are
     deterministic for fixed inputs.
+
+    A kernel of several taps walks the batch in chunks of
+    ``max(1, _CHUNK_BYTES // one image's output bytes)`` images, padding each
+    chunk into one reused zero-bordered buffer, so a chunk's output and tap
+    product stay in cache while all taps add into it.  Every image row still
+    gets the same GEMM per tap, added in the same order, so the bits do not
+    depend on the chunk size.  A one-tap kernel has nothing to accumulate and
+    stays one matmul over the whole batch.
     """
     x = check_tensor4(x, "conv input")
     weights = np.asarray(weights)
@@ -186,16 +205,23 @@ def conv2d_raw(
     oh = conv_out_len(h, stride)
     ow = conv_out_len(w, stride)
 
-    xp = _pad_same(x, kh, kw, dilation)
-    out = buf = None
-    for ky, kx, ys, xs in _tap_slices(kh, kw, dilation, stride, oh, ow):
-        if out is None:
-            out = xp[:, ys, xs, :] @ weights[ky, kx]
-        else:
-            if buf is None:
-                buf = np.empty_like(out)
-            np.matmul(xp[:, ys, xs, :], weights[ky, kx], out=buf)
-            out += buf
+    (ky0, kx0, ys0, xs0), *taps = _tap_slices(kh, kw, dilation, stride, oh, ow)
+    if not taps:
+        return _finite_guard(x[:, ys0, xs0, :] @ weights[ky0, kx0], "conv2d")
+    ph = same_pad(kh, dilation)
+    pw = same_pad(kw, dilation)
+    out = np.empty((n, oh, ow, c_out), dtype=np.result_type(x, weights))
+    step = min(n, max(1, _CHUNK_BYTES // out[0].nbytes))
+    xp = np.zeros((step, h + 2 * ph, w + 2 * pw, c), dtype=x.dtype)
+    buf = np.empty((step,) + out.shape[1:], dtype=out.dtype)
+    for i in range(0, n, step):
+        m = min(step, n - i)
+        xpc, acc, tap = xp[:m], out[i:i + m], buf[:m]
+        xpc[:, ph:ph + h, pw:pw + w, :] = x[i:i + m]
+        np.matmul(xpc[:, ys0, xs0, :], weights[ky0, kx0], out=acc)
+        for ky, kx, ys, xs in taps:
+            np.matmul(xpc[:, ys, xs, :], weights[ky, kx], out=tap)
+            acc += tap
     return _finite_guard(out, "conv2d")
 
 

@@ -217,6 +217,22 @@ class TestTapeSemantics:
         with pytest.raises(ValueError):
             t2.backward(x)
 
+    def test_intermediate_gradients_freed(self):
+        """Backward keeps leaf gradients only: asking for an op output's
+        raises, while leaves and constants still answer."""
+        tape = Tape()
+        x = tape.leaf(rand((1, 2, 2, 3), 38))
+        c = tape.constant(rand((1, 2, 2, 3), 39))
+        y = tape.mul(x, c)
+        loss = tape.sum(tape.relu(y))
+        grads = tape.backward(loss)
+        assert list(grads._grads) == [x.index]
+        for var in (y, loss):
+            with pytest.raises(ValueError, match="freed during backward"):
+                grads[var]
+        np.testing.assert_array_equal(grads[x], c.value * (y.value > 0))
+        np.testing.assert_array_equal(grads[c], np.zeros_like(c.value))
+
     def test_unused_leaf_gets_zeros(self):
         tape = Tape()
         x = tape.leaf(rand((1, 2, 2, 1), 34))

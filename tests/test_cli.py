@@ -15,7 +15,7 @@ import pytest
 
 from msconv import cli, msct
 from msconv.block import FusionKind
-from msconv.data import read_pairs
+from msconv.data import load_dataset, read_pairs
 from msconv.model import init_params
 from msconv.train import build_config, load_checkpoint, parse_kv_lines
 
@@ -219,7 +219,7 @@ class TestGenDataCommand:
         labels = (out / "labels.txt").read_text().splitlines()
         assert len(labels) == 18
         assert len([n for n in os.listdir(out) if n.endswith(".msct")]) == 18
-        pairs = read_pairs(out / "pairs.txt")
+        pairs = read_pairs(out / "pairs.txt", load_dataset(out).names)
         assert len(pairs) == 50
         assert sum(label for _, _, label in pairs) == 20
 
@@ -282,8 +282,51 @@ class TestVerifyCommand:
                          "--data", str(data_dir)])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: pair 2 (99, 1, 0)")
-        assert "18 loaded" in err
+        assert err.startswith("error: pair 2 names 'img00099.msct', which is "
+                              "not among the 18 images in labels.txt")
+
+    def test_reordered_labels_score_the_same_pairs(self, trained, tmp_path,
+                                                   capsys):
+        """Pairs resolve through labels.txt, so reordering it changes
+        nothing."""
+        cfg_path, out = trained
+        data_dir = tmp_path / "data"
+        assert cli.main(["gen-data", "--config", cfg_path,
+                         "--out", str(data_dir),
+                         "--genuine", "15", "--impostor", "25"]) == 0
+        capsys.readouterr()
+        argv = ["verify", "--checkpoint", str(out / "checkpoint"),
+                "--data", str(data_dir), "--far", "0.1"]
+        assert cli.main(argv) == 0
+        before = capsys.readouterr().out
+        labels = data_dir / "labels.txt"
+        lines = labels.read_text().splitlines(keepends=True)
+        labels.write_text("".join(lines[:5] + lines[:4:-1]))
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == before
+
+    def test_pair_outside_labels_subset_rejected(self, trained, tmp_path,
+                                                 capsys):
+        """An image file on disk but left out of labels.txt cannot be
+        paired."""
+        cfg_path, out = trained
+        data_dir = tmp_path / "data"
+        assert cli.main(["gen-data", "--config", cfg_path,
+                         "--out", str(data_dir),
+                         "--genuine", "4", "--impostor", "4"]) == 0
+        capsys.readouterr()
+        labels = data_dir / "labels.txt"
+        labels.write_text("".join(labels.read_text().splitlines(
+            keepends=True)[1:]))
+        (data_dir / "pairs.txt").write_text(
+            "img00001.msct,img00002.msct,1\n"
+            "img00000.msct,img00009.msct,0\n")
+        code = cli.main(["verify", "--checkpoint", str(out / "checkpoint"),
+                         "--data", str(data_dir)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "error: pair 2 names 'img00000.msct', which is not among the 17 "
+            "images in labels.txt")
 
     def test_negative_pair_count_rejected(self, trained, capsys):
         _, out = trained

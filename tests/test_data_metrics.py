@@ -147,7 +147,8 @@ class TestPairs:
         pairs = make_pairs(self.LABELS, 3, 3, seed=2)
         path = tmp_path / "pairs.txt"
         write_pairs(path, pairs)
-        assert read_pairs(path) == pairs
+        names = [f"img{i:05d}.msct" for i in range(len(self.LABELS))]
+        assert read_pairs(path, names) == pairs
 
     def test_read_pairs_bad_lines(self, tmp_path):
         path = tmp_path / "pairs.txt"
@@ -156,7 +157,7 @@ class TestPairs:
                     "a.msct,img00001.msct,1\n"):
             path.write_text(bad)
             with pytest.raises(msct.FormatError):
-                read_pairs(path)
+                read_pairs(path, ["img00000.msct", "img00001.msct"])
 
 
 class TestCosineSimilarity:

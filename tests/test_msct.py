@@ -130,6 +130,24 @@ class TestFiles:
         with pytest.raises(msct.FormatError):
             msct.read_manifest(p)
 
+    @pytest.mark.parametrize("filename", [
+        "../outside.msct", "sub/w.msct", "/abs/w.msct", "..", "."])
+    def test_manifest_filename_must_be_plain(self, tmp_path, filename):
+        """A manifest cannot point outside its own directory."""
+        ckpt = tmp_path / "ckpt"
+        ckpt.mkdir()
+        msct.write_tensor(tmp_path / "outside.msct", np.ones(2))
+        (ckpt / "manifest.txt").write_text(f"w={filename}\n")
+        with pytest.raises(msct.FormatError, match="not a plain file name"):
+            msct.load_tensors(ckpt)
+
+    def test_colliding_names_rejected(self, tmp_path):
+        """Names that sanitize to one file raise before anything is written."""
+        with pytest.raises(ValueError, match="'a/b' and 'a_b'"):
+            msct.save_tensors(tmp_path / "ckpt", {"a_b": np.ones(1),
+                                                  "a/b": np.zeros(1)})
+        assert not (tmp_path / "ckpt").exists()
+
     def test_load_missing_manifest(self, tmp_path):
         with pytest.raises(OSError):
             msct.load_tensors(tmp_path / "nope")

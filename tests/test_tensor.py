@@ -292,20 +292,42 @@ class TestValidators:
             T.same_pad(4, 1)
 
 
+def tap_loop_reference(x, w, dilation, stride):
+    """Whole-batch conv: zero-initialised output plus every tap's product."""
+    k = w.shape[0]
+    pad = T.same_pad(k, dilation)
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    oh = T.conv_out_len(x.shape[1], stride)
+    ref = np.zeros((x.shape[0], oh, oh, w.shape[3]))
+    for ky in range(k):
+        for kx in range(k):
+            ref += xp[:, ky * dilation:ky * dilation + (oh - 1) * stride + 1:stride,
+                      kx * dilation:kx * dilation + (oh - 1) * stride + 1:stride,
+                      :] @ w[ky, kx]
+    return ref
+
+
 class TestConvKernelBytes:
-    @pytest.mark.parametrize("k,dilation,stride", [
-        (3, 1, 2), (3, 2, 1), (1, 1, 1), (1, 1, 2)])
-    def test_bytes_match_zero_init_accumulation(self, k, dilation, stride):
-        """The first tap assigned, later ones added: bits of 0 + taps."""
-        x = rand((3, 8, 8, 16), 60)
-        w = rand((k, k, 16, 32), 61)
-        pad = T.same_pad(k, dilation)
-        xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
-        oh = T.conv_out_len(8, stride)
-        ref = np.zeros((3, oh, oh, 32))
-        for ky in range(k):
-            for kx in range(k):
-                ref += xp[:, ky * dilation:ky * dilation + (oh - 1) * stride + 1:stride,
-                          kx * dilation:kx * dilation + (oh - 1) * stride + 1:stride,
-                          :] @ w[ky, kx]
+    @pytest.mark.parametrize("k,dilation,stride,n,size,c_in,c_out,chunks", [
+        (3, 1, 2, 3, 8, 16, 32, 1),
+        (3, 2, 1, 3, 8, 16, 32, 1),
+        (1, 1, 1, 3, 8, 16, 32, 1),
+        (1, 1, 2, 3, 8, 16, 32, 1),
+        (3, 1, 1, 20, 32, 3, 16, 10),  # desk stem, last batch of 500 images
+        (3, 1, 2, 20, 32, 16, 32, 5),  # desk branch convs
+        (3, 2, 2, 20, 32, 16, 32, 5),
+        (3, 2, 2, 7, 32, 16, 32, 2),  # uneven last chunk: 4 + 3 images
+        (3, 1, 1, 3, 64, 3, 16, 3),  # 64x64 stem: one image per chunk
+    ], ids=["3-1-2", "3-2-1", "1-1-1", "1-1-2", "desk-stem", "desk-k3",
+            "desk-k5", "uneven", "stem-64"])
+    def test_bytes_match_zero_init_accumulation(self, k, dilation, stride, n,
+                                                size, c_in, c_out, chunks):
+        """The first tap assigned, later ones added: bits of 0 + taps over
+        the whole batch, however many chunks the batch is walked in."""
+        oh = T.conv_out_len(size, stride)
+        step = max(1, T._CHUNK_BYTES // (oh * oh * c_out * 8))
+        assert k == 1 or -(-n // step) == chunks
+        x = rand((n, size, size, c_in), 60)
+        w = rand((k, k, c_in, c_out), 61)
+        ref = tap_loop_reference(x, w, dilation, stride)
         assert T.conv2d_raw(x, w, dilation, stride).tobytes() == ref.tobytes()

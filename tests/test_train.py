@@ -294,6 +294,12 @@ class TestVerificationEvaluation:
         np.testing.assert_allclose(vs.genuine, [1.0], rtol=1e-15)
         np.testing.assert_allclose(vs.impostor, [0.0, 0.0], atol=1e-15)
 
+    def test_verification_set_rejects_out_of_range_pair(self):
+        """A pair indexing past the embeddings names itself in the error."""
+        with pytest.raises(ValueError, match=re.escape(
+                "pair 2 (99, 1, 0) indexes an image outside the 18 loaded")):
+            verification_set(np.ones((18, 4)), [(0, 1, 1), (99, 1, 0)])
+
     def test_evaluate_verification_keys(self):
         cfg = tiny_config(epochs=1)
         res = train(cfg)
