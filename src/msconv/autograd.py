@@ -332,40 +332,79 @@ class Tape:
         return Gradients(self, grads, freed)
 
 
+def _phase_taps(k: int, dilation: int, stride: int, size: int, out_len: int):
+    """The taps that reach each input phase along one axis.
+
+    The forward reads input row ``stride*o + dilation*t - pad`` through tap
+    t, so input row ``r + stride*j`` of phase r receives ``g[j - q]``
+    through each tap with ``dilation*t - r - pad == stride*q``: a stride-1
+    correlation of ``g`` per phase.  A tap whose shifted rows all fall
+    outside ``g`` is left out, so a phase may have no tap.
+
+    Returns ((lo, hi), phases): the zero border ``g`` needs before and after
+    its rows, and per phase r a list of (t, rows of the padded g) in tap
+    order.
+    """
+    pad = T.same_pad(k, dilation)
+    shifts = []
+    for r in range(stride):
+        length = len(range(r, size, stride))
+        taps = []
+        for t in range(k):
+            q, rem = divmod(dilation * t - r - pad, stride)
+            # kept when some row j in [0, length) has 0 <= j - q < out_len
+            if rem == 0 and max(0, q) < min(length, out_len + q):
+                taps.append((t, q))
+        shifts.append((length, taps))
+    lo = max([0] + [q for _, taps in shifts for _, q in taps])
+    hi = max([0] + [length - q - out_len for length, taps in shifts
+                    for _, q in taps])
+    return (lo, hi), [[(t, slice(lo - q, lo - q + length)) for t, q in taps]
+                      for length, taps in shifts]
+
+
 def _conv2d_vjp(g: np.ndarray, x: np.ndarray, w: np.ndarray,
                 dilation: int, stride: int, need_x: bool = True,
                 need_w: bool = True) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Gradients of conv2d_raw w.r.t. input and weights; None where unneeded.
 
-    Mirrors the forward tap loop: each tap scatters g @ w[ky,kx]^T back into
-    its strided input slice and contracts the same slice with g for the
-    weight gradient, one 2-D GEMM over a contiguous copy of the slice.
+    Both walk the batch in the forward's chunks (``T._chunk_step`` of one
+    image of ``g``).  dx splits into the stride**2 phases dx[:, ry::s, rx::s],
+    each a stride-1 correlation of ``g`` with the taps that reach it
+    (``_phase_taps``) and w[ky, kx] transposed, run through the forward's
+    ``T._chunked_tap_gemm``; taps add in row-major (ky, kx) order, and a
+    phase that no tap reaches stays zero.  dW adds each tap's ``patch.T @ g``
+    per x chunk, so its bits depend on the chunking: moving the backward to
+    chunks changed its bits, while the forward's did not change.
     """
     n, h, wd, c_in = x.shape
     kh, kw, _, c_out = w.shape
-    ph = T.same_pad(kh, dilation)
-    pw = T.same_pad(kw, dilation)
     oh, ow = g.shape[1], g.shape[2]
-
-    xp = T._pad_same(x, kh, kw, dilation)
-    dxp = dw = None
+    step = T._chunk_step(n, g[0].nbytes)
+    dx = dw = None
     if need_x:
-        dxp = np.zeros_like(xp)
-        g_tap = np.empty((n, oh, ow, c_in), dtype=np.result_type(g, w))
+        (top, bottom), rows = _phase_taps(kh, dilation, stride, h, oh)
+        (left, right), cols = _phase_taps(kw, dilation, stride, wd, ow)
+        phases = [(slice(ry, None, stride), slice(rx, None, stride),
+                   [(ys, xs, w[ky, kx].T) for ky, ys in ty for kx, xs in tx])
+                  for ry, ty in enumerate(rows) for rx, tx in enumerate(cols)
+                  if ty and tx]
+        dx = np.zeros((n, h, wd, c_in), dtype=np.result_type(g, w))
+        T._chunked_tap_gemm(g, ((top, bottom), (left, right)), step, phases, dx)
     if need_w:
-        dw = np.empty_like(w)
-        patch = np.empty((n, oh, ow, c_in), dtype=x.dtype)
-        g_rows = g.reshape(-1, c_out)
-    for ky, kx, ys, xs in T._tap_slices(kh, kw, dilation, stride, oh, ow):
-        if need_w:
-            np.copyto(patch, xp[:, ys, xs, :])
-            np.matmul(patch.reshape(-1, c_in).T, g_rows, out=dw[ky, kx])
-        if need_x:
-            # per-image-row GEMMs, as the forward: one batched GEMM over all
-            # rows rounds differently
-            np.matmul(g, w[ky, kx].T, out=g_tap)
-            dxp[:, ys, xs, :] += g_tap
-    dx = None if dxp is None else dxp[:, ph:ph + h, pw:pw + wd, :]
+        ph = T.same_pad(kh, dilation)
+        pw = T.same_pad(kw, dilation)
+        taps = list(T._tap_slices(kh, kw, dilation, stride, oh, ow))
+        dw = np.zeros_like(w)
+        patch = np.empty((step, oh, ow, c_in), dtype=x.dtype)
+        part = np.empty((c_in, c_out), dtype=dw.dtype)
+        for i, xpc in T._padded_chunks(x, ((ph, ph), (pw, pw)), step):
+            m = len(xpc)
+            p, g_rows = patch[:m], g[i:i + m].reshape(-1, c_out)
+            for ky, kx, ys, xs in taps:
+                np.copyto(p, xpc[:, ys, xs, :])
+                np.matmul(p.reshape(-1, c_in).T, g_rows, out=part)
+                dw[ky, kx] += part
     return dx, dw
 
 

@@ -112,13 +112,11 @@ def save_dataset(directory, ds: LabeledImages) -> None:
 
 def load_dataset(directory) -> LabeledImages:
     path = os.path.join(directory, "labels.txt")
-    with open(path) as fh:
-        rows = [line.strip() for line in fh if line.strip()]
     images, labels, names = [], [], []
-    for row in rows:
+    for lineno, row in msct.text_lines(path):
         name, _, ident = row.partition(",")
         if not ident:
-            raise msct.FormatError(f"bad labels line {row!r}")
+            raise msct.FormatError(f"{path}:{lineno}: bad labels line {row!r}")
         images.append(msct.read_tensor(os.path.join(directory, name)))
         labels.append(int(ident))
         names.append(name)
@@ -184,13 +182,9 @@ def read_pairs(path, names) -> list[tuple[int, int, int]]:
                 f"among the {len(names)} images in labels.txt")
         return rows[name]
 
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3 or parts[2] not in ("0", "1"):
-                raise msct.FormatError(f"bad pairs line {line!r}")
-            pairs.append((row_of(parts[0]), row_of(parts[1]), int(parts[2])))
+    for lineno, line in msct.text_lines(path):
+        parts = line.split(",")
+        if len(parts) != 3 or parts[2] not in ("0", "1"):
+            raise msct.FormatError(f"{path}:{lineno}: bad pairs line {line!r}")
+        pairs.append((row_of(parts[0]), row_of(parts[1]), int(parts[2])))
     return pairs

@@ -3,13 +3,16 @@
 Binary layout: magic ``MSCT``, little-endian u32 rank, u32 per dimension,
 then the values as little-endian IEEE-754 float32, row-major.  Readers
 reject anything with the wrong magic or whose byte length disagrees with
-the header.
+the header.  Manifests, like the dataset's ``labels.txt`` and ``pairs.txt``,
+are ASCII text read through ``text_lines``.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import struct
+import sys
 
 import numpy as np
 
@@ -44,6 +47,10 @@ def tensor_from_bytes(blob: bytes) -> np.ndarray:
     if len(blob) < body:
         raise FormatError("truncated dimension list")
     dims = struct.unpack_from(f"<{rank}I", blob, 8)
+    # numpy refuses a shape whose nonzero dimensions span more bytes than an
+    # index can address, even when a zero dimension leaves it empty
+    if math.prod(d for d in dims if d) * 4 > sys.maxsize:
+        raise FormatError(f"dimensions {dims} exceed the addressable size")
     count = 1
     for d in dims:
         count *= d
@@ -65,21 +72,31 @@ def write_manifest(path: str | os.PathLike, entries: dict[str, str]) -> None:
             f.write(f"{name}={filename}\n")
 
 
+def text_lines(path: str | os.PathLike):
+    """Yields (line number, stripped line) of an ASCII text file's non-blank
+    lines; a non-ASCII byte raises FormatError naming ``path:line``."""
+    with open(path, "rb") as f:
+        for lineno, raw in enumerate(f, 1):
+            try:
+                line = raw.decode("ascii").strip()
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"{path}:{lineno}: non-ASCII byte "
+                                  f"{raw[exc.start]:#04x}") from None
+            if line:
+                yield lineno, line
+
+
 def read_manifest(path: str | os.PathLike) -> dict[str, str]:
     entries: dict[str, str] = {}
-    with open(path, "r", encoding="ascii") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise FormatError(f"{path}:{lineno}: expected name=filename")
-            name, filename = line.split("=", 1)
-            # a plain basename: the file must sit in the manifest's directory
-            if filename in ("", ".", "..") or os.path.basename(filename) != filename:
-                raise FormatError(f"{path}:{lineno}: filename {filename!r} is "
-                                  "not a plain file name")
-            entries[name] = filename
+    for lineno, line in text_lines(path):
+        if "=" not in line:
+            raise FormatError(f"{path}:{lineno}: expected name=filename")
+        name, filename = line.split("=", 1)
+        # a plain basename: the file must sit in the manifest's directory
+        if filename in ("", ".", "..") or os.path.basename(filename) != filename:
+            raise FormatError(f"{path}:{lineno}: filename {filename!r} is "
+                              "not a plain file name")
+        entries[name] = filename
     return entries
 
 

@@ -9,7 +9,12 @@ same inputs produce bit-identical outputs (accumulation order is fixed).
 many images as fit ``_CHUNK_BYTES`` (256 KiB) of output, at least one, so a
 chunk's accumulator stays in cache while every tap adds into it.  Each image
 row still gets the same GEMM per tap, summed in the same row-major tap
-order, so the chunk size never changes a bit of the result.
+order, so the chunk size never changes a bit of the result.  The private
+kernel behind it, ``_chunked_tap_gemm``, also computes the conv's input
+gradient in ``autograd``: one stride-1 correlation of the output gradient
+per stride phase, in the same chunks.  The backward's bits changed when it
+moved to chunks (its weight gradient now sums per chunk); the forward's
+bits did not.
 
 Precision follows the inputs.  The library feeds float64 everywhere: the
 synthetic data and the parameter initialisation are float64, so training,
@@ -144,18 +149,14 @@ def conv_out_len(size: int, stride: int) -> int:
     return -(-size // stride)
 
 
-def _pad_same(x: Tensor4, kh: int, kw: int, dilation: int) -> Tensor4:
-    """``x`` with the same-padding of a (kh, kw) kernel; ``x`` itself if none."""
-    ph = same_pad(kh, dilation)
-    pw = same_pad(kw, dilation)
-    if ph == pw == 0:
-        return x
-    return np.pad(x, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
-
-
-# Output bytes of one conv2d_raw chunk: with its padded input and one tap
-# product beside it, a chunk's working set stays well inside a 2 MiB L2.
+# Output bytes of one chunk: with its padded input and one tap product
+# beside it, a chunk's working set stays well inside a 2 MiB L2.
 _CHUNK_BYTES = 256 * 1024
+
+
+def _chunk_step(n: int, image_bytes: int) -> int:
+    """Images per chunk: as many as fit _CHUNK_BYTES of output, at least one."""
+    return min(n, max(1, _CHUNK_BYTES // image_bytes))
 
 
 def _tap_slices(kh: int, kw: int, dilation: int, stride: int, oh: int, ow: int):
@@ -172,6 +173,56 @@ def _tap_slices(kh: int, kw: int, dilation: int, stride: int, oh: int, ow: int):
             yield ky, kx, ys, slice(x0, x0 + (ow - 1) * stride + 1, stride)
 
 
+def _padded_chunks(x: Tensor4, pads, step: int):
+    """Yields (i, chunk): ``x[i:i+step]`` inside a zero border.
+
+    ``pads`` is ((top, bottom), (left, right)).  Every chunk is copied into
+    the interior of one reused buffer whose border stays zero; with no
+    padding the chunk is a view of ``x``.
+    """
+    (top, bottom), (left, right) = pads
+    n, h, w, c = x.shape
+    if not (top or bottom or left or right):
+        for i in range(0, n, step):
+            yield i, x[i:i + step]
+        return
+    xp = np.zeros((step, top + h + bottom, left + w + right, c), dtype=x.dtype)
+    for i in range(0, n, step):
+        m = min(step, n - i)
+        xp[:m, top:top + h, left:left + w, :] = x[i:i + m]
+        yield i, xp[:m]
+
+
+def _chunked_tap_gemm(src: Tensor4, pads, step: int, phases, out: Tensor4) -> None:
+    """Writes ``out[:, rows, cols] = sum of padded src[:, ys, xs, :] @ mat``.
+
+    ``phases`` lists (rows, cols, taps) with taps a list of (ys, xs, mat):
+    slices of ``src`` padded by ``pads`` and a (c_src, c_out) matrix.  The
+    batch is walked in chunks of ``step`` images; per chunk and phase the
+    first tap's product is assigned and later ones are added from one
+    reused buffer, in list order.  A strided phase of ``out`` is summed in a
+    contiguous buffer and copied in once.  Every image row gets the same
+    GEMM per tap whatever the chunk size, so ``step`` never changes a bit.
+    """
+    size = max(out[0, rows, cols].size for rows, cols, _ in phases)
+    tap_buf = np.empty(step * size, dtype=out.dtype)
+    strided = not all(out[:, rows, cols].flags.c_contiguous
+                      for rows, cols, _ in phases)
+    acc_buf = np.empty_like(tap_buf) if strided else None
+    for i, chunk in _padded_chunks(src, pads, step):
+        for rows, cols, taps in phases:
+            dst = out[i:i + len(chunk), rows, cols]
+            acc = acc_buf[:dst.size].reshape(dst.shape) if strided else dst
+            tap = tap_buf[:dst.size].reshape(dst.shape)
+            (ys, xs, mat), *rest = taps
+            np.matmul(chunk[:, ys, xs, :], mat, out=acc)
+            for ys, xs, mat in rest:
+                np.matmul(chunk[:, ys, xs, :], mat, out=tap)
+                acc += tap
+            if strided:
+                dst[...] = acc
+
+
 def conv2d_raw(
     x: Tensor4, weights: np.ndarray, dilation: int = 1, stride: int = 1
 ) -> Tensor4:
@@ -182,13 +233,11 @@ def conv2d_raw(
     (ky, kx) order, with the channel reduction done per tap, so results are
     deterministic for fixed inputs.
 
-    A kernel of several taps walks the batch in chunks of
-    ``max(1, _CHUNK_BYTES // one image's output bytes)`` images, padding each
-    chunk into one reused zero-bordered buffer, so a chunk's output and tap
-    product stay in cache while all taps add into it.  Every image row still
-    gets the same GEMM per tap, added in the same order, so the bits do not
-    depend on the chunk size.  A one-tap kernel has nothing to accumulate and
-    stays one matmul over the whole batch.
+    A kernel of several taps walks the batch through ``_chunked_tap_gemm``
+    in chunks of ``max(1, _CHUNK_BYTES // one image's output bytes)``
+    images, so a chunk's output and tap product stay in cache while all taps
+    add into it; the bits do not depend on the chunk size.  A one-tap kernel
+    has nothing to accumulate and stays one matmul over the whole batch.
     """
     x = check_tensor4(x, "conv input")
     weights = np.asarray(weights)
@@ -205,23 +254,16 @@ def conv2d_raw(
     oh = conv_out_len(h, stride)
     ow = conv_out_len(w, stride)
 
-    (ky0, kx0, ys0, xs0), *taps = _tap_slices(kh, kw, dilation, stride, oh, ow)
-    if not taps:
-        return _finite_guard(x[:, ys0, xs0, :] @ weights[ky0, kx0], "conv2d")
+    taps = [(ys, xs, weights[ky, kx])
+            for ky, kx, ys, xs in _tap_slices(kh, kw, dilation, stride, oh, ow)]
+    if len(taps) == 1:
+        ys, xs, mat = taps[0]
+        return _finite_guard(x[:, ys, xs, :] @ mat, "conv2d")
     ph = same_pad(kh, dilation)
     pw = same_pad(kw, dilation)
     out = np.empty((n, oh, ow, c_out), dtype=np.result_type(x, weights))
-    step = min(n, max(1, _CHUNK_BYTES // out[0].nbytes))
-    xp = np.zeros((step, h + 2 * ph, w + 2 * pw, c), dtype=x.dtype)
-    buf = np.empty((step,) + out.shape[1:], dtype=out.dtype)
-    for i in range(0, n, step):
-        m = min(step, n - i)
-        xpc, acc, tap = xp[:m], out[i:i + m], buf[:m]
-        xpc[:, ph:ph + h, pw:pw + w, :] = x[i:i + m]
-        np.matmul(xpc[:, ys0, xs0, :], weights[ky0, kx0], out=acc)
-        for ky, kx, ys, xs in taps:
-            np.matmul(xpc[:, ys, xs, :], weights[ky, kx], out=tap)
-            acc += tap
+    _chunked_tap_gemm(x, ((ph, ph), (pw, pw)), _chunk_step(n, out[0].nbytes),
+                      [(slice(None), slice(None), taps)], out)
     return _finite_guard(out, "conv2d")
 
 

@@ -223,9 +223,6 @@ def train(cfg: RunConfig, dataset: LabeledImages | None = None) -> TrainResult:
             params, velocity = sgd_step(
                 params, {k: grads[v] for k, v in leaves.items()},
                 velocity, cfg, lr)
-            # it holds every intermediate's gradient; free it before the
-            # next step's forward
-            del grads
             step_losses.append(loss)
             step += 1
         epoch_loss = float(np.mean(step_losses))

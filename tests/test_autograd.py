@@ -5,8 +5,12 @@ inputs, structural identities (fan-out accumulation, zero seeds), and central
 finite differences via finite_diff_check.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msconv import tensor as T
 from msconv.autograd import (GradientCheckError, Gradients, Tape,
@@ -385,11 +389,59 @@ def _vjp_reference(g, x, w, dilation, stride):
     return dxp[:, ph:ph + x.shape[1], pw:pw + x.shape[2], :], dw
 
 
+def _gamma(terms):
+    """Higham's gamma_N = N u / (1 - N u), u = eps / 2, for float64."""
+    u = np.finfo(np.float64).eps / 2
+    return terms * u / (1 - terms * u)
+
+
+def _vjp_error_bound(g, x, w, dilation, stride):
+    """Elementwise bounds on |kernel - reference| for dx and dW.
+
+    Each element of dx is a sum of N = kh*kw*c_out products and each element
+    of dW a sum of N = n*oh*ow.  Computed in float64 in any order, with or
+    without fused multiply-adds, such a sum errs by at most
+    gamma_N * sum |a_i b_i| (Higham, "Accuracy and Stability of Numerical
+    Algorithms", 2nd ed., section 3.1).  The kernel and the reference each
+    obey that, so they differ by at most 2 gamma_N sum |a_i b_i|.  The sums
+    of |a_i b_i| are the reference vjp of |g|, |x| and |w|, which itself
+    may read low by a factor (1 - gamma_N), hence the division.  Padding
+    adds exact zero products only, which add no error.
+    """
+    kh, kw, _, c_out = w.shape
+    mag_dx, mag_dw = _vjp_reference(np.abs(g), np.abs(x), np.abs(w),
+                                    dilation, stride)
+    bounds = []
+    for mag, terms in ((mag_dx, kh * kw * c_out), (mag_dw, g[..., 0].size)):
+        gamma = _gamma(terms)
+        bounds.append(2 * gamma / (1 - gamma) * mag)
+    return bounds
+
+
+def assert_vjp_matches_reference(g, x, w, dilation, stride, need_x=True,
+                                 need_w=True):
+    got = _conv2d_vjp(g, x, w, dilation, stride, need_x, need_w)
+    refs = _vjp_reference(g, x, w, dilation, stride)
+    bounds = _vjp_error_bound(g, x, w, dilation, stride)
+    for name, need, val, ref, bound in zip(("dx", "dW"), (need_x, need_w),
+                                           got, refs, bounds):
+        if not need:
+            assert val is None, name
+            continue
+        assert val.shape == ref.shape, name
+        excess = np.abs(val - ref) - bound
+        assert excess.max() <= 0, f"{name} off by {excess.max():.3g} past bound"
+
+
 class TestConvVjpKernels:
     @pytest.mark.parametrize("k,dilation,stride", [
         (3, 1, 2), (3, 2, 1), (3, 2, 2), (1, 1, 1), (1, 1, 2)])
     def test_bytes_match_tensordot_reference(self, k, dilation, stride):
-        """dW and dx keep every bit of the tensordot tap loop."""
+        """At these shapes the batch of 3 fits one chunk, so dW is one GEMM
+        over the whole batch and dx adds the same per-row products in the
+        same tap order: both keep every bit of the tensordot tap loop.  A
+        batch of several chunks sums dW per chunk and changes its bits
+        (see the bound tests below)."""
         x = rand((3, 8, 8, 16), 50)
         w = rand((k, k, 16, 32), 51)
         oh = T.conv_out_len(8, stride)
@@ -398,6 +450,57 @@ class TestConvVjpKernels:
         dx, dw = _conv2d_vjp(g, x, w, dilation, stride)
         assert dw.tobytes() == ref_dw.tobytes()
         assert dx.tobytes() == ref_dx.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(kh=st.sampled_from([1, 3, 5]), kw=st.sampled_from([1, 3, 5]),
+           dilation=st.integers(1, 3), stride=st.integers(1, 3),
+           h=st.integers(1, 9), wd=st.integers(1, 9), n=st.integers(1, 5),
+           c_in=st.integers(1, 3), c_out=st.integers(1, 3),
+           need=st.sampled_from([(True, True), (True, False), (False, True),
+                                 (False, False)]),
+           chunk_bytes=st.sampled_from([1, 300, T._CHUNK_BYTES]),
+           seed=st.integers(0, 2**16))
+    def test_matches_reference_property(self, kh, kw, dilation, stride, h,
+                                        wd, n, c_in, c_out, need, chunk_bytes,
+                                        seed):
+        """Every geometry, sizes below and not divisible by the stride
+        included, and batches of one chunk, several, and one image each."""
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, h, wd, c_in))
+        w = rng.normal(size=(kh, kw, c_in, c_out))
+        g = rng.normal(size=(n, T.conv_out_len(h, stride),
+                             T.conv_out_len(wd, stride), c_out))
+        with mock.patch.object(T, "_CHUNK_BYTES", chunk_bytes):
+            assert_vjp_matches_reference(g, x, w, dilation, stride, *need)
+
+    @pytest.mark.parametrize("c_in,k,dilation,stride,need_x", [
+        (3, 3, 1, 1, False),
+        (16, 3, 1, 2, True),
+        (16, 3, 2, 2, True),
+        (16, 1, 1, 2, True),
+    ], ids=["stem-dW", "k3", "k5", "proj"])
+    def test_desk_shapes_match_reference(self, c_in, k, dilation, stride,
+                                         need_x):
+        """The desk step's convs at batch 32, 32x32 input, each walked in
+        several chunks; the stem's input is a constant, so dW only."""
+        c_out = 16 if c_in == 3 else 32
+        x = rand((32, 32, 32, c_in), 56)
+        w = rand((k, k, c_in, c_out), 57)
+        oh = T.conv_out_len(32, stride)
+        g = rand((32, oh, oh, c_out), 58)
+        assert T._chunk_step(32, g[0].nbytes) < 32
+        assert_vjp_matches_reference(g, x, w, dilation, stride, need_x)
+
+    @pytest.mark.parametrize("k,dilation", [(3, 2), (1, 1)])
+    def test_unreached_phases_are_zero(self, k, dilation):
+        """At stride 2 a 1x1 kernel, or a 3x3 one at dilation 2, reaches only
+        even input rows and columns; every other phase of dx is zero."""
+        x, w = rand((2, 7, 7, 3), 59), rand((k, k, 3, 4), 60)
+        g = rand((2, 4, 4, 4), 61)
+        dx, _ = _conv2d_vjp(g, x, w, dilation, 2, need_w=False)
+        reached = np.zeros(dx.shape, dtype=bool)
+        reached[:, ::2, ::2, :] = True
+        assert not dx[~reached].any() and dx[reached].all()
 
     def test_unneeded_gradients_are_none(self):
         x, w = rand((2, 6, 6, 3), 53), rand((3, 3, 3, 4), 54)

@@ -7,6 +7,7 @@ lines are parsed back and checked against library-side recomputations.
 import os
 import re
 import shutil
+import struct
 import subprocess
 import sys
 
@@ -367,6 +368,48 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: checkpoint parameter 'stem': the files "
                               "hold (3, 3, 2, 5), the config needs (3, 3, 2, 4)")
+
+    def test_checkpoint_tensor_with_unaddressable_shape_rejected(
+            self, trained, tmp_path, capsys):
+        """An empty tensor whose other dimensions overflow an index ends in
+        exit 2 naming the dimensions."""
+        _, out = trained
+        ckpt = tmp_path / "checkpoint"
+        shutil.copytree(out / "checkpoint", ckpt)
+        filename = msct.read_manifest(ckpt / "manifest.txt")["stem"]
+        (ckpt / filename).write_bytes(
+            b"MSCT" + struct.pack("<4I", 3, 0, 2**32 - 1, 2**32 - 1))
+        assert cli.main(["verify", "--checkpoint", str(ckpt)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: dimensions (0, 4294967295, 4294967295) exceed")
+
+    def test_non_ascii_manifest_rejected(self, trained, tmp_path, capsys):
+        _, out = trained
+        ckpt = tmp_path / "checkpoint"
+        shutil.copytree(out / "checkpoint", ckpt)
+        manifest = ckpt / "manifest.txt"
+        manifest.write_bytes(manifest.read_bytes() + b"\xe9=x.msct\n")
+        lineno = manifest.read_bytes().count(b"\n")
+        assert cli.main(["verify", "--checkpoint", str(ckpt)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {manifest}:{lineno}: non-ASCII byte 0xe9")
+
+    @pytest.mark.parametrize("name", ["labels.txt", "pairs.txt"])
+    def test_non_ascii_dataset_text_rejected(self, trained, tmp_path, capsys,
+                                             name):
+        cfg_path, out = trained
+        data_dir = tmp_path / "data"
+        assert cli.main(["gen-data", "--config", cfg_path,
+                         "--out", str(data_dir),
+                         "--genuine", "4", "--impostor", "4"]) == 0
+        capsys.readouterr()
+        path = data_dir / name
+        path.write_bytes(path.read_bytes().replace(b".msct", b"\x80msct", 1))
+        code = cli.main(["verify", "--checkpoint", str(out / "checkpoint"),
+                         "--data", str(data_dir)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}:1: non-ASCII byte 0x80")
 
     def test_extra_arguments_rejected(self, trained, capsys):
         """verify takes no config overrides."""

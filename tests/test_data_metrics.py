@@ -4,6 +4,8 @@ Metric results are cross-checked against brute-force threshold sweeps in
 oracles.py that share no code with the implementation.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,14 @@ class TestDatasetIO:
         with pytest.raises(msct.FormatError):
             load_dataset(tmp_path)
 
+    def test_non_ascii_labels_line(self, tmp_path):
+        save_dataset(tmp_path, gen_synthetic(small_spec()))
+        labels = tmp_path / "labels.txt"
+        labels.write_bytes(labels.read_bytes().replace(b"img00001", b"img\xff0001"))
+        with pytest.raises(msct.FormatError, match=re.escape(
+                f"{labels}:2: non-ASCII byte 0xff")):
+            load_dataset(tmp_path)
+
     def test_missing_directory(self, tmp_path):
         with pytest.raises(OSError):
             load_dataset(tmp_path / "absent")
@@ -158,6 +168,14 @@ class TestPairs:
             path.write_text(bad)
             with pytest.raises(msct.FormatError):
                 read_pairs(path, ["img00000.msct", "img00001.msct"])
+
+    def test_read_pairs_non_ascii_line(self, tmp_path):
+        path = tmp_path / "pairs.txt"
+        path.write_bytes(b"img00000.msct,img00001.msct,1\n"
+                         b"img00000.msct,img00001.msct,\xc2\xb9\n")
+        with pytest.raises(msct.FormatError, match=re.escape(
+                f"{path}:2: non-ASCII byte 0xc2")):
+            read_pairs(path, ["img00000.msct", "img00001.msct"])
 
 
 class TestCosineSimilarity:

@@ -1,5 +1,6 @@
 """Tensor container format tests: header layout, round trips, validation."""
 
+import re
 import struct
 
 import numpy as np
@@ -88,6 +89,20 @@ class TestValidation:
         with pytest.raises(msct.FormatError):
             msct.tensor_from_bytes(raw)
 
+    @pytest.mark.parametrize("dims", [(0, 2**32 - 1, 2**32 - 1),
+                                      (2**32 - 1, 2**32 - 1, 0),
+                                      (0, 2**31, 2**30)])
+    def test_empty_shape_too_large_to_address(self, dims):
+        """A zero dimension empties the payload, but numpy still refuses a
+        shape whose other dimensions overflow an index."""
+        raw = b"MSCT" + struct.pack("<I", 3) + struct.pack("<3I", *dims)
+        with pytest.raises(msct.FormatError, match=re.escape(str(dims))):
+            msct.tensor_from_bytes(raw)
+
+    def test_empty_shape_within_addressable_size(self):
+        raw = b"MSCT" + struct.pack("<I", 3) + struct.pack("<3I", 0, 2**30, 2**30)
+        assert msct.tensor_from_bytes(raw).shape == (0, 2**30, 2**30)
+
     def test_non_finite_roundtrips(self):
         """Serialization is storage, not policy: inf and nan survive."""
         x = np.array([np.inf, -np.inf, np.nan], dtype=np.float32)
@@ -128,6 +143,15 @@ class TestFiles:
         p = tmp_path / "manifest.txt"
         p.write_text("no separator here\n")
         with pytest.raises(msct.FormatError):
+            msct.read_manifest(p)
+
+    def test_manifest_non_ascii_byte(self, tmp_path):
+        """A byte outside ASCII is a FormatError naming path:line, not a
+        UnicodeDecodeError."""
+        p = tmp_path / "manifest.txt"
+        p.write_bytes(b"a=a.msct\nst\xe9m=stem.msct\n")
+        with pytest.raises(msct.FormatError, match=re.escape(f"{p}:2: "
+                                                             "non-ASCII byte 0xe9")):
             msct.read_manifest(p)
 
     @pytest.mark.parametrize("filename", [
