@@ -389,7 +389,9 @@ def _conv2d_vjp(g: np.ndarray, x: np.ndarray, w: np.ndarray,
                    [(ys, xs, w[ky, kx].T) for ky, ys in ty for kx, xs in tx])
                   for ry, ty in enumerate(rows) for rx, tx in enumerate(cols)
                   if ty and tx]
-        dx = np.zeros((n, h, wd, c_in), dtype=np.result_type(g, w))
+        # a phase no tap reaches is never written and must read zero
+        alloc = np.empty if len(phases) == stride * stride else np.zeros
+        dx = alloc((n, h, wd, c_in), dtype=np.result_type(g, w))
         T._chunked_tap_gemm(g, ((top, bottom), (left, right)), step, phases, dx)
     if need_w:
         ph = T.same_pad(kh, dilation)

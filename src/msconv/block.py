@@ -13,6 +13,20 @@ which equals the softmax-weighted two-branch sum a*U1 + b*U2, so the block is
 an exact reparameterization of selective-kernel fusion (see
 ``equivalence_check``).  Ablation variants swap either fusion input for a
 plain sum; a reference selective-kernel path is included for comparison.
+
+On the tape a block is its two branch convolutions plus one ``msconv_fuse``
+op that does everything after them, residual add included; the fusion kind
+picks its dataflow.  The op walks the batch in the convolutions' chunks
+(``T._chunk_step`` of one image of U1): one pass pools U3 chunk by chunk
+through one reused buffer, the gate runs on the whole batch, and a second
+pass writes each chunk of V in place.  Neither U3 nor U4 is ever built
+whole.  Every value is computed with the expressions and operand order of
+the separate tape ops this op replaced, so forward bits did not move.  The
+analytic vjp recomputes U4 per chunk and allocates only the two branch
+gradients.  Backward bits moved in two places: a projected shortcut's input
+gradient now joins the branch gradients last instead of first, and the
+selective-kernel kind takes msconv_sum's gradient algebra, the two kinds
+being one function.
 """
 
 from __future__ import annotations
@@ -210,52 +224,152 @@ class MSConvTrace:
 def block_forward_on_tape(tape: Tape, x: Var, params: dict[str, Var], *,
                           dilations: tuple[int, int], stride: int = 1,
                           kind: FusionKind = FusionKind.MSCONV,
-                          ) -> tuple[Var, dict[str, Var | None]]:
+                          shortcut: Var | None = None,
+                          ) -> tuple[Var, dict[str, Var | np.ndarray | None]]:
     """Record one block forward pass; shared by inference and training.
 
-    Returns the fused output Var plus the named intermediates (``u4`` is None
-    for the selective-kernel reference, where nothing is subtracted).
+    Records the two branch convolutions and one ``msconv_fuse`` op, which
+    also adds ``shortcut`` (the residual input, when given) to the fused
+    output.  Returns the output Var plus the named intermediates: ``u1`` and
+    ``u2`` as Vars, ``s``, ``z``, ``a_hat``, ``b_hat`` and ``c`` as arrays.
+    The fused op never builds ``u3`` or ``u4`` whole, so both are None here;
+    ``msconv_forward`` rebuilds them.
     """
     if not isinstance(kind, FusionKind):
         raise ValueError(f"unknown fusion kind {kind!r}")
     u1 = tape.conv2d(x, params["k3"], dilation=dilations[0], stride=stride)
     u2 = tape.conv2d(x, params["k5"], dilation=dilations[1], stride=stride)
-
-    u3 = tape.mul(u1, u2) if kind in _MUL_ATTENTION else tape.add(u1, u2)
-    s = tape.gap(u3)
-    z = tape.relu(tape.fc(s, params["w_reduce"], params["b_reduce"]))
-    e = tape.fc(z, params["w_expand"], params["b_expand"])
-    a_hat = tape.half(e, 0)
-    b_hat = tape.half(e, 1)
-
-    if kind is FusionKind.SKCONV_REFERENCE:
-        u4 = None
-        a = tape.sigmoid(tape.sub(a_hat, b_hat))
-        b = tape.one_minus(a)
-        v = tape.add(tape.scale_channels(u1, a), tape.scale_channels(u2, b))
-        c = a
-    else:
-        u4 = tape.sub(u1, u2) if kind in _SUB_TARGET else tape.add(u1, u2)
-        c = tape.sigmoid(tape.sub(a_hat, b_hat))
-        v = tape.add(u2, tape.scale_channels(u4, c))
-
-    trace = {"u1": u1, "u2": u2, "u3": u3, "u4": u4, "s": s, "z": z,
-             "a_hat": a_hat, "b_hat": b_hat, "c": c}
+    v, gate = _fuse_on_tape(tape, u1, u2, params, kind, shortcut)
+    trace = dict.fromkeys(TRACE_FIELDS)
+    trace.update(u1=u1, u2=u2, **gate)
     return v, trace
+
+
+# the attention parameters, in the fused op's input order
+_GATE_PARAMS = ("w_reduce", "b_reduce", "w_expand", "b_expand")
+
+
+def _fuse_on_tape(tape: Tape, u1: Var, u2: Var, params: dict[str, Var],
+                  kind: FusionKind, shortcut: Var | None,
+                  ) -> tuple[Var, dict[str, np.ndarray]]:
+    """Everything after the branch convs as one tape op with analytic vjp.
+
+    Per chunk of ``T._chunk_step`` images (one image of ``u1``) the forward
+    forms U3 in one reused buffer and pools it into ``s``; the gate runs on
+    the whole batch; a second walk writes each chunk of the output in place.
+    Each value keeps the expression and operand order of the Tape ops that
+    would compute it one by one (mul or add, gap, fc, relu, sigmoid,
+    scale_channels, add), so its bits equal theirs.  The vjp saves ``u1``,
+    ``u2``, ``s``, ``z`` and ``c``, recomputes U4 per chunk, and allocates
+    only the two branch gradients; the shortcut's gradient is the upstream
+    gradient itself.
+    """
+    u1v, u2v = u1.value, u2.value
+    wr, br, we, be = (params[p].value for p in _GATE_PARAMS)
+    n, h, w, ch = u1v.shape
+    if u2v.shape != u1v.shape or (shortcut is not None
+                                  and shortcut.value.shape != u1v.shape):
+        raise T.ShapeError(f"fusion needs equal shapes, got {u1v.shape}, "
+                           f"{u2v.shape}" + ("" if shortcut is None else
+                                             f", {shortcut.value.shape}"))
+    if we.ndim != 2 or we.shape[1] != 2 * ch:
+        raise T.ShapeError(f"expand weights must be (d, {2 * ch}) for {ch} "
+                           f"channels, got {we.shape}")
+    attend = np.multiply if kind in _MUL_ATTENTION else np.add
+    skconv = kind is FusionKind.SKCONV_REFERENCE
+    # skconv's gradient is msconv_sum's: the two are one function
+    differ = np.subtract if skconv or kind in _SUB_TARGET else np.add
+    step = T._chunk_step(n, u1v[0].nbytes)
+    dtype = np.result_type(u1v, u2v)
+
+    def chunks():
+        for i in range(0, n, step):
+            yield slice(i, min(i + step, n))
+
+    buf = np.empty((step, h, w, ch), dtype=dtype)
+    s = np.empty((n, ch), dtype=dtype)
+    for rows in chunks():
+        u3 = buf[:rows.stop - rows.start]
+        attend(u1v[rows], u2v[rows], out=u3)
+        s[rows] = u3.mean(axis=(1, 2))
+    z = T.relu(T.fc(s, wr, br))
+    e = T.fc(z, we, be)
+    a_hat, b_hat = e[:, :ch], e[:, ch:]
+    c = T.sigmoid(a_hat - b_hat)
+    cb = c[:, None, None, :]
+    out = np.empty(u1v.shape, dtype=np.result_type(dtype, c))
+    if skconv:
+        bb = (1.0 - c)[:, None, None, :]
+    for rows in chunks():
+        o = out[rows]
+        if skconv:
+            t = buf[:rows.stop - rows.start]
+            np.multiply(u1v[rows], cb[rows], out=o)
+            np.multiply(u2v[rows], bb[rows], out=t)
+            o += t
+        else:
+            differ(u1v[rows], u2v[rows], out=o)
+            o *= cb[rows]
+            o += u2v[rows]
+        if shortcut is not None:
+            o += shortcut.value[rows]
+
+    def vjp(g):
+        gbuf = np.empty((step, h, w, ch), dtype=np.result_type(g, dtype))
+        gc = np.empty_like(c)
+        for rows in chunks():
+            u4 = gbuf[:rows.stop - rows.start]
+            differ(u1v[rows], u2v[rows], out=u4)
+            u4 *= g[rows]
+            gc[rows] = u4.sum(axis=(1, 2))
+        gd = gc * c * (1.0 - c)
+        ge = np.concatenate([gd, -gd], axis=1)
+        gz = (ge @ we.T) * (z > 0)
+        gs = (gz @ wr.T)[:, None, None, :] / (h * w)
+        gu1 = np.empty_like(u1v, dtype=gbuf.dtype)
+        gu2 = np.empty_like(gu1)
+        for rows in chunks():
+            d1, d2, gk = gu1[rows], gu2[rows], g[rows]
+            t = gbuf[:rows.stop - rows.start]
+            np.multiply(gk, cb[rows], out=t)
+            differ(gk, t, out=d2)
+            if kind in _MUL_ATTENTION:
+                np.multiply(gs[rows], u2v[rows], out=d1)
+                d1 += t
+                np.multiply(gs[rows], u1v[rows], out=t)
+                d2 += t
+            else:
+                np.add(t, gs[rows], out=d1)
+                d2 += gs[rows]
+        grads = (gu1, gu2, s.T @ gz, gz.sum(axis=0), z.T @ ge, ge.sum(axis=0))
+        return grads if shortcut is None else grads + (g,)
+
+    inputs = (u1, u2, *(params[p] for p in _GATE_PARAMS))
+    if shortcut is not None:
+        inputs += (shortcut,)
+    v = tape.emit("msconv_fuse", inputs, out, vjp)
+    return v, {"s": s, "z": z, "a_hat": a_hat, "b_hat": b_hat, "c": c}
 
 
 def msconv_forward(x: T.Tensor4, st: MSConvState,
                    kind: FusionKind = FusionKind.MSCONV,
                    ) -> tuple[T.Tensor4, MSConvTrace]:
-    """Pure forward pass returning the fused output and all intermediates."""
+    """Pure forward pass returning the fused output and all intermediates.
+
+    U3 and U4 are rebuilt from U1 and U2 with the fused op's expressions.
+    """
     T.check_tensor4(x, "x")
     tape = Tape()
     consts = {name: tape.constant(arr) for name, arr in st.param_dict().items()}
     v, tr = block_forward_on_tape(tape, tape.constant(x), consts,
                                   dilations=(st.k3.dilation, st.k5.dilation),
                                   stride=st.stride, kind=kind)
-    values = {name: (var.value if var is not None else None)
-              for name, var in tr.items()}
+    values = {name: (val.value if isinstance(val, Var) else val)
+              for name, val in tr.items()}
+    u1, u2 = values["u1"], values["u2"]
+    values["u3"] = (T.ew_mul if kind in _MUL_ATTENTION else T.ew_add)(u1, u2)
+    if kind is not FusionKind.SKCONV_REFERENCE:
+        values["u4"] = (T.ew_sub if kind in _SUB_TARGET else T.ew_add)(u1, u2)
     return v.value, MSConvTrace(**values)
 
 

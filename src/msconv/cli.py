@@ -23,7 +23,7 @@ from .model import (MarginLossConfig, StageSpec, TinyNetConfig, cost_rows,
                     init_params, margin_ce_on_tape, tinynet_forward)
 from .train import (ConfigError, DEFAULT_ABLATION_KINDS, ablation_run,
                     build_config, evaluate_verification, format_ablation_report,
-                    load_checkpoint, parse_kv_lines, save_checkpoint, train)
+                    load_checkpoint, read_kv_file, save_checkpoint, train)
 from .viz import visualize_features
 
 OP_THRESHOLD = 1e-6
@@ -47,11 +47,7 @@ def _parse_overrides(tokens: list[str]) -> dict[str, str]:
 
 
 def _load_config(path: str | None, extra: list[str]):
-    lines: list[str] = []
-    if path:
-        with open(path) as fh:
-            lines = fh.readlines()
-    pairs = parse_kv_lines(lines)
+    pairs = read_kv_file(path) if path else {}
     pairs.update(_parse_overrides(extra))
     return build_config(pairs)
 

@@ -117,6 +117,9 @@ def load_dataset(directory) -> LabeledImages:
         name, _, ident = row.partition(",")
         if not ident:
             raise msct.FormatError(f"{path}:{lineno}: bad labels line {row!r}")
+        if not ident.strip().isdigit():
+            raise msct.FormatError(f"{path}:{lineno}: label {ident!r} is not a "
+                                   "non-negative integer")
         images.append(msct.read_tensor(os.path.join(directory, name)))
         labels.append(int(ident))
         names.append(name)

@@ -112,8 +112,8 @@ def tinynet_forward(tape: Tape, x: Var, params: dict[str, Var],
                     cfg: TinyNetConfig, traces: list | None = None) -> Var:
     """Record the backbone forward pass; returns the unit-norm embedding Var.
 
-    Pass a list as ``traces`` to collect (block name, intermediate Vars)
-    pairs for visualization.
+    Pass a list as ``traces`` to collect (block name, intermediates) pairs
+    for visualization, each as ``block_forward_on_tape`` returns them.
     """
     n, h, w, c = x.value.shape
     if c != cfg.in_channels:
@@ -125,14 +125,14 @@ def tinynet_forward(tape: Tape, x: Var, params: dict[str, Var],
     cur = tape.conv2d(x, params["stem"], dilation=1, stride=1)
     for name, c_in, c_out, stride, kind in cfg.block_layout():
         blk = {p: params[f"{name}/{p}"] for p in BLOCK_PARAM_NAMES}
-        v, tr = block_forward_on_tape(tape, cur, blk, dilations=cfg.dilations,
-                                      stride=stride, kind=kind)
         if f"{name}/proj" in params:
             shortcut = tape.conv2d(cur, params[f"{name}/proj"],
                                    dilation=1, stride=stride)
         else:
             shortcut = cur
-        cur = tape.add(v, shortcut)
+        cur, tr = block_forward_on_tape(tape, cur, blk, dilations=cfg.dilations,
+                                        stride=stride, kind=kind,
+                                        shortcut=shortcut)
         if traces is not None:
             traces.append((name, tr))
     pooled = tape.gap(cur)

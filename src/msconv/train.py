@@ -405,19 +405,29 @@ _MARGINS = ("m1", "m2", "m3")
 
 def parse_kv_lines(lines) -> dict[str, str]:
     """`key = value` pairs; comments (#) and blanks skipped; unknown keys fail."""
+    return _kv_pairs(enumerate(lines, start=1), "line ")
+
+
+def read_kv_file(path) -> dict[str, str]:
+    """parse_kv_lines over an ASCII file; every error names ``path:line``."""
+    return _kv_pairs(msct.text_lines(path), f"{path}:")
+
+
+def _kv_pairs(numbered, where: str) -> dict[str, str]:
     pairs: dict[str, str] = {}
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in numbered:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         key, sep, value = line.partition("=")
         if not sep:
-            raise ConfigError(f"line {lineno}: expected key = value, got {raw!r}")
+            raise ConfigError(f"{where}{lineno}: expected key = value, "
+                              f"got {raw!r}")
         key, value = key.strip(), value.strip()
         if key not in _PARSERS:
-            raise ConfigError(f"line {lineno}: unknown config key {key!r}")
+            raise ConfigError(f"{where}{lineno}: unknown config key {key!r}")
         if key in pairs:
-            raise ConfigError(f"line {lineno}: duplicate config key {key!r}")
+            raise ConfigError(f"{where}{lineno}: duplicate config key {key!r}")
         pairs[key] = value
     return pairs
 
@@ -506,8 +516,7 @@ def load_checkpoint(directory) -> tuple[dict[str, np.ndarray], RunConfig]:
     shape differs from what the config's model needs.
     """
     params = msct.load_tensors(directory)
-    with open(os.path.join(directory, "config.txt")) as fh:
-        cfg = config_from_lines(fh.readlines())
+    cfg = build_config(read_kv_file(os.path.join(directory, "config.txt")))
     expected = full_init(cfg)
     for name in [*expected, *params]:
         got = params[name].shape if name in params else "nothing"

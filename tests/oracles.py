@@ -296,3 +296,61 @@ def count_state_params(st):
             count *= dim
         total += count
     return total
+
+
+# -- the block as separate tape ops ---------------------------------------------
+
+def unfused_block_on_tape(tape, x, params, dilations, stride=1, kind="msconv",
+                          shortcut=None):
+    """The block after its branch convs as one tape op per step.
+
+    This is the chain the fused ``msconv_fuse`` op replaced: product or sum,
+    pool, two FCs around a relu, the two score halves, their difference, a
+    sigmoid, then the reweighting and the residual add, each recorded apart
+    with its own vjp.  ``kind`` is a FusionKind value.  Returns the output
+    Var and a dict of every intermediate value (u4 None for skconv).
+    """
+    u1 = tape.conv2d(x, params["k3"], dilation=dilations[0], stride=stride)
+    u2 = tape.conv2d(x, params["k5"], dilation=dilations[1], stride=stride)
+    u3 = (tape.mul(u1, u2) if kind in ("msconv", "no_so")
+          else tape.add(u1, u2))
+    s = tape.gap(u3)
+    z = tape.relu(tape.fc(s, params["w_reduce"], params["b_reduce"]))
+    e = tape.fc(z, params["w_expand"], params["b_expand"])
+    a_hat = tape.half(e, 0)
+    b_hat = tape.half(e, 1)
+    c = tape.sigmoid(tape.sub(a_hat, b_hat))
+    if kind == "skconv":
+        u4 = None
+        v = tape.add(tape.scale_channels(u1, c),
+                     tape.scale_channels(u2, tape.one_minus(c)))
+    else:
+        u4 = (tape.sub(u1, u2) if kind in ("msconv", "msconv_sum")
+              else tape.add(u1, u2))
+        v = tape.add(u2, tape.scale_channels(u4, c))
+    if shortcut is not None:
+        v = tape.add(v, shortcut)
+    trace = {"u1": u1, "u2": u2, "u3": u3, "u4": u4, "s": s, "z": z,
+             "a_hat": a_hat, "b_hat": b_hat, "c": c}
+    return v, {k: None if var is None else var.value
+               for k, var in trace.items()}
+
+
+def unfused_net_forward(tape, x, params, cfg):
+    """The residual backbone over unfused_block_on_tape; the projection or
+    identity shortcut is added after each block, as a separate op."""
+    cur = tape.conv2d(x, params["stem"], dilation=1, stride=1)
+    for name, _, _, stride, kind in cfg.block_layout():
+        blk = {p: params[f"{name}/{p}"] for p in
+               ("k3", "k5", "w_reduce", "b_reduce", "w_expand", "b_expand")}
+        v, _ = unfused_block_on_tape(tape, cur, blk, cfg.dilations, stride,
+                                     kind.value)
+        if f"{name}/proj" in params:
+            shortcut = tape.conv2d(cur, params[f"{name}/proj"], dilation=1,
+                                   stride=stride)
+        else:
+            shortcut = cur
+        cur = tape.add(v, shortcut)
+    pooled = tape.gap(cur)
+    emb = tape.fc(pooled, params["w_embed"], params["b_embed"])
+    return tape.l2_normalize_rows(emb)

@@ -180,6 +180,21 @@ class TestTrainCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("text, message", [
+        (b"epochs = 1\nseed = \xe9\n", "2: non-ASCII byte 0xe9"),
+        (b"epochs = 1\n\nwidth = 3\n", "3: unknown config key 'width'"),
+    ])
+    def test_config_file_errors_name_path_and_line(self, tmp_path, capsys,
+                                                   text, message):
+        """--config files are read as ASCII; every line error names the
+        file and the line, blank lines counted."""
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_bytes(text)
+        code = cli.main(["train", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {cfg_path}:{message}")
+
     def test_bytes_independent_of_blas_threads(self, tmp_path):
         """A short desk run writes the same bytes on one and on two BLAS
         threads: metrics.log and every checkpoint file."""
@@ -410,6 +425,39 @@ class TestVerifyCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith(
             f"error: {path}:1: non-ASCII byte 0x80")
+
+    def test_non_integer_label_rejected(self, trained, tmp_path, capsys):
+        """A label that is not a non-negative integer ends in exit 2 naming
+        labels.txt and the line."""
+        cfg_path, out = trained
+        data_dir = tmp_path / "data"
+        assert cli.main(["gen-data", "--config", cfg_path,
+                         "--out", str(data_dir),
+                         "--genuine", "4", "--impostor", "4"]) == 0
+        capsys.readouterr()
+        path = data_dir / "labels.txt"
+        lines = path.read_text().splitlines()
+        lines[1] = lines[1].split(",")[0] + ",x"
+        path.write_text("\n".join(lines) + "\n")
+        code = cli.main(["verify", "--checkpoint", str(out / "checkpoint"),
+                         "--data", str(data_dir)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}:2: label 'x' is not a non-negative integer")
+
+    def test_non_ascii_checkpoint_config_rejected(self, trained, tmp_path,
+                                                  capsys):
+        """A bad byte in a checkpoint's config.txt names the file and line."""
+        _, out = trained
+        ckpt = tmp_path / "checkpoint"
+        shutil.copytree(out / "checkpoint", ckpt)
+        config = ckpt / "config.txt"
+        config.write_bytes(config.read_bytes().replace(b"\nseed = ",
+                                                       b"\nseed = \xe9"))
+        lineno = config.read_bytes().split(b"\xe9")[0].count(b"\n") + 1
+        assert cli.main(["verify", "--checkpoint", str(ckpt)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {config}:{lineno}: non-ASCII byte 0xe9")
 
     def test_extra_arguments_rejected(self, trained, capsys):
         """verify takes no config overrides."""

@@ -117,6 +117,15 @@ class TestDatasetIO:
                 f"{labels}:2: non-ASCII byte 0xff")):
             load_dataset(tmp_path)
 
+    @pytest.mark.parametrize("label", ["x", "-1", "1.5", "0x3", "+2"])
+    def test_non_integer_label(self, tmp_path, label):
+        save_dataset(tmp_path, gen_synthetic(small_spec()))
+        labels = tmp_path / "labels.txt"
+        labels.write_text(labels.read_text().replace(",0\n", f",{label}\n", 1))
+        with pytest.raises(msct.FormatError, match=re.escape(
+                f"{labels}:1: label {label!r} is not a non-negative integer")):
+            load_dataset(tmp_path)
+
     def test_missing_directory(self, tmp_path):
         with pytest.raises(OSError):
             load_dataset(tmp_path / "absent")

@@ -457,6 +457,17 @@ class TestCheckpoint:
         with pytest.raises(OSError):
             load_checkpoint(tmp_path)
 
+    def test_non_ascii_config_names_path_and_line(self, tmp_path):
+        cfg = tiny_config(epochs=0)
+        save_checkpoint(tmp_path, full_init(cfg), cfg)
+        config = tmp_path / "config.txt"
+        lines = config.read_bytes().split(b"\n")
+        lines[2] += b"\xff"
+        config.write_bytes(b"\n".join(lines))
+        with pytest.raises(msct.FormatError, match=re.escape(
+                f"{config}:3: non-ASCII byte 0xff")):
+            load_checkpoint(tmp_path)
+
     def test_missing_parameter_rejected(self, tmp_path):
         cfg = tiny_config(epochs=0)
         params = full_init(cfg)
