@@ -19,6 +19,16 @@ Values are plain numpy arrays and must not be mutated while the tape is
 alive; the optimizer produces fresh arrays instead of updating in place.  A
 tape is single-owner and is consumed by ``backward``.
 
+The convolution and the block's fused op take their output arrays from
+``Tape.empty``.  A tape built with a ``workspace`` (a list of arrays, empty
+at first) hands out the workspace's buffers in allocation order instead of
+fresh arrays, so a sequence of forward passes over batches no larger than
+the first, run through one fresh tape each, reuses the first pass's memory.  A value taken from the
+workspace stays valid only until the next tape sharing the workspace
+allocates; callers keep only values computed outside it (the embedding
+head's outputs are fresh arrays).  Such a tape refuses leaves, so it never
+records an op that could save a buffer for a backward pass.
+
 ``backward`` frees each recorded op's output gradient once the record that
 produced the value has used it, so only leaf gradients live to the end: the
 returned :class:`Gradients` answers for leaves and constants and raises
@@ -102,7 +112,15 @@ class Gradients:
 
 
 class Tape:
-    def __init__(self):
+    """One forward pass's values and the records backward walks.
+
+    ``workspace``, when given, is the list of buffers ``empty`` reuses in
+    allocation order; see the module docstring.
+    """
+
+    def __init__(self, workspace: list[np.ndarray] | None = None):
+        self._workspace = workspace
+        self._allocated = 0
         self._count = 0
         # slot -> shape, for every value that needs a gradient
         self._grad_shapes: dict[int, tuple[int, ...]] = {}
@@ -134,9 +152,36 @@ class Tape:
             if v.tape is not self:
                 raise ValueError("Var belongs to a different tape")
 
+    def empty(self, shape: tuple[int, ...], dtype) -> np.ndarray:
+        """An uninitialised array for an op's output.
+
+        On a plain tape this is ``np.empty``.  On a tape with a workspace it
+        is the leading ``shape[0]`` rows of the workspace's next buffer in
+        allocation order; a buffer too small, or of another row shape or
+        dtype, is replaced by a fresh one first.
+        """
+        if self._workspace is None:
+            return np.empty(shape, dtype=dtype)
+        ws, k = self._workspace, self._allocated
+        self._allocated += 1
+        if k == len(ws):
+            ws.append(np.empty(shape, dtype=dtype))
+        buf = ws[k]
+        if buf.dtype != dtype or buf.shape[1:] != tuple(shape[1:]) \
+                or buf.shape[0] < shape[0]:
+            ws[k] = buf = np.empty(shape, dtype=dtype)
+        return buf[:shape[0]]
+
     def leaf(self, value: np.ndarray) -> Var:
-        """Enter a value that needs a gradient; leaves have no record."""
+        """Enter a value that needs a gradient; leaves have no record.
+
+        Raises ValueError on a tape with a workspace, whose values are
+        overwritten by the next tape that shares it.
+        """
         self._guard()
+        if self._workspace is not None:
+            raise ValueError("a tape with a workspace is forward-only and "
+                             "takes no leaves")
         return self._push(value, True)
 
     def constant(self, value: np.ndarray) -> Var:
@@ -168,8 +213,10 @@ class Tape:
     # -- ops ---------------------------------------------------------------
 
     def conv2d(self, x: Var, w: Var, *, dilation: int = 1, stride: int = 1) -> Var:
-        out = T.conv2d_raw(x.value, w.value, dilation, stride)
         xv, wv = x.value, w.value
+        out = T.conv2d_raw(xv, wv, dilation, stride, out=self.empty(
+            T.conv2d_out_shape(xv, wv, dilation, stride),
+            np.result_type(xv, wv)))
         need_x, need_w = self._needs_grad(x), self._needs_grad(w)
 
         def vjp(g):

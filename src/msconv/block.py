@@ -297,7 +297,7 @@ def _fuse_on_tape(tape: Tape, u1: Var, u2: Var, params: dict[str, Var],
     a_hat, b_hat = e[:, :ch], e[:, ch:]
     c = T.sigmoid(a_hat - b_hat)
     cb = c[:, None, None, :]
-    out = np.empty(u1v.shape, dtype=np.result_type(dtype, c))
+    out = tape.empty(u1v.shape, np.result_type(dtype, c))
     if skconv:
         bb = (1.0 - c)[:, None, None, :]
     for rows in chunks():

@@ -111,6 +111,12 @@ def save_dataset(directory, ds: LabeledImages) -> None:
 
 
 def load_dataset(directory) -> LabeledImages:
+    """The images and labels that ``labels.txt`` lists, in its order.
+
+    Raises msct.FormatError naming ``labels.txt`` when it lists no image,
+    and naming the image file when an image is not a non-empty (h, w, c)
+    array of finite values or differs in shape from the first image.
+    """
     path = os.path.join(directory, "labels.txt")
     images, labels, names = [], [], []
     for lineno, row in msct.text_lines(path):
@@ -120,9 +126,21 @@ def load_dataset(directory) -> LabeledImages:
         if not ident.strip().isdigit():
             raise msct.FormatError(f"{path}:{lineno}: label {ident!r} is not a "
                                    "non-negative integer")
-        images.append(msct.read_tensor(os.path.join(directory, name)))
+        image_path = os.path.join(directory, name)
+        image = msct.read_tensor(image_path)
+        if image.ndim != 3 or not image.size:
+            raise msct.FormatError(f"{image_path}: shape {image.shape} is not "
+                                   "a non-empty (h, w, c) image")
+        if images and image.shape != images[0].shape:
+            raise msct.FormatError(f"{image_path}: shape {image.shape} differs "
+                                   f"from {images[0].shape} of {names[0]}")
+        if not np.isfinite(image).all():
+            raise msct.FormatError(f"{image_path}: non-finite pixel values")
+        images.append(image)
         labels.append(int(ident))
         names.append(name)
+    if not images:
+        raise msct.FormatError(f"{path}: lists no images")
     stack = np.stack(images).astype(np.float64)
     return LabeledImages(stack, np.asarray(labels, dtype=np.int64), tuple(names))
 

@@ -171,10 +171,31 @@ def cost_rows(cfg: TinyNetConfig, height: int, width: int,
 
 def tinynet_embed(x: T.Tensor4, params: dict[str, np.ndarray],
                   cfg: TinyNetConfig) -> T.ChannelVec:
-    """Pure embedding extraction; the tape holds constants and records nothing."""
-    tape = Tape()
-    consts = {k: tape.constant(v) for k, v in params.items()}
-    return tinynet_forward(tape, tape.constant(x), consts, cfg).value
+    """Pure embedding extraction, run depth-first in cache-sized chunks.
+
+    The whole network runs on one chunk of images before the next
+    (``T._depth_chunks``, sized by one image's largest activation).  Each
+    chunk gets a fresh constant tape that records nothing; all of them share
+    one workspace, so every chunk writes its activations into the buffers
+    the first, largest chunk allocated.  Every op is row-independent for
+    batches of two or more images, and no chunk holds one image unless
+    ``x`` does, so the bits equal one pass over the whole of ``x``.
+    """
+    x = T.check_tensor4(x, "input")
+    n, h, w, _ = x.shape
+    elems = h * w * cfg.stem_channels
+    for _, _, c_out, stride, _ in cfg.block_layout():
+        h, w = T.conv_out_len(h, stride), T.conv_out_len(w, stride)
+        elems = max(elems, h * w * c_out)
+    itemsize = np.result_type(x, params["stem"]).itemsize
+    workspace: list[np.ndarray] = []
+    parts = []
+    for rows in T._depth_chunks(n, elems * itemsize):
+        tape = Tape(workspace)
+        consts = {k: tape.constant(v) for k, v in params.items()}
+        parts.append(tinynet_forward(tape, tape.constant(x[rows]), consts,
+                                     cfg).value)
+    return np.concatenate(parts)
 
 
 # -- margin losses -----------------------------------------------------------

@@ -14,7 +14,16 @@ kernel behind it, ``_chunked_tap_gemm``, also computes the conv's input
 gradient in ``autograd``: one stride-1 correlation of the output gradient
 per stride phase, in the same chunks.  The backward's bits changed when it
 moved to chunks (its weight gradient now sums per chunk); the forward's
-bits did not.
+bits did not.  ``conv2d_raw`` writes into a caller's ``out`` buffer when
+given one, so an inference pass can reuse its activation memory.
+
+Inference runs depth-first on top of that: ``_depth_chunks`` splits a batch
+into near-equal chunks, largest first, of as many images as fit
+``_DEPTH_BYTES`` (2 MiB, the L2 size) of one image's largest activation,
+at least two, and ``model.tinynet_embed`` runs the whole network on one
+chunk before the next.  Two images is the floor because a one-row GEMM
+takes OpenBLAS's gemv path, whose bits differ; with two or more rows every
+op here is row-independent, so the chunking changes no bit.
 
 Precision follows the inputs.  The library feeds float64 everywhere: the
 synthetic data and the parameter initialisation are float64, so training,
@@ -159,6 +168,28 @@ def _chunk_step(n: int, image_bytes: int) -> int:
     return min(n, max(1, _CHUNK_BYTES // image_bytes))
 
 
+# Bytes of one depth-first inference chunk's largest activation: 2 MiB, the
+# L2 size, holds 4 stem outputs of 64x64 images or 16 of 32x32.
+_DEPTH_BYTES = 2 * 1024 * 1024
+
+
+def _depth_chunks(n: int, image_bytes: int) -> list[slice]:
+    """Slices that split ``n`` images into depth-first inference chunks.
+
+    ``image_bytes`` is one image's largest activation.  With ``step`` as
+    many images as fit ``_DEPTH_BYTES`` of it, at least two, the images
+    split into ``max(1, n // step)`` chunks of near-equal size, largest
+    first, so buffers sized by the first chunk hold every later one.  No
+    chunk has one image when ``n >= 2`` (see the module docstring).
+    """
+    count = max(1, n // max(2, _DEPTH_BYTES // image_bytes))
+    size, extra = divmod(n, count)
+    ends = [0]
+    for k in range(count):
+        ends.append(ends[-1] + size + (k < extra))
+    return [slice(a, b) for a, b in zip(ends, ends[1:])]
+
+
 def _tap_slices(kh: int, kw: int, dilation: int, stride: int, oh: int, ow: int):
     """Yields (ky, kx, rows, cols): each tap's slices of the padded input.
 
@@ -223,21 +254,12 @@ def _chunked_tap_gemm(src: Tensor4, pads, step: int, phases, out: Tensor4) -> No
                 dst[...] = acc
 
 
-def conv2d_raw(
-    x: Tensor4, weights: np.ndarray, dilation: int = 1, stride: int = 1
-) -> Tensor4:
-    """Direct 2-D convolution with same zero padding and dilated taps.
+def conv2d_out_shape(x: Tensor4, weights: np.ndarray, dilation: int = 1,
+                     stride: int = 1) -> tuple[int, int, int, int]:
+    """Output shape of ``conv2d_raw(x, weights, dilation, stride)``.
 
-    Output shape is (n, ceil(h/stride), ceil(w/stride), c_out); taps falling
-    outside the input read zero.  Accumulation runs over taps in row-major
-    (ky, kx) order, with the channel reduction done per tap, so results are
-    deterministic for fixed inputs.
-
-    A kernel of several taps walks the batch through ``_chunked_tap_gemm``
-    in chunks of ``max(1, _CHUNK_BYTES // one image's output bytes)``
-    images, so a chunk's output and tap product stay in cache while all taps
-    add into it; the bits do not depend on the chunk size.  A one-tap kernel
-    has nothing to accumulate and stays one matmul over the whole batch.
+    Raises ShapeError or UnsupportedConfigError for operands the conv
+    refuses.
     """
     x = check_tensor4(x, "conv input")
     weights = np.asarray(weights)
@@ -251,18 +273,47 @@ def conv2d_raw(
         raise UnsupportedConfigError(
             f"dilation and stride must be >= 1, got {dilation}, {stride}"
         )
-    oh = conv_out_len(h, stride)
-    ow = conv_out_len(w, stride)
+    return n, conv_out_len(h, stride), conv_out_len(w, stride), c_out
 
-    taps = [(ys, xs, weights[ky, kx])
-            for ky, kx, ys, xs in _tap_slices(kh, kw, dilation, stride, oh, ow)]
+
+def conv2d_raw(
+    x: Tensor4, weights: np.ndarray, dilation: int = 1, stride: int = 1,
+    out: Tensor4 | None = None,
+) -> Tensor4:
+    """Direct 2-D convolution with same zero padding and dilated taps.
+
+    Output shape is (n, ceil(h/stride), ceil(w/stride), c_out); taps falling
+    outside the input read zero.  Accumulation runs over taps in row-major
+    (ky, kx) order, with the channel reduction done per tap, so results are
+    deterministic for fixed inputs.  The result is written into ``out``
+    when given (every element is overwritten; it must have the output's
+    shape and dtype) and into a fresh array otherwise.
+
+    A kernel of several taps walks the batch through ``_chunked_tap_gemm``
+    in chunks of ``max(1, _CHUNK_BYTES // one image's output bytes)``
+    images, so a chunk's output and tap product stay in cache while all taps
+    add into it; the bits do not depend on the chunk size.  A one-tap kernel
+    has nothing to accumulate and stays one matmul over the whole batch.
+    """
+    shape = conv2d_out_shape(x, weights, dilation, stride)
+    x, weights = np.asarray(x), np.asarray(weights)
+    dtype = np.result_type(x, weights)
+    if out is None:
+        out = np.empty(shape, dtype=dtype)
+    elif out.shape != shape or out.dtype != dtype:
+        raise ShapeError(f"conv output buffer must be {shape} {dtype}, got "
+                         f"{out.shape} {out.dtype}")
+    kh, kw = weights.shape[:2]
+    taps = [(ys, xs, weights[ky, kx]) for ky, kx, ys, xs
+            in _tap_slices(kh, kw, dilation, stride, shape[1], shape[2])]
     if len(taps) == 1:
         ys, xs, mat = taps[0]
-        return _finite_guard(x[:, ys, xs, :] @ mat, "conv2d")
+        np.matmul(x[:, ys, xs, :], mat, out=out)
+        return _finite_guard(out, "conv2d")
     ph = same_pad(kh, dilation)
     pw = same_pad(kw, dilation)
-    out = np.empty((n, oh, ow, c_out), dtype=np.result_type(x, weights))
-    _chunked_tap_gemm(x, ((ph, ph), (pw, pw)), _chunk_step(n, out[0].nbytes),
+    _chunked_tap_gemm(x, ((ph, ph), (pw, pw)),
+                      _chunk_step(shape[0], out[0].nbytes),
                       [(slice(None), slice(None), taps)], out)
     return _finite_guard(out, "conv2d")
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import os
+import shutil
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from operator import attrgetter
@@ -503,10 +504,35 @@ def config_from_lines(lines) -> RunConfig:
 
 def save_checkpoint(directory, params: dict[str, np.ndarray],
                     cfg: RunConfig) -> None:
-    """Tensor files + manifest + a config echo; fully self-describing."""
-    msct.save_tensors(directory, params)
-    with open(os.path.join(directory, "config.txt"), "w") as fh:
-        fh.write("\n".join(config_to_lines(cfg)) + "\n")
+    """Tensor files + manifest + a config echo; fully self-describing.
+
+    Everything is written into a sibling directory ``.<name>.new-<pid>``,
+    removed again if a write fails, which then takes the place of
+    ``directory``: a previous checkpoint there is renamed aside, the new
+    one renamed in, and the old one deleted.  So ``directory`` never holds
+    a mix of new and old files.  A kill between the two renames leaves no
+    checkpoint at ``directory`` and the previous one beside it as
+    ``.<name>.old-<pid>``.
+    """
+    parent, name = os.path.split(os.path.abspath(directory))
+    os.makedirs(parent, exist_ok=True)
+    staged = os.path.join(parent, f".{name}.new-{os.getpid()}")
+    old = os.path.join(parent, f".{name}.old-{os.getpid()}")
+    # what a killed write by an earlier process of this pid left behind
+    shutil.rmtree(staged, ignore_errors=True)
+    shutil.rmtree(old, ignore_errors=True)
+    try:
+        os.mkdir(staged)
+        msct.save_tensors(staged, params)
+        with open(os.path.join(staged, "config.txt"), "w") as fh:
+            fh.write("\n".join(config_to_lines(cfg)) + "\n")
+        if os.path.isdir(directory):
+            os.replace(directory, old)
+        os.replace(staged, directory)
+    except BaseException:
+        shutil.rmtree(staged, ignore_errors=True)
+        raise
+    shutil.rmtree(old, ignore_errors=True)
 
 
 def load_checkpoint(directory) -> tuple[dict[str, np.ndarray], RunConfig]:

@@ -9,6 +9,9 @@ import math
 
 import numpy as np
 
+from msconv.autograd import Tape
+from msconv.model import tinynet_forward
+
 
 def conv2d_loops(x, w, dilation=1, stride=1):
     """Direct convolution with explicit bounds checks, one tap at a time."""
@@ -354,3 +357,13 @@ def unfused_net_forward(tape, x, params, cfg):
     pooled = tape.gap(cur)
     emb = tape.fc(pooled, params["w_embed"], params["b_embed"])
     return tape.l2_normalize_rows(emb)
+
+
+# -- the embedding as one pass ----------------------------------------------------
+
+def one_shot_embed(x, params, cfg):
+    """Embeddings of the whole batch in one forward pass: one constant tape,
+    a fresh array for every activation, no chunks."""
+    tape = Tape()
+    consts = {k: tape.constant(v) for k, v in params.items()}
+    return tinynet_forward(tape, tape.constant(x), consts, cfg).value

@@ -371,6 +371,44 @@ class TestConstants:
         assert not grads[x].any()
 
 
+class TestWorkspace:
+    def test_workspace_tape_refuses_leaves(self):
+        with pytest.raises(ValueError, match="workspace"):
+            Tape([]).leaf(rand((1, 2, 2, 1), 50))
+
+    def test_buffers_reused_in_allocation_order(self):
+        """The next tape gets the first tape's buffers, in order, as views
+        of their leading rows; a plain tape gets fresh arrays."""
+        ws = []
+        first = Tape(ws)
+        a, b = first.empty((4, 3), np.float64), first.empty((4, 5), np.float64)
+        second = Tape(ws)
+        c, d = second.empty((3, 3), np.float64), second.empty((3, 5), np.float64)
+        assert len(ws) == 2
+        assert c.base is ws[0] and np.shares_memory(a, c) and c.shape == (3, 3)
+        assert d.base is ws[1] and np.shares_memory(b, d) and d.shape == (3, 5)
+        assert not np.shares_memory(Tape().empty((4, 3), np.float64), a)
+
+    def test_mismatched_buffer_replaced(self):
+        """A buffer too small or of another row shape or dtype is replaced."""
+        ws = []
+        Tape(ws).empty((2, 3), np.float64)
+        for shape, dtype in (((3, 3), np.float64), ((3, 4), np.float64),
+                             ((3, 4), np.float32)):
+            out = Tape(ws).empty(shape, dtype)
+            assert out.shape == shape and out.dtype == dtype
+            assert ws[0].shape == shape and ws[0].dtype == dtype
+
+    def test_conv_writes_into_workspace(self):
+        """Tape.conv2d takes its output from the workspace, same bits."""
+        x, w = rand((3, 6, 6, 2), 51), rand((3, 3, 2, 4), 52)
+        ws = []
+        tape = Tape(ws)
+        y = tape.conv2d(tape.constant(x), tape.constant(w))
+        assert y.value.base is ws[0]
+        assert y.value.tobytes() == T.conv2d_raw(x, w).tobytes()
+
+
 def _vjp_reference(g, x, w, dilation, stride):
     """The tap loop with np.tensordot for dW and a 4-D matmul for dx."""
     kh, kw = w.shape[:2]

@@ -19,6 +19,7 @@ from msconv.block import FusionKind
 from msconv.data import load_dataset, read_pairs
 from msconv.model import init_params
 from msconv.train import build_config, load_checkpoint, parse_kv_lines
+from test_data_metrics import DATASET_DEFECTS, corrupt_dataset
 
 BASE_CONFIG = {
     "identities": 3,
@@ -217,6 +218,32 @@ class TestTrainCommand:
         for name in names:
             assert (a / "checkpoint" / name).read_bytes() == \
                 (b / "checkpoint" / name).read_bytes()
+
+    def test_verify_bytes_independent_of_blas_threads(self, tmp_path):
+        """verify --data on 36 images of 64x64 (the desk model, so batches
+        of 32 and 4 walked in chunks of 4) prints the same bytes on one and
+        on two BLAS threads."""
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("image_size = 64\nidentities = 4\n"
+                            "samples_per_identity = 9\nepochs = 0\n")
+        run, data = tmp_path / "run", tmp_path / "data"
+        assert cli.main(["train", "--config", str(cfg_path),
+                         "--out", str(run)]) == 0
+        assert cli.main(["gen-data", "--config", str(cfg_path),
+                         "--out", str(data), "--genuine", "30",
+                         "--impostor", "60"]) == 0
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+        outs = []
+        for n in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=n, OMP_NUM_THREADS=n,
+                       PYTHONPATH=os.pathsep.join(path))
+            outs.append(subprocess.run(
+                [sys.executable, "-m", "msconv.cli", "verify", "--checkpoint",
+                 str(run / "checkpoint"), "--data", str(data)],
+                env=env, check=True, capture_output=True).stdout)
+        assert b"tar=" in outs[0]
+        assert outs[0] == outs[1]
 
 
 class TestGenDataCommand:
@@ -444,6 +471,22 @@ class TestVerifyCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith(
             f"error: {path}:2: label 'x' is not a non-negative integer")
+
+    @pytest.mark.parametrize("defect", DATASET_DEFECTS)
+    def test_dataset_defect_rejected(self, trained, tmp_path, capsys, defect):
+        """An empty labels.txt or a bad image ends in exit 2 naming the
+        file."""
+        cfg_path, out = trained
+        data_dir = tmp_path / "data"
+        assert cli.main(["gen-data", "--config", cfg_path,
+                         "--out", str(data_dir),
+                         "--genuine", "4", "--impostor", "4"]) == 0
+        capsys.readouterr()
+        path, message = corrupt_dataset(data_dir, defect)
+        code = cli.main(["verify", "--checkpoint", str(out / "checkpoint"),
+                         "--data", str(data_dir)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
 
     def test_non_ascii_checkpoint_config_rejected(self, trained, tmp_path,
                                                   capsys):

@@ -4,6 +4,7 @@ Metric results are cross-checked against brute-force threshold sweeps in
 oracles.py that share no code with the implementation.
 """
 
+import os
 import re
 
 import numpy as np
@@ -92,7 +93,42 @@ class TestSyntheticData:
             LabeledImages(np.zeros((2, 4, 4, 1)), np.zeros(3, dtype=np.int64))
 
 
+DATASET_DEFECTS = ("no images", "unequal shapes", "rank 2", "non-finite")
+
+
+def corrupt_dataset(directory, defect):
+    """Apply one of DATASET_DEFECTS to a saved dataset directory; returns
+    the file the error must name and the message that follows it."""
+    labels = os.path.join(directory, "labels.txt")
+    names = [line.split(",")[0] for line in open(labels).read().split()]
+    paths = [os.path.join(directory, name) for name in names]
+    first = msct.read_tensor(paths[0])
+    if defect == "no images":
+        open(labels, "w").close()
+        return labels, "lists no images"
+    if defect == "unequal shapes":
+        msct.write_tensor(paths[1], first[1:])
+        return paths[1], (f"shape {first[1:].shape} differs from "
+                          f"{first.shape} of {names[0]}")
+    if defect == "rank 2":
+        for path in paths:
+            msct.write_tensor(path, msct.read_tensor(path)[..., 0])
+        return paths[0], f"shape {first.shape[:2]} is not a non-empty"
+    bad = msct.read_tensor(paths[2])
+    bad[1, 1, 0] = np.nan
+    msct.write_tensor(paths[2], bad)
+    return paths[2], "non-finite pixel values"
+
+
 class TestDatasetIO:
+    @pytest.mark.parametrize("defect", DATASET_DEFECTS)
+    def test_defect_names_the_file(self, tmp_path, defect):
+        save_dataset(tmp_path, gen_synthetic(small_spec()))
+        path, message = corrupt_dataset(tmp_path, defect)
+        with pytest.raises(msct.FormatError,
+                           match=re.escape(f"{path}: {message}")):
+            load_dataset(tmp_path)
+
     def test_round_trip(self, tmp_path):
         ds = gen_synthetic(small_spec())
         save_dataset(tmp_path, ds)

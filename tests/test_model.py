@@ -18,7 +18,7 @@ from msconv.model import (COS_CLAMP, MarginKind, MarginLossConfig, StageSpec,
                           TinyNetConfig, cosine_scores, cost_rows, init_params,
                           margin_ce_on_tape, margin_loss, normalize_rows,
                           tinynet_embed, tinynet_forward)
-from oracles import counting_net_forward
+from oracles import counting_net_forward, one_shot_embed
 
 
 def rand(shape, seed=0, scale=1.0):
@@ -100,14 +100,59 @@ class TestForwardOnly:
         tapes = []
 
         class SpyTape(Tape):
-            def __init__(self):
-                super().__init__()
+            def __init__(self, *args):
+                super().__init__(*args)
                 tapes.append(self)
 
         monkeypatch.setattr(model, "Tape", SpyTape)
         emb = tinynet_embed(x, params, cfg)
         assert emb.tobytes() == recorded.tobytes()
         assert len(tapes) == 1 and tapes[0]._records == []
+
+
+class TestDepthFirstEmbed:
+    """tinynet_embed walks the batch in chunks through one workspace."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 9, 33])
+    @pytest.mark.parametrize("size", [32, 64])
+    @pytest.mark.parametrize("kind", list(FusionKind), ids=lambda k: k.value)
+    def test_bytes_match_one_pass(self, kind, size, n):
+        """Desk model, even and uneven chunks: the bits of one pass over the
+        whole batch."""
+        cfg = TinyNetConfig().with_fusion(kind)
+        params = init_params(cfg, seed=11)
+        x = np.random.default_rng([n, size]).uniform(-1.0, 1.0,
+                                                      (n, size, size, 3))
+        got = tinynet_embed(x, params, cfg)
+        assert got.tobytes() == one_shot_embed(x, params, cfg).tobytes()
+
+    def test_embedding_survives_the_next_call(self):
+        """A returned embedding holds no workspace memory."""
+        cfg = TinyNetConfig()
+        params = init_params(cfg, seed=12)
+        first = tinynet_embed(rand((9, 32, 32, 3), 13), params, cfg)
+        kept = first.copy()
+        tinynet_embed(rand((9, 32, 32, 3), 14), params, cfg)
+        assert first.tobytes() == kept.tobytes()
+
+    def test_chunks_share_one_workspace(self, monkeypatch):
+        """Every chunk's tape allocates from the first chunk's buffers."""
+        from msconv import model
+        tapes = []
+
+        class SpyTape(Tape):
+            def __init__(self, *args):
+                super().__init__(*args)
+                tapes.append(self)
+
+        monkeypatch.setattr(model, "Tape", SpyTape)
+        cfg = TinyNetConfig()
+        tinynet_embed(rand((33, 32, 32, 3), 15), init_params(cfg, 16), cfg)
+        assert len(tapes) == len(T._depth_chunks(33, 32 * 32 * 16 * 8)) == 2
+        assert tapes[0]._workspace is tapes[1]._workspace
+        # stem, both branches, the projection and the fused output
+        assert len(tapes[0]._workspace) == 5
+        assert all(t._records == [] for t in tapes)
 
 
 class TestLayout:

@@ -323,7 +323,8 @@ class TestConvKernelBytes:
     def test_bytes_match_zero_init_accumulation(self, k, dilation, stride, n,
                                                 size, c_in, c_out, chunks):
         """The first tap assigned, later ones added: bits of 0 + taps over
-        the whole batch, however many chunks the batch is walked in."""
+        the whole batch, however many chunks the batch is walked in, into a
+        fresh array or over every element of a given ``out``."""
         oh = T.conv_out_len(size, stride)
         step = max(1, T._CHUNK_BYTES // (oh * oh * c_out * 8))
         assert k == 1 or -(-n // step) == chunks
@@ -331,3 +332,37 @@ class TestConvKernelBytes:
         w = rand((k, k, c_in, c_out), 61)
         ref = tap_loop_reference(x, w, dilation, stride)
         assert T.conv2d_raw(x, w, dilation, stride).tobytes() == ref.tobytes()
+        out = np.full(ref.shape, np.nan)
+        assert T.conv2d_raw(x, w, dilation, stride, out=out) is out
+        assert out.tobytes() == ref.tobytes()
+
+    def test_out_of_another_shape_or_dtype_rejected(self):
+        x = rand((2, 8, 8, 3), 62)
+        w = rand((3, 3, 3, 4), 63)
+        for out in (np.empty((2, 8, 8, 5)), np.empty((2, 8, 8, 4), np.float32)):
+            with pytest.raises(T.ShapeError, match="output buffer"):
+                T.conv2d_raw(x, w, out=out)
+
+
+class TestDepthChunks:
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 2000), image_bytes=st.integers(1, 1 << 26))
+    def test_chunks_cover_in_order_largest_first(self, n, image_bytes):
+        """Contiguous chunks over [0, n), sizes near-equal and falling, and
+        none of one image once there are two."""
+        chunks = T._depth_chunks(n, image_bytes)
+        assert chunks[0].start == 0 and chunks[-1].stop == n
+        assert all(a.stop == b.start for a, b in zip(chunks, chunks[1:]))
+        sizes = [c.stop - c.start for c in chunks]
+        assert sizes == sorted(sizes, reverse=True)
+        assert sizes[0] - sizes[-1] <= 1
+        assert n < 2 or min(sizes) >= 2
+        step = max(2, T._DEPTH_BYTES // image_bytes)
+        assert len(chunks) == max(1, n // step)
+
+    @pytest.mark.parametrize("size,images", [(64, 4), (32, 16)])
+    def test_desk_stem_chunk_sizes(self, size, images):
+        """The desk stem (16 float64 channels) fills 2 MiB at 4 images of
+        64x64 and 16 of 32x32."""
+        chunks = T._depth_chunks(32, size * size * 16 * 8)
+        assert [c.stop - c.start for c in chunks] == [images] * (32 // images)

@@ -453,6 +453,42 @@ class TestCheckpoint:
             np.testing.assert_array_equal(loaded[k],
                                           arr.astype(np.float32))
 
+    def test_failed_overwrite_keeps_previous_checkpoint(self, tmp_path,
+                                                        monkeypatch):
+        """A write that fails on its third tensor leaves the previous
+        checkpoint loading byte-identical and no stray directory; a write
+        that succeeds replaces every file."""
+        cfg = tiny_config(epochs=0)
+        ckpt = tmp_path / "checkpoint"
+        save_checkpoint(ckpt, full_init(cfg), cfg)
+        before, _ = load_checkpoint(ckpt)
+        newer = {k: v + 1.0 for k, v in full_init(cfg).items()}
+        written = []
+        real_write = msct.write_tensor
+
+        def fail_third(path, arr):
+            written.append(path)
+            if len(written) == 3:
+                raise OSError("disk full")
+            real_write(path, arr)
+
+        monkeypatch.setattr(msct, "write_tensor", fail_third)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(ckpt, newer, cfg)
+        assert os.listdir(tmp_path) == ["checkpoint"]
+        loaded, loaded_cfg = load_checkpoint(ckpt)
+        assert loaded_cfg == cfg and loaded.keys() == before.keys()
+        assert all(loaded[k].tobytes() == before[k].tobytes() for k in loaded)
+
+        monkeypatch.setattr(msct, "write_tensor", real_write)
+        (ckpt / "stale.txt").write_text("from an earlier run\n")
+        save_checkpoint(ckpt, newer, cfg)
+        assert os.listdir(tmp_path) == ["checkpoint"]
+        assert "stale.txt" not in os.listdir(ckpt)
+        loaded, _ = load_checkpoint(ckpt)
+        assert all(np.array_equal(loaded[k], newer[k].astype(np.float32))
+                   for k in newer)
+
     def test_missing_config_file(self, tmp_path):
         with pytest.raises(OSError):
             load_checkpoint(tmp_path)
