@@ -113,12 +113,20 @@ def save_dataset(directory, ds: LabeledImages) -> None:
 def load_dataset(directory) -> LabeledImages:
     """The images and labels that ``labels.txt`` lists, in its order.
 
-    Raises msct.FormatError naming ``labels.txt`` when it lists no image,
-    and naming the image file when an image is not a non-empty (h, w, c)
-    array of finite values or differs in shape from the first image.
+    Every line of ``labels.txt`` is checked before any image is read: a
+    line that is not ``name,label``, a label that is not a non-negative
+    integer or a name that is not a plain file name
+    (``msct.check_plain_name``) raises msct.FormatError naming
+    ``labels.txt:line``; a list with no image raises it naming the file.
+    Then one float64 ``(n, h, w, c)`` array is allocated on the first image
+    and each image is cast into its row as it is read, so the load holds
+    that one copy of the dataset plus one image; the float32 to float64
+    cast is exact.  An image that is not a non-empty (h, w, c)
+    array of finite values, or differs in shape from the first image,
+    raises msct.FormatError naming the image file.
     """
     path = os.path.join(directory, "labels.txt")
-    images, labels, names = [], [], []
+    labels, names = [], []
     for lineno, row in msct.text_lines(path):
         name, _, ident = row.partition(",")
         if not ident:
@@ -126,23 +134,27 @@ def load_dataset(directory) -> LabeledImages:
         if not ident.strip().isdigit():
             raise msct.FormatError(f"{path}:{lineno}: label {ident!r} is not a "
                                    "non-negative integer")
+        names.append(msct.check_plain_name(name, f"{path}:{lineno}"))
+        labels.append(int(ident))
+    if not names:
+        raise msct.FormatError(f"{path}: lists no images")
+    images = None
+    for i, name in enumerate(names):
         image_path = os.path.join(directory, name)
         image = msct.read_tensor(image_path)
         if image.ndim != 3 or not image.size:
             raise msct.FormatError(f"{image_path}: shape {image.shape} is not "
                                    "a non-empty (h, w, c) image")
-        if images and image.shape != images[0].shape:
+        if images is None:
+            images = np.empty((len(names),) + image.shape)
+        elif image.shape != images.shape[1:]:
             raise msct.FormatError(f"{image_path}: shape {image.shape} differs "
-                                   f"from {images[0].shape} of {names[0]}")
+                                   f"from {images.shape[1:]} of {names[0]}")
         if not np.isfinite(image).all():
             raise msct.FormatError(f"{image_path}: non-finite pixel values")
-        images.append(image)
-        labels.append(int(ident))
-        names.append(name)
-    if not images:
-        raise msct.FormatError(f"{path}: lists no images")
-    stack = np.stack(images).astype(np.float64)
-    return LabeledImages(stack, np.asarray(labels, dtype=np.int64), tuple(names))
+        images[i] = image
+    return LabeledImages(images, np.asarray(labels, dtype=np.int64),
+                         tuple(names))
 
 
 def make_pairs(labels: np.ndarray, genuine_count: int, impostor_count: int,

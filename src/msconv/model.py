@@ -170,7 +170,8 @@ def cost_rows(cfg: TinyNetConfig, height: int, width: int,
 
 
 def tinynet_embed(x: T.Tensor4, params: dict[str, np.ndarray],
-                  cfg: TinyNetConfig) -> T.ChannelVec:
+                  cfg: TinyNetConfig,
+                  workspace: list[np.ndarray] | None = None) -> T.ChannelVec:
     """Pure embedding extraction, run depth-first in cache-sized chunks.
 
     The whole network runs on one chunk of images before the next
@@ -180,6 +181,11 @@ def tinynet_embed(x: T.Tensor4, params: dict[str, np.ndarray],
     the first, largest chunk allocated.  Every op is row-independent for
     batches of two or more images, and no chunk holds one image unless
     ``x`` does, so the bits equal one pass over the whole of ``x``.
+
+    ``workspace`` is that list of buffers (see ``autograd.Tape``), empty at
+    first; a caller embedding several batches hands every call the same
+    list, so later calls reuse the first call's memory.  Left out, each call
+    starts a fresh one.  The returned embeddings never alias it.
     """
     x = T.check_tensor4(x, "input")
     n, h, w, _ = x.shape
@@ -188,7 +194,8 @@ def tinynet_embed(x: T.Tensor4, params: dict[str, np.ndarray],
         h, w = T.conv_out_len(h, stride), T.conv_out_len(w, stride)
         elems = max(elems, h * w * c_out)
     itemsize = np.result_type(x, params["stem"]).itemsize
-    workspace: list[np.ndarray] = []
+    if workspace is None:
+        workspace = []
     parts = []
     for rows in T._depth_chunks(n, elems * itemsize):
         tape = Tape(workspace)

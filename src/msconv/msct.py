@@ -86,17 +86,23 @@ def text_lines(path: str | os.PathLike):
                 yield lineno, line
 
 
+def check_plain_name(filename: str, where: str) -> str:
+    """``filename`` when it is a plain basename, so the file sits in the
+    directory of the list naming it; otherwise FormatError naming ``where``
+    (``path:line``)."""
+    if filename in ("", ".", "..") or os.path.basename(filename) != filename:
+        raise FormatError(f"{where}: filename {filename!r} is not a plain "
+                          "file name")
+    return filename
+
+
 def read_manifest(path: str | os.PathLike) -> dict[str, str]:
     entries: dict[str, str] = {}
     for lineno, line in text_lines(path):
         if "=" not in line:
             raise FormatError(f"{path}:{lineno}: expected name=filename")
         name, filename = line.split("=", 1)
-        # a plain basename: the file must sit in the manifest's directory
-        if filename in ("", ".", "..") or os.path.basename(filename) != filename:
-            raise FormatError(f"{path}:{lineno}: filename {filename!r} is "
-                              "not a plain file name")
-        entries[name] = filename
+        entries[name] = check_plain_name(filename, f"{path}:{lineno}")
     return entries
 
 

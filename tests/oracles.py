@@ -6,10 +6,13 @@ agreement between the two is meaningful evidence.
 """
 
 import math
+import os
 
 import numpy as np
 
+from msconv import msct
 from msconv.autograd import Tape
+from msconv.metrics import pair_scores
 from msconv.model import tinynet_forward
 
 
@@ -367,3 +370,29 @@ def one_shot_embed(x, params, cfg):
     tape = Tape()
     consts = {k: tape.constant(v) for k, v in params.items()}
     return tinynet_forward(tape, tape.constant(x), consts, cfg).value
+
+
+# -- the verify data path in one piece -------------------------------------
+
+def stacked_load_dataset(directory):
+    """(images, labels, names) of a dataset directory the plain way: every
+    float32 image in a list, then one stack cast to float64."""
+    path = os.path.join(directory, "labels.txt")
+    images, labels, names = [], [], []
+    for _, row in msct.text_lines(path):
+        name, _, ident = row.partition(",")
+        images.append(msct.read_tensor(os.path.join(directory, name)))
+        labels.append(int(ident))
+        names.append(name)
+    return (np.stack(images).astype(np.float64),
+            np.asarray(labels, dtype=np.int64), tuple(names))
+
+
+def one_shot_verification(embs, pairs):
+    """(genuine, impostor) scores from one pair_scores call over every pair's
+    gathered rows."""
+    ii = np.array([p[0] for p in pairs], dtype=np.int64)
+    jj = np.array([p[1] for p in pairs], dtype=np.int64)
+    same = np.array([p[2] for p in pairs], dtype=bool)
+    scores = pair_scores(embs[ii], embs[jj])
+    return scores[same], scores[~same]

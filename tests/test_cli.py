@@ -472,6 +472,32 @@ class TestVerifyCommand:
         assert capsys.readouterr().err.startswith(
             f"error: {path}:2: label 'x' is not a non-negative integer")
 
+    @pytest.mark.parametrize("absolute", [False, True],
+                             ids=["parent-relative", "absolute"])
+    def test_labels_name_outside_dataset_rejected(self, trained, tmp_path,
+                                                  capsys, absolute):
+        """labels.txt naming a file outside the dataset directory ends in
+        exit 2 naming labels.txt and the line, and the file is not read."""
+        cfg_path, out = trained
+        data_dir = tmp_path / "data"
+        assert cli.main(["gen-data", "--config", cfg_path,
+                         "--out", str(data_dir),
+                         "--genuine", "4", "--impostor", "4"]) == 0
+        capsys.readouterr()
+        secret = tmp_path / "outside" / "secret.msct"
+        secret.parent.mkdir()
+        shutil.copy(data_dir / "img00000.msct", secret)
+        name = str(secret) if absolute else "../outside/secret.msct"
+        path = data_dir / "labels.txt"
+        lines = path.read_text().splitlines()
+        lines[1] = f"{name},0"
+        path.write_text("\n".join(lines) + "\n")
+        code = cli.main(["verify", "--checkpoint", str(out / "checkpoint"),
+                         "--data", str(data_dir)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}:2: filename {name!r} is not a plain file name")
+
     @pytest.mark.parametrize("defect", DATASET_DEFECTS)
     def test_dataset_defect_rejected(self, trained, tmp_path, capsys, defect):
         """An empty labels.txt or a bad image ends in exit 2 naming the

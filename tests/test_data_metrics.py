@@ -6,9 +6,11 @@ oracles.py that share no code with the implementation.
 
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from msconv import msct
 from msconv.data import (PATCH, LabeledImages, SyntheticSpec, base_pattern,
@@ -16,7 +18,9 @@ from msconv.data import (PATCH, LabeledImages, SyntheticSpec, base_pattern,
                          save_dataset, write_pairs)
 from msconv.metrics import (VerificationSet, cosine_sim, pair_accuracy,
                             pair_scores, tar_at_far)
-from oracles import cosine_loops, sweep_accuracy, sweep_tar
+from oracles import (cosine_loops, stacked_load_dataset, sweep_accuracy,
+                     sweep_tar)
+from test_msct import NOT_PLAIN_NAMES
 
 
 def small_spec(**kw):
@@ -165,6 +169,163 @@ class TestDatasetIO:
     def test_missing_directory(self, tmp_path):
         with pytest.raises(OSError):
             load_dataset(tmp_path / "absent")
+
+    @pytest.mark.parametrize("name", NOT_PLAIN_NAMES)
+    def test_labels_name_must_be_plain(self, tmp_path, name):
+        """labels.txt cannot name a file outside the dataset directory."""
+        data_dir = tmp_path / "data"
+        save_dataset(data_dir, gen_synthetic(small_spec()))
+        msct.write_tensor(tmp_path / "outside.msct", np.zeros((8, 8, 2)))
+        labels = data_dir / "labels.txt"
+        lines = labels.read_text().splitlines()
+        lines[2] = f"{name},0"
+        labels.write_text("\n".join(lines) + "\n")
+        with pytest.raises(msct.FormatError, match=re.escape(
+                f"{labels}:3: filename {name!r} is not a plain file name")):
+            load_dataset(data_dir)
+
+    def test_labels_checked_before_any_image(self, tmp_path):
+        """A bad labels.txt line is reported even when an image listed
+        before it is broken too."""
+        save_dataset(tmp_path, gen_synthetic(small_spec()))
+        (tmp_path / "img00000.msct").write_bytes(b"junk")
+        labels = tmp_path / "labels.txt"
+        labels.write_text(labels.read_text() + "img00001.msct\n")
+        lineno = labels.read_text().count("\n")
+        with pytest.raises(msct.FormatError, match=re.escape(
+                f"{labels}:{lineno}: bad labels line")):
+            load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("size,count", [(8, 12), (64, 9)])
+    def test_bytes_match_stacked_reference(self, tmp_path, size, count):
+        """Casting each image into its row gives the bytes of stacking the
+        float32 images and casting the stack."""
+        spec = small_spec(identity_count=3, samples_per_identity=count // 3,
+                          height=size, width=size, channels=3)
+        save_dataset(tmp_path, gen_synthetic(spec))
+        loaded = load_dataset(tmp_path)
+        images, labels, names = stacked_load_dataset(tmp_path)
+        assert loaded.images.dtype == images.dtype == np.float64
+        assert loaded.images.shape == images.shape
+        assert loaded.images.tobytes() == images.tobytes()
+        assert loaded.labels.tobytes() == labels.tobytes()
+        assert loaded.names == names
+
+    def test_load_holds_one_float64_copy(self, tmp_path):
+        """The load's peak is the float64 array plus a few images: no list
+        of float32 images, no stack beside the cast (that peaked at twice
+        the array)."""
+        save_dataset(tmp_path, gen_synthetic(small_spec(
+            identity_count=4, samples_per_identity=10, height=32, width=32,
+            channels=3)))
+        tracemalloc.start()
+        try:
+            loaded = load_dataset(tmp_path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        array, image = loaded.images.nbytes, loaded.images[0].nbytes
+        assert peak <= array + 4 * image
+
+
+# the image files of the fuzzed dataset, in labels.txt order
+_LABEL_NAMES = [f"img{i:05d}.msct" for i in range(4)]
+# printable ASCII: a drawn field never holds a line break or a byte that
+# text_lines would reject on its own
+_ASCII = st.characters(min_codepoint=0x20, max_codepoint=0x7e)
+_FIELD = st.text(_ASCII.filter(lambda ch: ch != ","), max_size=12)
+
+
+@st.composite
+def _with_non_ascii(draw, line: str) -> bytes:
+    """``line`` with one byte of 0x80-0xff put in at any position."""
+    raw = line.encode()
+    at = draw(st.integers(0, len(raw)))
+    return raw[:at] + bytes([draw(st.integers(0x80, 0xff))]) + raw[at:]
+
+
+@st.composite
+def bad_labels_line(draw) -> bytes:
+    """One malformed labels.txt line of a kind drawn at random."""
+    name = draw(st.sampled_from(_LABEL_NAMES))
+    kind = draw(st.sampled_from(["missing", "extra", "label", "ascii",
+                                 "not plain"]))
+    if kind == "missing":
+        line = draw(_FIELD.filter(lambda f: f.strip()))
+    elif kind == "extra":
+        line = f"{name},{draw(st.integers(0, 9))},{draw(_FIELD)}"
+    elif kind == "label":
+        label = draw(st.text(_ASCII, max_size=8).filter(
+            lambda f: not f.strip().isdigit()))
+        line = f"{name},{label}"
+    elif kind == "ascii":
+        return draw(_with_non_ascii(f"{name},1"))
+    else:
+        bad = draw(st.sampled_from(NOT_PLAIN_NAMES + ("",)) | st.builds(
+            "/".join, st.lists(st.sampled_from(_LABEL_NAMES + ["..", "sub"]),
+                               min_size=2, max_size=3)))
+        line = f"{bad},{draw(st.integers(0, 9))}"
+    return line.encode()
+
+
+@st.composite
+def bad_pairs_line(draw) -> bytes:
+    """One malformed pairs.txt line of a kind drawn at random."""
+    a = draw(st.sampled_from(_LABEL_NAMES))
+    b = draw(st.sampled_from(_LABEL_NAMES))
+    kind = draw(st.sampled_from(["missing", "extra", "flag", "ascii",
+                                 "unlisted"]))
+    if kind == "missing":
+        line = draw(st.sampled_from([a, f"{a},{b}"]))
+    elif kind == "extra":
+        line = f"{a},{b},1,{draw(_FIELD)}"
+    elif kind == "flag":
+        flag = draw(_FIELD.filter(lambda f: f.strip() not in ("0", "1")))
+        line = f"{a},{b},{flag}"
+    elif kind == "ascii":
+        return draw(_with_non_ascii(f"{a},{b},0"))
+    else:
+        other = draw(_FIELD.filter(lambda f: f.strip() not in _LABEL_NAMES))
+        line = draw(st.sampled_from([f"{other},{b},1", f"{a},{other},0"]))
+    return line.encode()
+
+
+def _insert_line(lines: list[bytes], bad: bytes, at: int) -> bytes:
+    return b"".join(line + b"\n" for line in lines[:at] + [bad] + lines[at:])
+
+
+class TestTextFileFuzz:
+    """Any malformed labels.txt or pairs.txt line raises FormatError, and
+    nothing else, wherever it sits among valid lines."""
+
+    @pytest.fixture(scope="class")
+    def data_dir(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("fuzz")
+        save_dataset(directory, gen_synthetic(small_spec(
+            identity_count=2, samples_per_identity=2)))
+        return directory
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(bad=bad_labels_line(), at=st.integers(0, 4))
+    def test_labels_line(self, data_dir, bad, at):
+        good = [f"{name},{i // 2}".encode()
+                for i, name in enumerate(_LABEL_NAMES)]
+        (data_dir / "labels.txt").write_bytes(_insert_line(good, bad, at))
+        with pytest.raises(msct.FormatError):
+            load_dataset(data_dir)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(bad=bad_pairs_line(), at=st.integers(0, 3))
+    def test_pairs_line(self, tmp_path, bad, at):
+        good = [b"img00000.msct,img00001.msct,1",
+                b"img00002.msct,img00003.msct,1",
+                b"img00000.msct,img00003.msct,0"]
+        path = tmp_path / "pairs.txt"
+        path.write_bytes(_insert_line(good, bad, at))
+        with pytest.raises(msct.FormatError):
+            read_pairs(path, _LABEL_NAMES)
 
 
 class TestPairs:

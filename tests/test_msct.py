@@ -8,6 +8,10 @@ import pytest
 
 from msconv import msct
 
+# file names a manifest or labels.txt may not use: each leaves the directory
+# of the list naming it, or names no file
+NOT_PLAIN_NAMES = ("../outside.msct", "sub/w.msct", "/abs/w.msct", "..", ".")
+
 
 def rand(shape, seed=0):
     return np.random.default_rng(seed).normal(size=shape)
@@ -154,8 +158,7 @@ class TestFiles:
                                                              "non-ASCII byte 0xe9")):
             msct.read_manifest(p)
 
-    @pytest.mark.parametrize("filename", [
-        "../outside.msct", "sub/w.msct", "/abs/w.msct", "..", "."])
+    @pytest.mark.parametrize("filename", NOT_PLAIN_NAMES)
     def test_manifest_filename_must_be_plain(self, tmp_path, filename):
         """A manifest cannot point outside its own directory."""
         ckpt = tmp_path / "ckpt"
@@ -164,6 +167,17 @@ class TestFiles:
         (ckpt / "manifest.txt").write_text(f"w={filename}\n")
         with pytest.raises(msct.FormatError, match="not a plain file name"):
             msct.load_tensors(ckpt)
+
+    @pytest.mark.parametrize("filename", NOT_PLAIN_NAMES + ("",))
+    def test_check_plain_name_rejects(self, filename):
+        message = f"list.txt:3: filename {filename!r} is not a plain file name"
+        with pytest.raises(msct.FormatError, match=re.escape(message)):
+            msct.check_plain_name(filename, "list.txt:3")
+
+    @pytest.mark.parametrize("filename", ["w.msct", "img00001.msct", "a..b",
+                                          "...", ".hidden"])
+    def test_check_plain_name_accepts(self, filename):
+        assert msct.check_plain_name(filename, "list.txt:3") == filename
 
     def test_colliding_names_rejected(self, tmp_path):
         """Names that sanitize to one file raise before anything is written."""

@@ -3,6 +3,8 @@
 import math
 import os
 import re
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,13 +15,16 @@ from msconv.autograd import Tape
 from msconv.block import FusionKind
 from msconv.data import SyntheticSpec, gen_synthetic
 from msconv.model import (MarginKind, MarginLossConfig, StageSpec,
-                          TinyNetConfig, margin_ce_on_tape, tinynet_forward)
-from msconv.train import (CONFIG_KEYS, ConfigError, LRSchedule, RunConfig,
-                          TrainingDivergedError, ablation_run, build_config,
-                          config_from_lines, config_to_lines,
-                          evaluate_verification, format_ablation_report,
-                          full_init, load_checkpoint, lr_at, parse_kv_lines,
-                          save_checkpoint, sgd_step, train, verification_set)
+                          TinyNetConfig, init_params, margin_ce_on_tape,
+                          tinynet_embed, tinynet_forward)
+from msconv.train import (CONFIG_KEYS, PAIR_BLOCK, ConfigError, LRSchedule,
+                          RunConfig, TrainingDivergedError, ablation_run,
+                          build_config, config_from_lines, config_to_lines,
+                          embed_dataset, evaluate_verification,
+                          format_ablation_report, full_init, load_checkpoint,
+                          lr_at, parse_kv_lines, save_checkpoint, sgd_step,
+                          train, verification_set)
+from oracles import one_shot_verification
 
 
 def tiny_config(**kw):
@@ -313,6 +318,101 @@ class TestVerificationEvaluation:
         assert 0.0 <= out["tar"] <= 1.0
         assert 0.5 <= out["pair_acc"] <= 1.0
         assert out["far_target"] == 0.5
+
+
+def random_pairs(rng, images: int, count: int) -> list[tuple[int, int, int]]:
+    """``count`` (i, j, same) triples, same-flags alternating from 1."""
+    ii = rng.integers(0, images, count).tolist()
+    jj = rng.integers(0, images, count).tolist()
+    return [(i, j, (k + 1) % 2) for k, (i, j) in enumerate(zip(ii, jj))]
+
+
+class TestBlockedScoring:
+    """verification_set scores PAIR_BLOCK pairs per pair_scores call."""
+
+    @pytest.mark.parametrize("count", [2, 37, PAIR_BLOCK - 1, PAIR_BLOCK,
+                                       PAIR_BLOCK + 1, 3 * PAIR_BLOCK + 17])
+    def test_bytes_match_one_shot(self, count):
+        rng = np.random.default_rng(count)
+        embs = rng.normal(size=(50, 64))
+        pairs = random_pairs(rng, 50, count)
+        vs = verification_set(embs, pairs)
+        genuine, impostor = one_shot_verification(embs, pairs)
+        assert vs.genuine.tobytes() == genuine.tobytes()
+        assert vs.impostor.tobytes() == impostor.tobytes()
+
+    def test_one_pair_scores_call_per_block(self, monkeypatch):
+        train_module = sys.modules["msconv.train"]
+        sizes = []
+        real = train_module.pair_scores
+
+        def spy(a, b):
+            sizes.append(a.shape[0])
+            return real(a, b)
+
+        monkeypatch.setattr(train_module, "pair_scores", spy)
+        rng = np.random.default_rng(1)
+        verification_set(rng.normal(size=(9, 4)),
+                         random_pairs(rng, 9, 2 * PAIR_BLOCK + 5))
+        assert sizes == [PAIR_BLOCK, PAIR_BLOCK, 5]
+
+    def test_peak_does_not_grow_with_pairs(self):
+        """Beyond the (pairs, 3) index array and the scores, which take
+        under 64 bytes a pair, the peak is the same for 20k and 200k pairs;
+        scoring every pair at once held two gathered rows and their product,
+        3 * embed_dim * 8 bytes a pair."""
+        rng = np.random.default_rng(2)
+        embs = rng.normal(size=(300, 128))
+
+        def peak(count):
+            pairs = random_pairs(rng, 300, count)
+            tracemalloc.start()
+            try:
+                verification_set(embs, pairs)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(20_000), peak(200_000)
+        assert large - small <= 64 * (200_000 - 20_000)
+
+
+class TestEmbedDataset:
+    """embed_dataset hands every batch one activation workspace."""
+
+    @pytest.mark.parametrize("count,size", [(33, 32), (70, 64)])
+    def test_bytes_match_fresh_workspaces(self, count, size):
+        """The last batch of 33 at batch 32 holds one image; 70 images of
+        64x64 make three batches of several chunks each."""
+        cfg = TinyNetConfig()
+        params = init_params(cfg, seed=21)
+        images = np.random.default_rng(count).uniform(
+            -1.0, 1.0, (count, size, size, 3))
+        fresh = np.concatenate([tinynet_embed(images[i:i + 32], params, cfg)
+                                for i in range(0, count, 32)])
+        got = embed_dataset(params, cfg, images, 32)
+        assert got.tobytes() == fresh.tobytes()
+
+    def test_workspace_stops_growing_after_first_batch(self, monkeypatch):
+        train_module = sys.modules["msconv.train"]
+        seen = []
+
+        def spy(x, params, cfg, workspace=None):
+            out = tinynet_embed(x, params, cfg, workspace)
+            seen.append((workspace, list(workspace)))
+            return out
+
+        monkeypatch.setattr(train_module, "tinynet_embed", spy)
+        cfg = TinyNetConfig()
+        images = np.random.default_rng(3).uniform(-1.0, 1.0, (65, 32, 32, 3))
+        embed_dataset(init_params(cfg, seed=22), cfg, images, 32)
+        assert len(seen) == 3
+        workspace, first = seen[0]
+        # stem, both branches, the projection and the fused output
+        assert len(first) == 5
+        for ws, buffers in seen[1:]:
+            assert ws is workspace
+            assert all(a is b for a, b in zip(buffers, first, strict=True))
 
 
 class TestAblationHarness:
