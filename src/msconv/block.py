@@ -37,7 +37,6 @@ from enum import Enum
 
 import numpy as np
 
-from . import msct
 from . import tensor as T
 from .autograd import Tape, Var
 
@@ -63,15 +62,6 @@ _MUL_ATTENTION = frozenset({FusionKind.MSCONV, FusionKind.NO_SO})
 # fusion kinds whose reweighted tensor is the element-wise difference
 _SUB_TARGET = frozenset({FusionKind.MSCONV, FusionKind.MSCONV_SUM})
 
-# Branch dilation pairs with equal parameter cost: a 3x3 kernel at dilation D
-# covers a (2D+1)-square extent, so (1,2) pairs a 3x3 with an effective 5x5.
-KERNEL_COMBOS = {
-    "k3k3": (1, 1),
-    "k3k5": (1, 2),
-    "k5k3": (2, 1),
-    "k5k7": (2, 3),
-}
-
 DEFAULT_REDUCTION = 16
 DEFAULT_MIN_WIDTH = 32
 
@@ -89,7 +79,7 @@ def param_rng(seed: int, tag: str) -> np.random.Generator:
     return np.random.default_rng([seed, zlib.crc32(tag.encode())])
 
 
-# serialized names of a block's learnable arrays, in MSConvState field order
+# serialized names of a block's learnable arrays, in checkpoint order
 BLOCK_PARAM_NAMES = ("k3", "k5", "w_reduce", "b_reduce", "w_expand", "b_expand")
 
 
@@ -99,150 +89,64 @@ def _gauss(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.
 
 @dataclass(frozen=True)
 class MSConvState:
-    """All learnable parameters of one block.
+    """One block's parameters and branch geometry.
 
-    k3 and k5 are the two branch kernels (identical shape, different
-    dilation); w/b_reduce and w/b_expand are the attention bottleneck.  The
-    expand output width is twice the channel count: the first half is the
-    a_hat head, the second half the b_hat head.
+    ``params`` holds the six arrays keyed by BLOCK_PARAM_NAMES, the dict
+    form ``block_forward_on_tape`` and ``model.init_params`` use: the two
+    branch kernels k3 and k5 (identical shape, different dilation) and the
+    attention bottleneck w/b_reduce and w/b_expand.  The expand output width
+    is twice the channel count: the first half is the a_hat head, the second
+    half the b_hat head.
     """
 
-    k3: T.ConvKernel
-    k5: T.ConvKernel
-    w_reduce: np.ndarray
-    b_reduce: np.ndarray
-    w_expand: np.ndarray
-    b_expand: np.ndarray
-    reduction: int = DEFAULT_REDUCTION
-    min_width: int = DEFAULT_MIN_WIDTH
-
-    def __post_init__(self):
-        a, b = self.k3, self.k5
-        if (a.kh, a.kw, a.c_in, a.c_out) != (b.kh, b.kw, b.c_in, b.c_out):
-            raise T.ShapeError("branch kernels must have identical dims "
-                               f"{a.weights.shape} vs {b.weights.shape}")
-        if a.stride != b.stride:
-            raise T.ShapeError("branch kernels must share the stride")
-        c, d = self.c_out, self.width
-        if self.w_reduce.shape != (c, d) or self.b_reduce.shape != (d,):
-            raise T.ShapeError(f"reduce projection must be ({c},{d})+({d},), got "
-                               f"{self.w_reduce.shape}+{self.b_reduce.shape}")
-        if self.w_expand.shape != (d, 2 * c) or self.b_expand.shape != (2 * c,):
-            raise T.ShapeError(f"expand projection must be ({d},{2*c})+({2*c},), got "
-                               f"{self.w_expand.shape}+{self.b_expand.shape}")
-
-    @property
-    def c_in(self) -> int:
-        return self.k3.c_in
-
-    @property
-    def c_out(self) -> int:
-        return self.k3.c_out
-
-    @property
-    def stride(self) -> int:
-        return self.k3.stride
-
-    @property
-    def width(self) -> int:
-        return reduced_width(self.c_out, self.reduction, self.min_width)
+    params: dict[str, np.ndarray]
+    dilations: tuple[int, int]
+    stride: int
 
     @classmethod
     def init(cls, c_in: int, c_out: int, *, seed: int = 0, tag: str = "block",
-             dilations: tuple[int, int] = KERNEL_COMBOS["k3k5"], stride: int = 1,
+             dilations: tuple[int, int] = (1, 2), stride: int = 1,
              reduction: int = DEFAULT_REDUCTION,
              min_width: int = DEFAULT_MIN_WIDTH) -> "MSConvState":
         """Fan-in-scaled Gaussian weights, zero biases, per-layer seed streams."""
         d = reduced_width(c_out, reduction, min_width)
         kshape = (3, 3, c_in, c_out)
-        return cls(
-            k3=T.ConvKernel(_gauss(param_rng(seed, tag + "/k3"), kshape, 9 * c_in),
-                            dilation=dilations[0], stride=stride),
-            k5=T.ConvKernel(_gauss(param_rng(seed, tag + "/k5"), kshape, 9 * c_in),
-                            dilation=dilations[1], stride=stride),
-            w_reduce=_gauss(param_rng(seed, tag + "/w_reduce"), (c_out, d), c_out),
-            b_reduce=np.zeros(d),
-            w_expand=_gauss(param_rng(seed, tag + "/w_expand"), (d, 2 * c_out), d),
-            b_expand=np.zeros(2 * c_out),
-            reduction=reduction,
-            min_width=min_width,
-        )
 
-    @classmethod
-    def from_params(cls, params: dict[str, np.ndarray], *,
-                    dilations: tuple[int, int], stride: int, reduction: int,
-                    min_width: int) -> "MSConvState":
-        """State from arrays keyed by BLOCK_PARAM_NAMES plus the geometry."""
-        k3, k5, w_reduce, b_reduce, w_expand, b_expand = (
-            params[name] for name in BLOCK_PARAM_NAMES)
-        return cls(k3=T.ConvKernel(k3, dilations[0], stride),
-                   k5=T.ConvKernel(k5, dilations[1], stride),
-                   w_reduce=w_reduce, b_reduce=b_reduce,
-                   w_expand=w_expand, b_expand=b_expand,
-                   reduction=reduction, min_width=min_width)
+        def gauss(name, shape, fan_in):
+            return _gauss(param_rng(seed, f"{tag}/{name}"), shape, fan_in)
 
-    def param_dict(self) -> dict[str, np.ndarray]:
-        """Learnable arrays keyed by their serialized names."""
-        return dict(zip(BLOCK_PARAM_NAMES, (
-            self.k3.weights, self.k5.weights, self.w_reduce, self.b_reduce,
-            self.w_expand, self.b_expand)))
-
-    def with_params(self, params: dict[str, np.ndarray]) -> "MSConvState":
-        """Same geometry, new parameter arrays."""
-        return MSConvState.from_params(
-            params, dilations=(self.k3.dilation, self.k5.dilation),
-            stride=self.stride, reduction=self.reduction,
-            min_width=self.min_width)
+        params = {"k3": gauss("k3", kshape, 9 * c_in),
+                  "k5": gauss("k5", kshape, 9 * c_in),
+                  "w_reduce": gauss("w_reduce", (c_out, d), c_out),
+                  "b_reduce": np.zeros(d),
+                  "w_expand": gauss("w_expand", (d, 2 * c_out), d),
+                  "b_expand": np.zeros(2 * c_out)}
+        return cls(params, dilations, stride)
 
 
-# The selective-kernel reference twin holds exactly the same parameters; only
-# the forward dataflow differs.
-SKConvState = MSConvState
-
-TRACE_FIELDS = ("u1", "u2", "u3", "u4", "s", "z", "a_hat", "b_hat", "c")
-
-
-@dataclass(frozen=True)
-class MSConvTrace:
-    """Every intermediate of one forward pass.
-
-    For the selective-kernel reference, ``c`` is the softmax weight on U1 and
-    ``u4`` is absent (None).
-    """
-
-    u1: np.ndarray
-    u2: np.ndarray
-    u3: np.ndarray
-    u4: np.ndarray | None
-    s: np.ndarray
-    z: np.ndarray
-    a_hat: np.ndarray
-    b_hat: np.ndarray
-    c: np.ndarray
+TRACE_FIELDS = ("u1", "u2", "s", "z", "a_hat", "b_hat", "c")
 
 
 def block_forward_on_tape(tape: Tape, x: Var, params: dict[str, Var], *,
                           dilations: tuple[int, int], stride: int = 1,
                           kind: FusionKind = FusionKind.MSCONV,
                           shortcut: Var | None = None,
-                          ) -> tuple[Var, dict[str, Var | np.ndarray | None]]:
+                          ) -> tuple[Var, dict[str, Var | np.ndarray]]:
     """Record one block forward pass; shared by inference and training.
 
     Records the two branch convolutions and one ``msconv_fuse`` op, which
     also adds ``shortcut`` (the residual input, when given) to the fused
-    output.  Returns the output Var plus the named intermediates: ``u1`` and
-    ``u2`` as Vars, ``s``, ``z``, ``a_hat``, ``b_hat`` and ``c`` as arrays.
-    The fused op never builds ``u3`` or ``u4`` whole, so both are None here;
-    ``msconv_forward`` rebuilds them.
+    output.  Returns the output Var plus the named intermediates
+    (TRACE_FIELDS): ``u1`` and ``u2`` as Vars, ``s``, ``z``, ``a_hat``,
+    ``b_hat`` and ``c`` as arrays.  The fused op never builds U1*U2 or U1-U2
+    whole, so neither is traced.
     """
     if not isinstance(kind, FusionKind):
         raise ValueError(f"unknown fusion kind {kind!r}")
     u1 = tape.conv2d(x, params["k3"], dilation=dilations[0], stride=stride)
     u2 = tape.conv2d(x, params["k5"], dilation=dilations[1], stride=stride)
     v, gate = _fuse_on_tape(tape, u1, u2, params, kind, shortcut)
-    trace = dict.fromkeys(TRACE_FIELDS)
-    trace.update(u1=u1, u2=u2, **gate)
-    return v, trace
+    return v, {"u1": u1, "u2": u2, **gate}
 
 
 # the attention parameters, in the fused op's input order
@@ -351,40 +255,6 @@ def _fuse_on_tape(tape: Tape, u1: Var, u2: Var, params: dict[str, Var],
     return v, {"s": s, "z": z, "a_hat": a_hat, "b_hat": b_hat, "c": c}
 
 
-def msconv_forward(x: T.Tensor4, st: MSConvState,
-                   kind: FusionKind = FusionKind.MSCONV,
-                   ) -> tuple[T.Tensor4, MSConvTrace]:
-    """Pure forward pass returning the fused output and all intermediates.
-
-    U3 and U4 are rebuilt from U1 and U2 with the fused op's expressions.
-    """
-    T.check_tensor4(x, "x")
-    tape = Tape()
-    consts = {name: tape.constant(arr) for name, arr in st.param_dict().items()}
-    v, tr = block_forward_on_tape(tape, tape.constant(x), consts,
-                                  dilations=(st.k3.dilation, st.k5.dilation),
-                                  stride=st.stride, kind=kind)
-    values = {name: (val.value if isinstance(val, Var) else val)
-              for name, val in tr.items()}
-    u1, u2 = values["u1"], values["u2"]
-    values["u3"] = (T.ew_mul if kind in _MUL_ATTENTION else T.ew_add)(u1, u2)
-    if kind is not FusionKind.SKCONV_REFERENCE:
-        values["u4"] = (T.ew_sub if kind in _SUB_TARGET else T.ew_add)(u1, u2)
-    return v.value, MSConvTrace(**values)
-
-
-def skconv_forward(x: T.Tensor4, st: SKConvState) -> T.Tensor4:
-    """Reference selective-kernel fusion: V = a*U1 + b*U2, softmax weights."""
-    v, _ = msconv_forward(x, st, FusionKind.SKCONV_REFERENCE)
-    return v
-
-
-def ablate(kind: FusionKind, x: T.Tensor4, st: MSConvState) -> T.Tensor4:
-    """Forward pass under the named fusion variant."""
-    v, _ = msconv_forward(x, st, kind)
-    return v
-
-
 def equivalence_check(u1: T.Tensor4, u2: T.Tensor4,
                       a_hat: T.ChannelVec, b_hat: T.ChannelVec) -> float:
     """Max |V_softmax - V_sigmoid| over all elements.
@@ -426,13 +296,13 @@ def so_noise_test(sigma: float, trials: int, mu: float = 0.0,
     return float(diff.mean()), float(diff.var())
 
 
-def count_params_flops(st: MSConvState, height: int, width: int,
-                       kind: FusionKind = FusionKind.MSCONV,
-                       ) -> tuple[int, int]:
-    """Exact per-sample learnable-element and arithmetic-op counts.
+def params_flops_breakdown(st: MSConvState, height: int, width: int,
+                           kind: FusionKind = FusionKind.MSCONV,
+                           ) -> dict[str, int]:
+    """Exact per-sample learnable-element and arithmetic-op counts by layer.
 
-    Accounting convention (what the instrumented scalar-loop counter in the
-    test suite tallies):
+    ``params`` and ``flops`` are the totals.  Accounting convention (what
+    the instrumented scalar-loop counter in the test suite tallies):
       * convolutions and FC matmuls: one MAC per tap, padding taps included
         (oh*ow*c_out*kh*kw*c_in per conv; c_in*c_out per FC sample);
       * FC bias: one add per output element;
@@ -445,18 +315,10 @@ def count_params_flops(st: MSConvState, height: int, width: int,
         spends one op per channel forming 1 - a;
       * relu and sigmoid are activation table lookups and are not counted.
     """
-    totals = params_flops_breakdown(st, height, width, kind)
-    return totals["params"], totals["flops"]
-
-
-def params_flops_breakdown(st: MSConvState, height: int, width: int,
-                           kind: FusionKind = FusionKind.MSCONV,
-                           ) -> dict[str, int]:
-    """Per-layer op counts behind count_params_flops, for reports."""
     if not isinstance(kind, FusionKind):
         raise ValueError(f"unknown fusion kind {kind!r}")
-    c_in, c, d = st.c_in, st.c_out, st.width
-    kh, kw = st.k3.kh, st.k3.kw
+    kh, kw, c_in, c = st.params["k3"].shape
+    d = st.params["w_reduce"].shape[1]
     oh = T.conv_out_len(height, st.stride)
     ow = T.conv_out_len(width, st.stride)
     grid = oh * ow * c
@@ -475,7 +337,7 @@ def params_flops_breakdown(st: MSConvState, height: int, width: int,
         combine = grid + grid
 
     breakdown = {
-        "params": 2 * st.k3.param_count + c * d + d + d * 2 * c + 2 * c,
+        "params": sum(int(arr.size) for arr in st.params.values()),
         "conv_branches": conv_macs,
         "attention_fuse": attention_fuse,
         "target_fuse": target_fuse,
@@ -488,24 +350,3 @@ def params_flops_breakdown(st: MSConvState, height: int, width: int,
     breakdown["flops"] = (conv_macs + attention_fuse + target_fuse + gap_ops
                           + reduce_macs + expand_macs + score_sub + combine)
     return breakdown
-
-
-def save_block(directory, st: MSConvState) -> None:
-    """Write the six parameter tensors plus a manifest into a directory."""
-    msct.save_tensors(directory, st.param_dict())
-
-
-def load_block(directory, *, dilations: tuple[int, int] = KERNEL_COMBOS["k3k5"],
-               stride: int = 1, reduction: int = DEFAULT_REDUCTION,
-               min_width: int = DEFAULT_MIN_WIDTH) -> MSConvState:
-    """Rebuild a block from a saved directory.
-
-    Geometry (dilations, stride, reduction) is not stored in the tensor files
-    and must be supplied; model checkpoints echo it in their config file.
-    """
-    arrs = msct.load_tensors(directory)
-    missing = [k for k in BLOCK_PARAM_NAMES if k not in arrs]
-    if missing:
-        raise msct.FormatError(f"block manifest missing entries: {missing}")
-    return MSConvState.from_params(arrs, dilations=dilations, stride=stride,
-                                   reduction=reduction, min_width=min_width)

@@ -19,8 +19,9 @@ from .autograd import finite_diff_check
 from .block import FusionKind, MSConvState, block_forward_on_tape
 from .data import gen_synthetic, load_dataset, make_pairs, read_pairs, \
     save_dataset, write_pairs
-from .model import (MarginLossConfig, StageSpec, TinyNetConfig, cost_rows,
-                    init_params, margin_ce_on_tape, tinynet_forward)
+from .model import (MarginKind, MarginLossConfig, StageSpec, TinyNetConfig,
+                    cost_rows, init_params, margin_ce_on_tape,
+                    tinynet_forward)
 from .train import (ConfigError, DEFAULT_ABLATION_KINDS, ablation_run,
                     build_config, evaluate_verification, format_ablation_report,
                     load_checkpoint, read_kv_file, save_checkpoint, train)
@@ -90,12 +91,12 @@ def _op_cases(seed: int):
 def _block_case(seed: int):
     rng = np.random.default_rng(seed)
     st = MSConvState.init(3, 4, seed=seed, min_width=2)
-    params = dict(st.param_dict())
+    params = dict(st.params)
     params["x"] = rng.normal(size=(2, 6, 6, 3))
 
     def build(tape, v):
         out, _ = block_forward_on_tape(
-            tape, v["x"], v, dilations=(1, 2), stride=1)
+            tape, v["x"], v, dilations=st.dilations, stride=st.stride)
         return tape.mean(out)
 
     return params, build
@@ -110,7 +111,8 @@ def _backbone_case(seed: int):
     params["x"] = rng.normal(size=(2, 8, 8, 2))
     params["centers"] = rng.normal(size=(3, 5))
     labels = rng.integers(0, 3, size=2)
-    loss_cfg = MarginLossConfig.combined(class_count=3, scale=8.0)
+    loss_cfg = MarginLossConfig.of_kind(MarginKind.COMBINED, class_count=3,
+                                        scale=8.0)
 
     def build(tape, v):
         net = {k: var for k, var in v.items() if k not in ("x", "centers")}

@@ -116,8 +116,9 @@ def load_dataset(directory) -> LabeledImages:
     Every line of ``labels.txt`` is checked before any image is read: a
     line that is not ``name,label``, a label that is not a non-negative
     integer or a name that is not a plain file name
-    (``msct.check_plain_name``) raises msct.FormatError naming
-    ``labels.txt:line``; a list with no image raises it naming the file.
+    (``msct.check_plain_name``) or that an earlier line already lists
+    raises msct.FormatError naming ``labels.txt:line`` (and the earlier
+    line); a list with no image raises it naming the file.
     Then one float64 ``(n, h, w, c)`` array is allocated on the first image
     and each image is cast into its row as it is read, so the load holds
     that one copy of the dataset plus one image; the float32 to float64
@@ -126,7 +127,7 @@ def load_dataset(directory) -> LabeledImages:
     raises msct.FormatError naming the image file.
     """
     path = os.path.join(directory, "labels.txt")
-    labels, names = [], []
+    labels, line_of = [], {}
     for lineno, row in msct.text_lines(path):
         name, _, ident = row.partition(",")
         if not ident:
@@ -134,8 +135,13 @@ def load_dataset(directory) -> LabeledImages:
         if not ident.strip().isdigit():
             raise msct.FormatError(f"{path}:{lineno}: label {ident!r} is not a "
                                    "non-negative integer")
-        names.append(msct.check_plain_name(name, f"{path}:{lineno}"))
+        name = msct.check_plain_name(name, f"{path}:{lineno}")
+        if name in line_of:
+            raise msct.FormatError(f"{path}:{lineno}: {name!r} is already "
+                                   f"listed on line {line_of[name]}")
+        line_of[name] = lineno
         labels.append(int(ident))
+    names = list(line_of)
     if not names:
         raise msct.FormatError(f"{path}: lists no images")
     images = None

@@ -96,7 +96,7 @@ def init_params(cfg: TinyNetConfig, seed: int) -> dict[str, np.ndarray]:
         st = MSConvState.init(c_in, c_out, seed=seed, tag=name,
                               dilations=cfg.dilations, stride=stride,
                               reduction=cfg.reduction, min_width=cfg.min_width)
-        for pname, arr in st.param_dict().items():
+        for pname, arr in st.params.items():
             params[f"{name}/{pname}"] = arr
         if _has_proj(c_in, c_out, stride):
             params[f"{name}/proj"] = _gauss(param_rng(seed, name + "/proj"),
@@ -146,7 +146,7 @@ def cost_rows(cfg: TinyNetConfig, height: int, width: int,
 
     Rows: ``stem``; per block ``<block>`` (params_flops_breakdown),
     ``<block>/proj`` for a projected shortcut and ``<block>/add`` for the
-    residual sum; ``head``.  Counts follow block.count_params_flops: one MAC
+    residual sum; ``head``.  Counts follow params_flops_breakdown: one MAC
     per conv or FC tap, one op per element-wise add, pool adds plus one
     divide per channel.  relu, sigmoid and the final l2 normalisation are
     not counted.
@@ -262,22 +262,6 @@ class MarginLossConfig:
         defaults = dict(zip(("m1", "m2", "m3"), MARGIN_DEFAULTS[kind]))
         return cls(kind, class_count, scale, **{**defaults, **margins})
 
-    @classmethod
-    def plain(cls, class_count: int, scale: float = 1.0):
-        return cls(MarginKind.PLAIN, class_count, scale)
-
-    @classmethod
-    def arc(cls, class_count: int, scale: float = 64.0, **margins: float):
-        return cls.of_kind(MarginKind.ARC, class_count, scale, **margins)
-
-    @classmethod
-    def cos(cls, class_count: int, scale: float = 64.0, **margins: float):
-        return cls.of_kind(MarginKind.COS, class_count, scale, **margins)
-
-    @classmethod
-    def combined(cls, class_count: int, scale: float = 64.0, **margins: float):
-        return cls.of_kind(MarginKind.COMBINED, class_count, scale, **margins)
-
 
 def _check_margin_inputs(emb: np.ndarray, labels: np.ndarray,
                          centers: np.ndarray, cfg: MarginLossConfig) -> np.ndarray:
@@ -352,11 +336,6 @@ def margin_ce_on_tape(tape: Tape, emb: Var, centers: Var, labels,
         return (s * d_emb, s * d_centers)
 
     return tape.emit("margin_ce", (emb, centers), np.asarray(loss), vjp)
-
-
-def cosine_scores(embeddings: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Cosine logits (n, class_count) between unit rows."""
-    return embeddings @ centers.T
 
 
 def normalize_rows(rows: np.ndarray) -> np.ndarray:

@@ -18,10 +18,10 @@ bits did not.  ``conv2d_raw`` writes into a caller's ``out`` buffer when
 given one, so an inference pass can reuse its activation memory.
 
 Inference runs depth-first on top of that: ``_depth_chunks`` splits a batch
-into near-equal chunks, largest first, of as many images as fit
-``_DEPTH_BYTES`` (2 MiB, the L2 size) of one image's largest activation,
-at least two, and ``model.tinynet_embed`` runs the whole network on one
-chunk before the next.  Two images is the floor because a one-row GEMM
+into near-equal chunks, largest first, of at most as many images as fit
+``_DEPTH_BYTES`` (2 MiB, the L2 size) of one image's largest activation
+and of at least two, and ``model.tinynet_embed`` runs the whole network on
+one chunk before the next.  Two images is the floor because a one-row GEMM
 takes OpenBLAS's gemv path, whose bits differ; with two or more rows every
 op here is row-independent, so the chunking changes no bit.
 
@@ -32,8 +32,6 @@ dataset files store float32.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,57 +89,6 @@ def check_channel_vec(x: np.ndarray, name: str = "vector") -> np.ndarray:
     return x
 
 
-@dataclass(frozen=True)
-class ConvKernel:
-    """Spatial convolution weights with their sampling geometry.
-
-    ``weights`` has shape (kh, kw, c_in, c_out).  ``dilation`` spaces the
-    taps; a 3x3 kernel with dilation 2 covers a 5x5 extent at 3x3 cost.
-    Spatial kernels carry no bias.
-    """
-
-    weights: np.ndarray
-    dilation: int = 1
-    stride: int = 1
-
-    def __post_init__(self):
-        w = np.asarray(self.weights)
-        if w.ndim != 4:
-            raise ShapeError(f"kernel weights must be (kh,kw,c_in,c_out), got {w.shape}")
-        if min(w.shape) < 1:
-            raise ShapeError(f"kernel has an empty dimension: {w.shape}")
-        if self.dilation < 1 or self.stride < 1:
-            raise UnsupportedConfigError(
-                f"dilation and stride must be >= 1, got {self.dilation}, {self.stride}"
-            )
-        object.__setattr__(self, "weights", w)
-
-    @property
-    def kh(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def kw(self) -> int:
-        return self.weights.shape[1]
-
-    @property
-    def c_in(self) -> int:
-        return self.weights.shape[2]
-
-    @property
-    def c_out(self) -> int:
-        return self.weights.shape[3]
-
-    @property
-    def effective_extent(self) -> int:
-        """Spatial footprint after dilation: dilation*(k-1)+1."""
-        return self.dilation * (self.kh - 1) + 1
-
-    @property
-    def param_count(self) -> int:
-        return int(self.weights.size)
-
-
 def same_pad(k: int, dilation: int) -> int:
     """Per-side zero padding that preserves spatial size at stride 1.
 
@@ -178,11 +125,14 @@ def _depth_chunks(n: int, image_bytes: int) -> list[slice]:
 
     ``image_bytes`` is one image's largest activation.  With ``step`` as
     many images as fit ``_DEPTH_BYTES`` of it, at least two, the images
-    split into ``max(1, n // step)`` chunks of near-equal size, largest
-    first, so buffers sized by the first chunk hold every later one.  No
-    chunk has one image when ``n >= 2`` (see the module docstring).
+    split into ``max(1, min(ceil(n / step), n // 2))`` chunks of near-equal
+    size, largest first, so buffers sized by the first chunk hold every
+    later one.  No chunk has more than ``step`` images (but three when
+    ``step`` is two and ``n`` is odd), and none has one image when
+    ``n >= 2`` (see the module docstring).
     """
-    count = max(1, n // max(2, _DEPTH_BYTES // image_bytes))
+    step = max(2, _DEPTH_BYTES // image_bytes)
+    count = max(1, min(-(-n // step), n // 2))
     size, extra = divmod(n, count)
     ends = [0]
     for k in range(count):
@@ -318,10 +268,6 @@ def conv2d_raw(
     return _finite_guard(out, "conv2d")
 
 
-def conv2d(x: Tensor4, k: ConvKernel) -> Tensor4:
-    return conv2d_raw(x, k.weights, k.dilation, k.stride)
-
-
 def _check_same_shape(x: np.ndarray, y: np.ndarray, op: str) -> None:
     if x.shape != y.shape:
         raise ShapeError(f"{op} requires identical shapes, got {x.shape} vs {y.shape}")
@@ -380,16 +326,3 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     e = np.exp(x[~pos])
     out[~pos] = e / (1.0 + e)
     return out
-
-
-def softmax_pair(a_hat: ChannelVec, b_hat: ChannelVec) -> tuple[ChannelVec, ChannelVec]:
-    """Two-way softmax weights (a, b) with a + b = 1.
-
-    a = exp(a_hat) / (exp(a_hat) + exp(b_hat)) evaluated in the shifted form,
-    which is term-for-term the same arithmetic as sigmoid(a_hat - b_hat); b is
-    returned as 1 - a so the pair sums to one to the last ulp.
-    """
-    a_hat, b_hat = np.asarray(a_hat), np.asarray(b_hat)
-    _check_same_shape(a_hat, b_hat, "softmax_pair")
-    a = sigmoid(a_hat - b_hat)
-    return a, 1.0 - a

@@ -83,7 +83,8 @@ class RunConfig:
     model: TinyNetConfig = TinyNetConfig()
     # scale 16 keeps the epoch-loss trend smooth at desk size; the
     # conventional 64 overshoots once the tiny set is separated
-    loss: MarginLossConfig = MarginLossConfig.cos(10, scale=16.0)
+    loss: MarginLossConfig = MarginLossConfig.of_kind(MarginKind.COS, 10,
+                                                       scale=16.0)
     fusion: FusionKind = FusionKind.MSCONV
     lr_init: float = 0.02
     lr_min: float = 5e-6

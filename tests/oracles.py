@@ -150,9 +150,11 @@ def _conv_count(x, w, dilation, stride, counter, key):
     return out
 
 
-def counting_block_forward(st, x, kind="msconv"):
+def counting_block_forward(params, x, dilations=(1, 2), stride=1,
+                           kind="msconv"):
     """Single-sample scalar-loop forward of the fusion block.
 
+    ``params`` holds the block's six arrays keyed by BLOCK_PARAM_NAMES.
     Returns (v, counter).  Counts follow the documented accounting
     convention: conv/FC MACs, FC bias adds, one op per element for the
     element-wise fusions and the final combine, pool adds plus per-channel
@@ -160,9 +162,9 @@ def counting_block_forward(st, x, kind="msconv"):
     the reference twin); relu/sigmoid uncounted.
     """
     counter = OpCounter()
-    u1 = _conv_count(x, st.k3.weights, st.k3.dilation, st.stride, counter,
+    u1 = _conv_count(x, params["k3"], dilations[0], stride, counter,
                      "conv_branches")
-    u2 = _conv_count(x, st.k5.weights, st.k5.dilation, st.stride, counter,
+    u2 = _conv_count(x, params["k5"], dilations[1], stride, counter,
                      "conv_branches")
     oh, ow, c = u1.shape
 
@@ -186,15 +188,15 @@ def counting_block_forward(st, x, kind="msconv"):
         counter.bump("gap")
         s[ch] = acc / (oh * ow)
 
-    d = st.width
+    d = params["w_reduce"].shape[1]
     z = np.zeros(d)
     for o in range(d):
         acc = 0.0
         for i in range(c):
             counter.bump("fc_reduce")
-            acc += s[i] * st.w_reduce[i, o]
+            acc += s[i] * params["w_reduce"][i, o]
         counter.bump("fc_reduce")
-        acc += st.b_reduce[o]
+        acc += params["b_reduce"][o]
         z[o] = max(acc, 0.0)
 
     e = np.zeros(2 * c)
@@ -202,9 +204,9 @@ def counting_block_forward(st, x, kind="msconv"):
         acc = 0.0
         for i in range(d):
             counter.bump("fc_expand")
-            acc += z[i] * st.w_expand[i, o]
+            acc += z[i] * params["w_expand"][i, o]
         counter.bump("fc_expand")
-        e[o] = acc + st.b_expand[o]
+        e[o] = acc + params["b_expand"][o]
 
     gate = np.zeros(c)
     for ch in range(c):
@@ -243,11 +245,11 @@ def counting_block_forward(st, x, kind="msconv"):
     return v, counter
 
 
-def counting_net_forward(x, stem, blocks, w_embed, b_embed):
+def counting_net_forward(x, stem, blocks, w_embed, b_embed, dilations):
     """Single-sample scalar-loop forward of the residual backbone.
 
-    ``blocks`` holds (state, kind, projection kernel or None) per block, in
-    order.  Returns (embedding before l2 normalisation, counter).  Inside
+    ``blocks`` holds (block params, stride, kind, projection kernel or None)
+    per block, in order.  Returns (embedding before l2 normalisation, counter).  Inside
     each block the counts are counting_block_forward's; around the blocks
     they are the stem and projection conv MACs, one add per element of each
     residual sum, and for the head the pool adds plus per-channel divides
@@ -255,14 +257,15 @@ def counting_net_forward(x, stem, blocks, w_embed, b_embed):
     """
     counter = OpCounter()
     cur = _conv_count(x, stem, 1, 1, counter, "stem")
-    for st, kind, proj in blocks:
-        v, block_counter = counting_block_forward(st, cur, kind)
+    for params, stride, kind, proj in blocks:
+        v, block_counter = counting_block_forward(params, cur, dilations,
+                                                  stride, kind)
         for key, amount in block_counter.counts.items():
             counter.bump(key, amount)
         if proj is None:
             shortcut = cur
         else:
-            shortcut = _conv_count(cur, proj, 1, st.stride, counter, "proj")
+            shortcut = _conv_count(cur, proj, 1, stride, counter, "proj")
         oh, ow, c = v.shape
         cur = np.zeros_like(v)
         for i in range(oh):
@@ -292,11 +295,10 @@ def counting_net_forward(x, stem, blocks, w_embed, b_embed):
     return emb, counter
 
 
-def count_state_params(st):
-    """Brute-force enumeration of every learnable element in the state."""
+def count_state_params(params):
+    """Brute-force enumeration of every learnable element of a block."""
     total = 0
-    for arr in (st.k3.weights, st.k5.weights, st.w_reduce, st.b_reduce,
-                st.w_expand, st.b_expand):
+    for arr in params.values():
         count = 1
         for dim in arr.shape:
             count *= dim

@@ -14,12 +14,13 @@ import pytest
 
 from msconv import cli
 from msconv.autograd import Tape, finite_diff_check
-from msconv.block import (FusionKind, MSConvState, equivalence_check,
-                          msconv_forward, reduced_width, so_noise_test,
-                          count_params_flops)
+from msconv.block import (FusionKind, MSConvState, block_forward_on_tape,
+                          equivalence_check, params_flops_breakdown,
+                          reduced_width, so_noise_test)
 from msconv.data import SyntheticSpec
 from msconv.metrics import VerificationSet, pair_accuracy, tar_at_far
-from msconv.model import (MarginLossConfig, StageSpec, TinyNetConfig,
+from msconv.model import (MarginKind, MarginLossConfig, StageSpec,
+                          TinyNetConfig,
                           init_params, margin_ce_on_tape, tinynet_forward)
 from msconv.train import (DEFAULT_ABLATION_KINDS, LRSchedule, RunConfig,
                           ablation_run, lr_at, train)
@@ -42,7 +43,7 @@ def tiny_run_config(**overrides):
         model=TinyNetConfig(in_channels=2, stem_channels=4,
                             stages=(StageSpec(blocks=1, channels=6, stride=2),),
                             embed_dim=8, min_width=2),
-        loss=MarginLossConfig.cos(class_count=3, scale=16.0),
+        loss=MarginLossConfig.of_kind(MarginKind.COS, class_count=3, scale=16.0),
         batch_size=6, epochs=1, lr_init=0.05, lr_min=1e-4)
     fields.update(overrides)
     return RunConfig(**fields)
@@ -91,13 +92,13 @@ class TestAcceptance:
                  and np.array_equal(grads[vy], x))
 
         st = MSConvState.init(3, 4, seed=2, min_width=2)
-        block_params = dict(st.param_dict())
+        block_params = dict(st.params)
         block_params["x"] = rng.normal(size=(2, 6, 6, 3))
 
         def block_build(tp, v):
-            from msconv.block import block_forward_on_tape
             out, _ = block_forward_on_tape(tp, v["x"], v,
-                                           dilations=(1, 2), stride=1)
+                                           dilations=st.dilations,
+                                           stride=st.stride)
             return tp.mean(out)
 
         block_err = finite_diff_check(block_build, block_params)
@@ -109,7 +110,8 @@ class TestAcceptance:
         net_params["x"] = rng.normal(size=(2, 8, 8, 2))
         net_params["centers"] = rng.normal(size=(3, 5))
         labels = rng.integers(0, 3, size=2)
-        loss_cfg = MarginLossConfig.combined(class_count=3, scale=8.0)
+        loss_cfg = MarginLossConfig.of_kind(MarginKind.COMBINED, class_count=3,
+                                            scale=8.0)
 
         def net_build(tp, v):
             net = {k: var for k, var in v.items() if k not in ("x", "centers")}
@@ -150,10 +152,14 @@ class TestAcceptance:
         for trial in range(100):
             st = MSConvState.init(3, 4, seed=trial, min_width=2)
             x = rng.normal(size=(1, 6, 6, 3))
-            v, tr = msconv_forward(x, st)
-            lo = np.minimum(tr.u1, tr.u2)
-            hi = np.maximum(tr.u1, tr.u2)
-            violations += int(np.sum((v < lo) | (v > hi)))
+            tape = Tape()
+            consts = {k: tape.constant(a) for k, a in st.params.items()}
+            v, tr = block_forward_on_tape(tape, tape.constant(x), consts,
+                                          dilations=st.dilations,
+                                          stride=st.stride)
+            u1, u2 = tr["u1"].value, tr["u2"].value
+            lo, hi = np.minimum(u1, u2), np.maximum(u1, u2)
+            violations += int(np.sum((v.value < lo) | (v.value > hi)))
         ok = violations == 0
         _report(5, "convex_combination", ok,
                 f"violations={violations} over 100 inputs")
@@ -199,9 +205,11 @@ class TestAcceptance:
         """Closed-form params/flops equal an instrumented scalar counter."""
         st = MSConvState.init(6, 8, seed=8, min_width=2)
         x = np.random.default_rng(8).normal(size=(6, 6, 6))
-        v, counter = counting_block_forward(st, x, kind="msconv")
-        params, flops = count_params_flops(st, 6, 6)
-        param_match = params == count_state_params(st)
+        v, counter = counting_block_forward(st.params, x, st.dilations,
+                                            st.stride, kind="msconv")
+        totals = params_flops_breakdown(st, 6, 6)
+        params, flops = totals["params"], totals["flops"]
+        param_match = params == count_state_params(st.params)
         flop_match = flops == counter.total()
         ok = param_match and flop_match
         _report(8, "cost_counter", ok,

@@ -472,6 +472,27 @@ class TestVerifyCommand:
         assert capsys.readouterr().err.startswith(
             f"error: {path}:2: label 'x' is not a non-negative integer")
 
+    def test_repeated_label_name_rejected(self, trained, tmp_path, capsys):
+        """An image listed twice in labels.txt ends in exit 2 and one error
+        line naming both lines, not in a metric over the repeated row."""
+        cfg_path, out = trained
+        data_dir = tmp_path / "data"
+        assert cli.main(["gen-data", "--config", cfg_path,
+                         "--out", str(data_dir),
+                         "--genuine", "4", "--impostor", "4"]) == 0
+        capsys.readouterr()
+        path = data_dir / "labels.txt"
+        lineno = path.read_text().count("\n") + 1
+        path.write_text(path.read_text() + "img00000.msct,2\n")
+        code = cli.main(["verify", "--checkpoint", str(out / "checkpoint"),
+                         "--data", str(data_dir)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: {path}:{lineno}: 'img00000.msct' is already listed on "
+            "line 1"]
+
     @pytest.mark.parametrize("absolute", [False, True],
                              ids=["parent-relative", "absolute"])
     def test_labels_name_outside_dataset_rejected(self, trained, tmp_path,

@@ -166,6 +166,17 @@ class TestDatasetIO:
                 f"{labels}:1: label {label!r} is not a non-negative integer")):
             load_dataset(tmp_path)
 
+    def test_repeated_name_rejected(self, tmp_path):
+        """A file name listed twice names both lines of labels.txt."""
+        save_dataset(tmp_path, gen_synthetic(small_spec()))
+        labels = tmp_path / "labels.txt"
+        lineno = labels.read_text().count("\n") + 1
+        labels.write_text(labels.read_text() + "img00000.msct,2\n")
+        with pytest.raises(msct.FormatError, match=re.escape(
+                f"{labels}:{lineno}: 'img00000.msct' is already listed on "
+                "line 1")):
+            load_dataset(tmp_path)
+
     def test_missing_directory(self, tmp_path):
         with pytest.raises(OSError):
             load_dataset(tmp_path / "absent")

@@ -14,9 +14,11 @@ import pytest
 
 from msconv import tensor as T
 from msconv.autograd import Tape, finite_diff_check
+from msconv.autograd import Var
 from msconv.block import (TRACE_FIELDS, FusionKind, MSConvState,
-                          block_forward_on_tape, msconv_forward)
-from msconv.model import (MarginLossConfig, StageSpec, TinyNetConfig,
+                          block_forward_on_tape)
+from msconv.model import (MarginKind, MarginLossConfig, StageSpec,
+                          TinyNetConfig,
                           init_params, margin_ce_on_tape, tinynet_embed,
                           tinynet_forward)
 from oracles import unfused_block_on_tape, unfused_net_forward
@@ -39,20 +41,21 @@ class TestForwardBytes:
     def test_block_output_and_trace_match_separate_ops(self, kind, stride):
         st = MSConvState.init(3, 32, seed=5, stride=stride, min_width=2)
         x = rand((11, 24, 24, 3), 6)
-        v, tr = msconv_forward(x, st, kind)
-        assert T._chunk_step(11, v[0].nbytes) < 11  # several chunks
+        tape = Tape()
+        v, tr = block_forward_on_tape(
+            tape, tape.constant(x), constants(tape, st.params),
+            dilations=st.dilations, stride=stride, kind=kind)
+        assert T._chunk_step(11, v.value[0].nbytes) < 11  # several chunks
+        assert set(tr) == set(TRACE_FIELDS)
         tape = Tape()
         want, ref = unfused_block_on_tape(
-            tape, tape.constant(x), constants(tape, st.param_dict()),
-            (st.k3.dilation, st.k5.dilation), stride, kind.value)
-        assert v.tobytes() == want.value.tobytes()
+            tape, tape.constant(x), constants(tape, st.params),
+            st.dilations, stride, kind.value)
+        assert v.value.tobytes() == want.value.tobytes()
         for name in TRACE_FIELDS:
-            got = getattr(tr, name)
-            if ref[name] is None:
-                assert got is None, name
-            else:
-                assert got.shape == ref[name].shape, name
-                assert got.tobytes() == ref[name].tobytes(), name
+            got = tr[name].value if isinstance(tr[name], Var) else tr[name]
+            assert got.shape == ref[name].shape, name
+            assert got.tobytes() == ref[name].tobytes(), name
 
     @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
     def test_embed_matches_separate_ops(self, kind):
@@ -80,7 +83,7 @@ def test_block_finite_differences(kind, shortcut):
     stride = 2 if shortcut == "projection" else 1
     c_in = 4 if shortcut == "identity" else 3
     st = MSConvState.init(c_in, 4, seed=8, stride=stride, min_width=2)
-    params = dict(st.param_dict())
+    params = dict(st.params)
     params["x"] = rand((2, 6, 6, c_in), 9)
     if shortcut == "projection":
         params["proj"] = rand((1, 1, c_in, 4), 10, 0.5)
@@ -104,7 +107,8 @@ def step_gradients(forward, cfg, seed):
     params["centers"] = rng.normal(size=(3, cfg.embed_dim))
     x = rng.normal(size=(6, 8, 8, cfg.in_channels))
     labels = rng.integers(0, 3, size=6)
-    loss_cfg = MarginLossConfig.cos(class_count=3, scale=16.0)
+    loss_cfg = MarginLossConfig.of_kind(MarginKind.COS, class_count=3,
+                                        scale=16.0)
     tape = Tape()
     leaves = {k: tape.leaf(v) for k, v in params.items()}
     net = {k: v for k, v in leaves.items() if k != "centers"}

@@ -13,12 +13,16 @@ import pytest
 
 from msconv import tensor as T
 from msconv.autograd import Tape, finite_diff_check
-from msconv.block import BLOCK_PARAM_NAMES, FusionKind, MSConvState
+from msconv.block import BLOCK_PARAM_NAMES, FusionKind
 from msconv.model import (COS_CLAMP, MarginKind, MarginLossConfig, StageSpec,
-                          TinyNetConfig, cosine_scores, cost_rows, init_params,
+                          TinyNetConfig, cost_rows, init_params,
                           margin_ce_on_tape, margin_loss, normalize_rows,
                           tinynet_embed, tinynet_forward)
 from oracles import counting_net_forward, one_shot_embed
+
+of_kind = MarginLossConfig.of_kind
+PLAIN, ARC, COS, COMBINED = (MarginKind.PLAIN, MarginKind.ARC, MarginKind.COS,
+                             MarginKind.COMBINED)
 
 
 def rand(shape, seed=0, scale=1.0):
@@ -81,8 +85,8 @@ class TestBackboneStructure:
         tinynet_forward(tape, tape.leaf(rand((1, 4, 4, 2), 8)), leaves, cfg,
                         traces)
         assert [name for name, _ in traces] == ["s0b0", "s0b1"]
-        assert set(traces[0][1]) == {"u1", "u2", "u3", "u4", "s", "z",
-                                     "a_hat", "b_hat", "c"}
+        assert set(traces[0][1]) == {"u1", "u2", "s", "z", "a_hat", "b_hat",
+                                     "c"}
 
 
 class TestForwardOnly:
@@ -148,8 +152,8 @@ class TestDepthFirstEmbed:
         monkeypatch.setattr(model, "Tape", SpyTape)
         cfg = TinyNetConfig()
         tinynet_embed(rand((33, 32, 32, 3), 15), init_params(cfg, 16), cfg)
-        assert len(tapes) == len(T._depth_chunks(33, 32 * 32 * 16 * 8)) == 2
-        assert tapes[0]._workspace is tapes[1]._workspace
+        assert len(tapes) == len(T._depth_chunks(33, 32 * 32 * 16 * 8)) == 3
+        assert all(t._workspace is tapes[0]._workspace for t in tapes)
         # stem, both branches, the projection and the fused output
         assert len(tapes[0]._workspace) == 5
         assert all(t._records == [] for t in tapes)
@@ -212,14 +216,11 @@ class TestCostModel:
         x = rand((6, 6, 2), 13)
         blocks = []
         for name, _, _, stride, kind in cfg.block_layout():
-            st = MSConvState.from_params(
-                {p: params[f"{name}/{p}"] for p in BLOCK_PARAM_NAMES},
-                dilations=cfg.dilations, stride=stride,
-                reduction=cfg.reduction, min_width=cfg.min_width)
-            blocks.append((st, kind.value, params.get(f"{name}/proj")))
+            blocks.append(({p: params[f"{name}/{p}"] for p in BLOCK_PARAM_NAMES},
+                           stride, kind.value, params.get(f"{name}/proj")))
         emb, counter = counting_net_forward(x, params["stem"], blocks,
                                             params["w_embed"],
-                                            params["b_embed"])
+                                            params["b_embed"], cfg.dilations)
         rows = cost_rows(cfg, 6, 6)
         assert [r[0] for r in rows] == ["stem", "s0b0", "s0b0/add", "s1b0",
                                         "s1b0/proj", "s1b0/add", "head"]
@@ -244,7 +245,7 @@ class TestBackboneGradients:
         params["centers"] = rand((3, 3), 12)
         x = rand((2, 4, 4, 2), 13)
         labels = np.array([0, 2])
-        loss_cfg = MarginLossConfig.cos(3, scale=8.0)
+        loss_cfg = of_kind(COS, 3, scale=8.0)
 
         def build(tape, leaves):
             model_leaves = {k: v for k, v in leaves.items() if k != "centers"}
@@ -261,7 +262,8 @@ class TestMarginLoss:
         emb = unit_rows((4, 5), 20)
         centers = unit_rows((3, 5), 21)
         labels = np.array([0, 2, 1, 1])
-        got = margin_loss(emb, labels, centers, MarginLossConfig.plain(3))
+        got = margin_loss(emb, labels, centers,
+                          of_kind(PLAIN, 3, scale=1.0))
         logits = emb @ centers.T
         want = np.mean([
             math.log(np.sum(np.exp(logits[i] - logits[i, labels[i]])))
@@ -275,7 +277,7 @@ class TestMarginLoss:
         centers = unit_rows((3, 4), 23)
         labels = np.array([0, 1, 2, 0, 1, 2])
         losses = [margin_loss(emb, labels, centers,
-                              MarginLossConfig.plain(3, scale=s))
+                              of_kind(PLAIN, 3, scale=s))
                   for s in (1.0, 4.0, 16.0)]
         assert losses[0] != losses[1] != losses[2]
 
@@ -286,7 +288,7 @@ class TestMarginLoss:
         labels = np.array([0])
         s, m3 = 4.0, 0.35
         got = margin_loss(emb, labels, centers,
-                          MarginLossConfig.cos(2, scale=s, m3=m3))
+                          of_kind(COS, 2, scale=s, m3=m3))
         target_logit = s * (1.0 - m3)
         other_logit = s * 0.0
         want = math.log(math.exp(target_logit) + math.exp(other_logit)) \
@@ -300,7 +302,7 @@ class TestMarginLoss:
         labels = np.array([0])
         s, m2 = 4.0, 0.5
         got = margin_loss(emb, labels, centers,
-                          MarginLossConfig.arc(2, scale=s, m2=m2))
+                          of_kind(ARC, 2, scale=s, m2=m2))
         theta = math.acos(COS_CLAMP)
         psi = math.cos(theta + m2)
         want = math.log(math.exp(s * psi) + 1.0) - s * psi
@@ -311,7 +313,7 @@ class TestMarginLoss:
         centers = unit_rows((4, 6), 25)
         labels = np.array([0, 1, 2, 3, 0])
         losses = [margin_loss(emb, labels, centers,
-                              MarginLossConfig.cos(4, scale=8.0, m3=m3))
+                              of_kind(COS, 4, scale=8.0, m3=m3))
                   for m3 in (0.0, 0.2, 0.35)]
         assert losses[0] < losses[1] < losses[2]
 
@@ -322,7 +324,7 @@ class TestMarginLoss:
         cos0 = margin_loss(emb, labels, centers,
                            MarginLossConfig(MarginKind.COS, 3, scale=7.0))
         plain = margin_loss(emb, labels, centers,
-                            MarginLossConfig.plain(3, scale=7.0))
+                            of_kind(PLAIN, 3, scale=7.0))
         assert cos0 == plain
 
     def test_batch_permutation_invariance(self):
@@ -330,7 +332,7 @@ class TestMarginLoss:
         centers = unit_rows((3, 5), 29)
         labels = np.array([0, 1, 2, 0, 1, 2])
         perm = np.array([4, 2, 0, 5, 1, 3])
-        cfg = MarginLossConfig.combined(3, scale=8.0)
+        cfg = of_kind(COMBINED, 3, scale=8.0)
         np.testing.assert_allclose(
             margin_loss(emb, labels, centers, cfg),
             margin_loss(emb[perm], labels[perm], centers, cfg), rtol=1e-12)
@@ -341,12 +343,12 @@ class TestMarginLoss:
             centers = unit_rows((5, 6), 40 + seed)
             labels = np.array([0, 1, 2, 3])
             assert margin_loss(emb, labels, centers,
-                               MarginLossConfig.cos(5, scale=16.0)) > 0.0
+                               of_kind(COS, 5, scale=16.0)) > 0.0
 
     def test_validation_errors(self):
         emb = unit_rows((2, 4), 50)
         centers = unit_rows((3, 4), 51)
-        cfg = MarginLossConfig.cos(3, scale=8.0)
+        cfg = of_kind(COS, 3, scale=8.0)
         with pytest.raises(ValueError):
             margin_loss(emb, np.array([0, 3]), centers, cfg)  # label range
         with pytest.raises(ValueError):
@@ -363,10 +365,10 @@ class TestMarginLoss:
             MarginLossConfig(MarginKind.COS, 3, scale=0.0)
 
     @pytest.mark.parametrize("cfg", [
-        MarginLossConfig.plain(3, scale=4.0),
-        MarginLossConfig.cos(3, scale=6.0, m3=0.2),
-        MarginLossConfig.arc(3, scale=5.0, m2=0.3),
-        MarginLossConfig.combined(3, scale=5.0, m1=1.2, m2=0.2, m3=0.1),
+        of_kind(PLAIN, 3, scale=4.0),
+        of_kind(COS, 3, scale=6.0, m3=0.2),
+        of_kind(ARC, 3, scale=5.0, m2=0.3),
+        of_kind(COMBINED, 3, scale=5.0, m1=1.2, m2=0.2, m3=0.1),
     ])
     def test_gradients_match_finite_differences(self, cfg):
         labels = np.array([0, 2, 1])
@@ -384,7 +386,7 @@ class TestMarginLoss:
         emb_v = unit_rows((3, 4), 62)
         centers_v = unit_rows((3, 4), 63)
         labels = np.array([0, 1, 2])
-        cfg = MarginLossConfig.cos(3, scale=8.0)
+        cfg = of_kind(COS, 3, scale=8.0)
         grads = []
         for seed in (1.0, 3.0):
             tape = Tape()
@@ -395,14 +397,6 @@ class TestMarginLoss:
 
 
 class TestScoringHelpers:
-    def test_cosine_scores_shape_and_values(self):
-        emb = unit_rows((4, 3), 70)
-        centers = unit_rows((5, 3), 71)
-        scores = cosine_scores(emb, centers)
-        assert scores.shape == (4, 5)
-        np.testing.assert_allclose(scores[2, 3],
-                                   float(emb[2] @ centers[3]), rtol=1e-15)
-
     def test_normalize_rows_zero_row_stays_zero(self):
         rows = np.array([[0.0, 0.0], [3.0, 4.0]])
         out = normalize_rows(rows)

@@ -93,14 +93,6 @@ class TestConv2d:
         with pytest.raises(T.UnsupportedConfigError):
             T.conv2d_raw(rand((1, 4, 4, 1)), rand((2, 2, 1, 1)))
 
-    def test_conv_kernel_wrapper(self):
-        k = T.ConvKernel(rand((3, 3, 2, 4)), dilation=2, stride=2)
-        x = rand((1, 6, 6, 2))
-        np.testing.assert_array_equal(
-            T.conv2d(x, k), T.conv2d_raw(x, k.weights, 2, 2))
-        assert k.effective_extent == 5
-        assert k.param_count == 72
-
     def test_determinism(self):
         x, w = rand((2, 6, 6, 3), 8), rand((3, 3, 3, 4), 9)
         a = T.conv2d_raw(x, w, dilation=2)
@@ -224,18 +216,31 @@ class TestActivations:
         np.testing.assert_array_equal(T.relu(x), [[0.0, 0.0, 3.5]])
 
 
+def softmax_pair(a_hat, b_hat):
+    """The gate's two softmax weights as the block forms them: a is
+    sigmoid(a_hat - b_hat) and b its complement 1 - a."""
+    a = T.sigmoid(a_hat - b_hat)
+    return a, 1.0 - a
+
+
+def softmax_mp(ah, bh):
+    """exp(ah) / (exp(ah) + exp(bh)) evaluated to 50 digits."""
+    with mpmath.workdps(50):
+        ea, eb = mpmath.exp(ah), mpmath.exp(bh)
+        return float(ea / (ea + eb))
+
+
 class TestSoftmaxPair:
     def test_equal_scores_midpoint(self):
-        a, b = T.softmax_pair(np.zeros((2, 3)), np.zeros((2, 3)))
+        a, b = softmax_pair(np.zeros((2, 3)), np.zeros((2, 3)))
         np.testing.assert_array_equal(a, np.full((2, 3), 0.5))
         np.testing.assert_array_equal(b, np.full((2, 3), 0.5))
 
     def test_extreme_scores_match_high_precision(self):
         """a at score gap 1000 agrees with a 50-digit evaluation, no overflow."""
         with np.errstate(over="raise"):
-            a, b = T.softmax_pair(np.array([[1000.0]]), np.array([[0.0]]))
-        with mpmath.workdps(50):
-            want = float(mpmath.exp(1000) / (mpmath.exp(1000) + mpmath.exp(0)))
+            a, b = softmax_pair(np.array([[1000.0]]), np.array([[0.0]]))
+        want = softmax_mp(1000, 0)
         assert abs(float(a[0, 0]) - want) < 1e-12
         assert abs(float(a[0, 0]) - 1.0) < 1e-12
         assert b[0, 0] == 1.0 - a[0, 0]
@@ -243,17 +248,17 @@ class TestSoftmaxPair:
     @given(st.floats(-500, 500), st.floats(-500, 500))
     @settings(max_examples=200, deadline=None)
     def test_complement_and_sigmoid_identity(self, ah, bh):
-        """a + b = 1 within 1 ulp and a = sigmoid(a_hat - b_hat) to 1e-12."""
-        a, b = T.softmax_pair(np.array([[ah]]), np.array([[bh]]))
+        """a + b = 1 within 1 ulp and sigmoid(a_hat - b_hat) equals the
+        softmax weight to 1e-12."""
+        a, b = softmax_pair(np.array([[ah]]), np.array([[bh]]))
         total = float(a[0, 0]) + float(b[0, 0])
         assert abs(total - 1.0) <= math.ulp(1.0)
-        want = float(T.sigmoid(np.array([[ah - bh]]))[0, 0])
-        assert abs(float(a[0, 0]) - want) < 1e-12
+        assert abs(float(a[0, 0]) - softmax_mp(ah, bh)) < 1e-12
 
     def test_matches_plain_softmax_in_safe_range(self):
         rng = np.random.default_rng(25)
         ah, bh = rng.normal(size=(4, 8)), rng.normal(size=(4, 8))
-        a, _ = T.softmax_pair(ah, bh)
+        a, _ = softmax_pair(ah, bh)
         plain = np.exp(ah) / (np.exp(ah) + np.exp(bh))
         np.testing.assert_allclose(a, plain, rtol=1e-12)
 
@@ -348,8 +353,8 @@ class TestDepthChunks:
     @settings(max_examples=300, deadline=None)
     @given(n=st.integers(1, 2000), image_bytes=st.integers(1, 1 << 26))
     def test_chunks_cover_in_order_largest_first(self, n, image_bytes):
-        """Contiguous chunks over [0, n), sizes near-equal and falling, and
-        none of one image once there are two."""
+        """Contiguous chunks over [0, n), sizes near-equal and falling, none
+        over the step and none of one image once there are two."""
         chunks = T._depth_chunks(n, image_bytes)
         assert chunks[0].start == 0 and chunks[-1].stop == n
         assert all(a.stop == b.start for a, b in zip(chunks, chunks[1:]))
@@ -358,7 +363,9 @@ class TestDepthChunks:
         assert sizes[0] - sizes[-1] <= 1
         assert n < 2 or min(sizes) >= 2
         step = max(2, T._DEPTH_BYTES // image_bytes)
-        assert len(chunks) == max(1, n // step)
+        assert len(chunks) == max(1, min(-(-n // step), n // 2))
+        # no chunk outgrows the step, but for odd n at step 2 one holds 3
+        assert sizes[0] <= step or (step == 2 and sizes[0] == 3)
 
     @pytest.mark.parametrize("size,images", [(64, 4), (32, 16)])
     def test_desk_stem_chunk_sizes(self, size, images):
@@ -366,3 +373,9 @@ class TestDepthChunks:
         64x64 and 16 of 32x32."""
         chunks = T._depth_chunks(32, size * size * 16 * 8)
         assert [c.stop - c.start for c in chunks] == [images] * (32 // images)
+
+    def test_batch_past_one_step_splits(self):
+        """The desk's last batch of 20 images at 32x32 (a step of 16) runs
+        as two chunks of 10, not as one chunk larger than the step."""
+        chunks = T._depth_chunks(20, 32 * 32 * 16 * 8)
+        assert [c.stop - c.start for c in chunks] == [10, 10]

@@ -35,7 +35,7 @@ def tiny_config(**kw):
         model=TinyNetConfig(in_channels=2, stem_channels=4,
                             stages=(StageSpec(1, 6, 2),), embed_dim=8,
                             min_width=2),
-        loss=MarginLossConfig.cos(3, scale=16.0),
+        loss=MarginLossConfig.of_kind(MarginKind.COS, 3, scale=16.0),
         batch_size=6, epochs=2, lr_init=0.05, lr_min=1e-4)
     defaults.update(kw)
     return RunConfig(**defaults)
@@ -194,7 +194,8 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             tiny_config(epochs=-1)
         with pytest.raises(ValueError):
-            tiny_config(loss=MarginLossConfig.cos(4, scale=16.0))
+            tiny_config(loss=MarginLossConfig.of_kind(MarginKind.COS, 4,
+                                                      scale=16.0))
 
     def test_shapes_the_config_text_cannot_carry(self):
         with pytest.raises(ValueError, match="square"):
@@ -459,7 +460,8 @@ class TestConfigText:
 
     def test_round_trip(self):
         cfg = tiny_config(fusion=FusionKind.NO_SO,
-                          loss=MarginLossConfig.combined(3, scale=32.0),
+                          loss=MarginLossConfig.of_kind(
+                              MarginKind.COMBINED, 3, scale=32.0),
                           momentum=0.8, epochs=7, seed=5)
         assert config_from_lines(config_to_lines(cfg)) == cfg
 
