@@ -15,22 +15,15 @@ an exact reparameterization of selective-kernel fusion (see
 plain sum; a reference selective-kernel path is included for comparison.
 
 On the tape a block is its two branch convolutions plus one ``msconv_fuse``
-op that does everything after them, residual add included; the fusion kind
-picks its dataflow.  The op walks the batch in the convolutions' chunks
-(``T._chunk_step`` of one image of U1): one pass pools U3 chunk by chunk
-through one reused buffer, the gate runs on the whole batch, and a second
-pass writes each chunk of V in place.  Neither U3 nor U4 is ever built
-whole.  Every value is computed with the expressions and operand order of
-the separate tape ops this op replaced, so forward bits did not move.  The
-analytic vjp recomputes U4 per chunk and allocates only the two branch
-gradients.  Backward bits moved in two places: a projected shortcut's input
-gradient now joins the branch gradients last instead of first, and the
-selective-kernel kind takes msconv_sum's gradient algebra, the two kinds
-being one function.
+op (``fuse_on_tape``) that does everything after them, residual add
+included; the fusion kind picks its dataflow.  ``block_param_shapes`` names
+a block's arrays and their shapes, ``init_param`` draws any of them and
+``block_cost`` counts a block's work from the shapes alone.
 """
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass
 from enum import Enum
@@ -79,25 +72,34 @@ def param_rng(seed: int, tag: str) -> np.random.Generator:
     return np.random.default_rng([seed, zlib.crc32(tag.encode())])
 
 
-# serialized names of a block's learnable arrays, in checkpoint order
-BLOCK_PARAM_NAMES = ("k3", "k5", "w_reduce", "b_reduce", "w_expand", "b_expand")
+def init_param(seed: int, tag: str, shape: tuple[int, ...]) -> np.ndarray:
+    """The one draw rule: a 1-D shape (a bias) is zeros; any other shape is
+    Normal(0, 1/fan_in) with fan_in = prod(shape[:-1]), from ``tag``'s
+    stream."""
+    if len(shape) == 1:
+        return np.zeros(shape)
+    return param_rng(seed, tag).normal(
+        0.0, 1.0 / np.sqrt(math.prod(shape[:-1])), size=shape)
 
 
-def _gauss(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
-    return rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=shape)
+def block_param_shapes(c_in: int, c_out: int, reduction: int,
+                       min_width: int) -> dict[str, tuple[int, ...]]:
+    """A block's array shapes by name, in checkpoint order: the branch
+    kernels k3 and k5 (one shape, two dilations) and the attention
+    bottleneck, whose expand half-widths are the a_hat and b_hat heads."""
+    d = reduced_width(c_out, reduction, min_width)
+    return {"k3": (3, 3, c_in, c_out), "k5": (3, 3, c_in, c_out),
+            "w_reduce": (c_out, d), "b_reduce": (d,),
+            "w_expand": (d, 2 * c_out), "b_expand": (2 * c_out,)}
+
+
+BLOCK_PARAM_NAMES = tuple(block_param_shapes(1, 1, 1, 1))
 
 
 @dataclass(frozen=True)
 class MSConvState:
-    """One block's parameters and branch geometry.
-
-    ``params`` holds the six arrays keyed by BLOCK_PARAM_NAMES, the dict
-    form ``block_forward_on_tape`` and ``model.init_params`` use: the two
-    branch kernels k3 and k5 (identical shape, different dilation) and the
-    attention bottleneck w/b_reduce and w/b_expand.  The expand output width
-    is twice the channel count: the first half is the a_hat head, the second
-    half the b_hat head.
-    """
+    """One block's arrays, keyed as in ``block_param_shapes``, and its branch
+    geometry."""
 
     params: dict[str, np.ndarray]
     dilations: tuple[int, int]
@@ -108,19 +110,10 @@ class MSConvState:
              dilations: tuple[int, int] = (1, 2), stride: int = 1,
              reduction: int = DEFAULT_REDUCTION,
              min_width: int = DEFAULT_MIN_WIDTH) -> "MSConvState":
-        """Fan-in-scaled Gaussian weights, zero biases, per-layer seed streams."""
-        d = reduced_width(c_out, reduction, min_width)
-        kshape = (3, 3, c_in, c_out)
-
-        def gauss(name, shape, fan_in):
-            return _gauss(param_rng(seed, f"{tag}/{name}"), shape, fan_in)
-
-        params = {"k3": gauss("k3", kshape, 9 * c_in),
-                  "k5": gauss("k5", kshape, 9 * c_in),
-                  "w_reduce": gauss("w_reduce", (c_out, d), c_out),
-                  "b_reduce": np.zeros(d),
-                  "w_expand": gauss("w_expand", (d, 2 * c_out), d),
-                  "b_expand": np.zeros(2 * c_out)}
+        """``init_param`` over the block's shapes, array p tagged ``tag/p``."""
+        shapes = block_param_shapes(c_in, c_out, reduction, min_width)
+        params = {p: init_param(seed, f"{tag}/{p}", shape)
+                  for p, shape in shapes.items()}
         return cls(params, dilations, stride)
 
 
@@ -145,7 +138,7 @@ def block_forward_on_tape(tape: Tape, x: Var, params: dict[str, Var], *,
         raise ValueError(f"unknown fusion kind {kind!r}")
     u1 = tape.conv2d(x, params["k3"], dilation=dilations[0], stride=stride)
     u2 = tape.conv2d(x, params["k5"], dilation=dilations[1], stride=stride)
-    v, gate = _fuse_on_tape(tape, u1, u2, params, kind, shortcut)
+    v, gate = fuse_on_tape(tape, u1, u2, params, kind, shortcut)
     return v, {"u1": u1, "u2": u2, **gate}
 
 
@@ -153,9 +146,9 @@ def block_forward_on_tape(tape: Tape, x: Var, params: dict[str, Var], *,
 _GATE_PARAMS = ("w_reduce", "b_reduce", "w_expand", "b_expand")
 
 
-def _fuse_on_tape(tape: Tape, u1: Var, u2: Var, params: dict[str, Var],
-                  kind: FusionKind, shortcut: Var | None,
-                  ) -> tuple[Var, dict[str, np.ndarray]]:
+def fuse_on_tape(tape: Tape, u1: Var, u2: Var, params: dict[str, Var],
+                 kind: FusionKind, shortcut: Var | None,
+                 ) -> tuple[Var, dict[str, np.ndarray]]:
     """Everything after the branch convs as one tape op with analytic vjp.
 
     Per chunk of ``T._chunk_step`` images (one image of ``u1``) the forward
@@ -296,13 +289,14 @@ def so_noise_test(sigma: float, trials: int, mu: float = 0.0,
     return float(diff.mean()), float(diff.var())
 
 
-def params_flops_breakdown(st: MSConvState, height: int, width: int,
-                           kind: FusionKind = FusionKind.MSCONV,
-                           ) -> dict[str, int]:
+def block_cost(shapes: dict[str, tuple[int, ...]], height: int, width: int,
+               stride: int, kind: FusionKind) -> dict[str, int]:
     """Exact per-sample learnable-element and arithmetic-op counts by layer.
 
-    ``params`` and ``flops`` are the totals.  Accounting convention (what
-    the instrumented scalar-loop counter in the test suite tallies):
+    ``shapes`` are the block's array shapes (``block_param_shapes``);
+    ``height`` x ``width`` is the input grid.  ``params`` and ``flops`` are
+    the totals.  Accounting convention (what the instrumented scalar-loop
+    counter in the test suite tallies):
       * convolutions and FC matmuls: one MAC per tap, padding taps included
         (oh*ow*c_out*kh*kw*c_in per conv; c_in*c_out per FC sample);
       * FC bias: one add per output element;
@@ -317,36 +311,25 @@ def params_flops_breakdown(st: MSConvState, height: int, width: int,
     """
     if not isinstance(kind, FusionKind):
         raise ValueError(f"unknown fusion kind {kind!r}")
-    kh, kw, c_in, c = st.params["k3"].shape
-    d = st.params["w_reduce"].shape[1]
-    oh = T.conv_out_len(height, st.stride)
-    ow = T.conv_out_len(width, st.stride)
-    grid = oh * ow * c
+    kh, kw, c_in, c = shapes["k3"]
+    d = shapes["w_reduce"][1]
+    grid = T.conv_out_len(height, stride) * T.conv_out_len(width, stride) * c
+    skconv = kind is FusionKind.SKCONV_REFERENCE
+    parts = {"conv_branches": 2 * grid * kh * kw * c_in,
+             "attention_fuse": grid,
+             "target_fuse": 0 if skconv else grid,
+             "gap": grid + c,
+             "fc_reduce": c * d + d,
+             "fc_expand": d * 2 * c + 2 * c,
+             "score_sub": c,
+             "combine": 2 * grid + grid + c if skconv else grid + grid}
+    return {"params": sum(math.prod(shape) for shape in shapes.values()),
+            **parts, "flops": sum(parts.values())}
 
-    conv_macs = 2 * grid * kh * kw * c_in
-    attention_fuse = grid
-    gap_ops = grid + c
-    reduce_macs = c * d + d
-    expand_macs = d * 2 * c + 2 * c
-    score_sub = c
-    if kind is FusionKind.SKCONV_REFERENCE:
-        target_fuse = 0
-        combine = 2 * grid + grid + c
-    else:
-        target_fuse = grid
-        combine = grid + grid
 
-    breakdown = {
-        "params": sum(int(arr.size) for arr in st.params.values()),
-        "conv_branches": conv_macs,
-        "attention_fuse": attention_fuse,
-        "target_fuse": target_fuse,
-        "gap": gap_ops,
-        "fc_reduce": reduce_macs,
-        "fc_expand": expand_macs,
-        "score_sub": score_sub,
-        "combine": combine,
-    }
-    breakdown["flops"] = (conv_macs + attention_fuse + target_fuse + gap_ops
-                          + reduce_macs + expand_macs + score_sub + combine)
-    return breakdown
+def params_flops_breakdown(st: MSConvState, height: int, width: int,
+                           kind: FusionKind = FusionKind.MSCONV,
+                           ) -> dict[str, int]:
+    """``block_cost`` of one block's arrays and stride."""
+    return block_cost({p: arr.shape for p, arr in st.params.items()},
+                      height, width, st.stride, kind)

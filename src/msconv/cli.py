@@ -16,7 +16,8 @@ import numpy as np
 
 from . import msct
 from .autograd import finite_diff_check
-from .block import FusionKind, MSConvState, block_forward_on_tape
+from .block import (FusionKind, MSConvState, block_forward_on_tape,
+                    fuse_on_tape)
 from .data import gen_synthetic, load_dataset, make_pairs, read_pairs, \
     save_dataset, write_pairs
 from .model import (MarginKind, MarginLossConfig, StageSpec, TinyNetConfig,
@@ -86,6 +87,22 @@ def _op_cases(seed: int):
         t.scale_channels(v["x"], v["c"]))
     yield "l2_normalize_rows", {"x": rng.normal(size=(3, 5)) + 0.1}, \
         lambda t, v: t.mean(t.l2_normalize_rows(v["x"]))
+    # the fused op as the network records it, fed U1, U2 (and the shortcut)
+    # as leaves; a fixed 3x3 conv after it varies the upstream gradient
+    mix = rng.normal(size=(3, 3, 4, 2))
+    for kind in FusionKind:
+        for shortcut in ("", "+shortcut"):
+            fuse = {p: rng.normal(size=shape) for p, shape in (
+                ("u1", (2, 4, 4, 4)), ("u2", (2, 4, 4, 4)), ("w_reduce", (4, 3)),
+                ("b_reduce", 3), ("w_expand", (3, 8)), ("b_expand", 8),
+                *[("shortcut", (2, 4, 4, 4))] * bool(shortcut))}
+
+            def build(t, v, kind=kind):
+                out, _ = fuse_on_tape(t, v["u1"], v["u2"], v, kind,
+                                      v.get("shortcut"))
+                return t.mean(t.conv2d(out, t.constant(mix)))
+
+            yield f"msconv_fuse/{kind.value}{shortcut}", fuse, build
 
 
 def _block_case(seed: int):
@@ -188,7 +205,6 @@ def _cmd_ablate(args, extra) -> int:
 
 def _cmd_verify(args, _extra) -> int:
     params, cfg = load_checkpoint(args.checkpoint)
-    model_cfg = cfg.model.with_fusion(cfg.fusion)
     if args.data:
         ds = load_dataset(args.data)
         pairs = read_pairs(os.path.join(args.data, "pairs.txt"), ds.names)
@@ -197,7 +213,7 @@ def _cmd_verify(args, _extra) -> int:
         ds = gen_synthetic(spec)
         pairs = make_pairs(ds.labels, args.genuine, args.impostor,
                            seed=spec.seed)
-    stats = evaluate_verification(params, model_cfg, ds, pairs, args.far,
+    stats = evaluate_verification(params, cfg.model, ds, pairs, args.far,
                                   cfg.batch_size)
     print(f"verification over {len(pairs)} pairs "
           f"({int(sum(p[2] for p in pairs))} genuine)")
@@ -212,8 +228,7 @@ def _cmd_verify(args, _extra) -> int:
 
 def _cmd_flops(args, extra) -> int:
     cfg = _load_config(args.config, extra)
-    rows = cost_rows(cfg.model.with_fusion(cfg.fusion), cfg.data.height,
-                     cfg.data.width)
+    rows = cost_rows(cfg.model, cfg.data.height, cfg.data.width)
     total_p = sum(p for _, p, _ in rows)
     total_f = sum(f for _, _, f in rows)
     print(f"{'layer':<10} {'params':>10} {'flops':>12}")
@@ -227,8 +242,8 @@ def _cmd_flops(args, extra) -> int:
 def _cmd_viz(args, _extra) -> int:
     params, cfg = load_checkpoint(args.checkpoint)
     image = msct.read_tensor(args.image)
-    written = visualize_features(params, cfg.model.with_fusion(cfg.fusion),
-                                 image, args.layer, args.out, args.top)
+    written = visualize_features(params, cfg.model, image, args.layer,
+                                 args.out, args.top)
     for path in written:
         print(path)
     return 0

@@ -9,6 +9,7 @@ operate on cosine logits between embeddings and class-center rows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -16,8 +17,8 @@ import numpy as np
 
 from . import tensor as T
 from .autograd import Tape, Var
-from .block import (BLOCK_PARAM_NAMES, FusionKind, MSConvState, _gauss,
-                    block_forward_on_tape, param_rng, params_flops_breakdown)
+from .block import (BLOCK_PARAM_NAMES, FusionKind, block_cost,
+                    block_forward_on_tape, block_param_shapes, init_param)
 
 
 @dataclass(frozen=True)
@@ -77,35 +78,30 @@ class TinyNetConfig:
                 c_prev = stage.channels
 
 
-def _has_proj(c_in: int, c_out: int, stride: int) -> bool:
-    """Whether a block's shortcut needs a 1x1 projection."""
-    return stride != 1 or c_in != c_out
+def param_shapes(cfg: TinyNetConfig) -> dict[str, tuple[int, ...]]:
+    """Every backbone parameter's shape by name, in init order: ``stem``,
+    each block's arrays (``block_param_shapes``) as ``<block>/<array>`` and a
+    1x1 ``<block>/proj`` exactly when the block changes stride or width,
+    then ``w_embed`` and ``b_embed``."""
+    shapes = {"stem": (3, 3, cfg.in_channels, cfg.stem_channels)}
+    for name, c_in, c_out, stride, _ in cfg.block_layout():
+        for p, shape in block_param_shapes(c_in, c_out, cfg.reduction,
+                                           cfg.min_width).items():
+            shapes[f"{name}/{p}"] = shape
+        if stride != 1 or c_in != c_out:
+            shapes[f"{name}/proj"] = (1, 1, c_in, c_out)
+    shapes["w_embed"] = (cfg.stages[-1].channels, cfg.embed_dim)
+    shapes["b_embed"] = (cfg.embed_dim,)
+    return shapes
 
 
 def init_params(cfg: TinyNetConfig, seed: int) -> dict[str, np.ndarray]:
-    """Fresh parameter set: fan-in Gaussian weights, zero biases.
-
-    Every layer draws from its own seeded stream, so adding or removing one
-    layer never shifts another layer's initialization.
-    """
-    params: dict[str, np.ndarray] = {}
-    params["stem"] = _gauss(param_rng(seed, "stem"),
-                            (3, 3, cfg.in_channels, cfg.stem_channels),
-                            9 * cfg.in_channels)
-    for name, c_in, c_out, stride, _ in cfg.block_layout():
-        st = MSConvState.init(c_in, c_out, seed=seed, tag=name,
-                              dilations=cfg.dilations, stride=stride,
-                              reduction=cfg.reduction, min_width=cfg.min_width)
-        for pname, arr in st.params.items():
-            params[f"{name}/{pname}"] = arr
-        if _has_proj(c_in, c_out, stride):
-            params[f"{name}/proj"] = _gauss(param_rng(seed, name + "/proj"),
-                                            (1, 1, c_in, c_out), c_in)
-    c_last = cfg.stages[-1].channels
-    params["w_embed"] = _gauss(param_rng(seed, "embed/w"),
-                               (c_last, cfg.embed_dim), c_last)
-    params["b_embed"] = np.zeros(cfg.embed_dim)
-    return params
+    """``init_param`` over ``param_shapes(cfg)``: every layer draws from its
+    own stream, tagged with its name (``w_embed``'s is ``embed/w``), so adding
+    or removing a layer never shifts another layer's initialization."""
+    return {name: init_param(seed, "embed/w" if name == "w_embed" else name,
+                             shape)
+            for name, shape in param_shapes(cfg).items()}
 
 
 def tinynet_forward(tape: Tape, x: Var, params: dict[str, Var],
@@ -144,28 +140,27 @@ def cost_rows(cfg: TinyNetConfig, height: int, width: int,
               ) -> list[tuple[str, int, int]]:
     """(row, params, flops) per layer of one sample's forward pass.
 
-    Rows: ``stem``; per block ``<block>`` (params_flops_breakdown),
+    Rows: ``stem``; per block ``<block>`` (``block.block_cost``),
     ``<block>/proj`` for a projected shortcut and ``<block>/add`` for the
-    residual sum; ``head``.  Counts follow params_flops_breakdown: one MAC
-    per conv or FC tap, one op per element-wise add, pool adds plus one
-    divide per channel.  relu, sigmoid and the final l2 normalisation are
-    not counted.
+    residual sum; ``head``.  Params come from ``param_shapes``; flops follow
+    ``block_cost``'s convention, and the final l2 normalisation is free.
     """
-    stem_params = 9 * cfg.in_channels * cfg.stem_channels
-    rows = [("stem", stem_params, height * width * stem_params)]
+    shapes = param_shapes(cfg)
+    size = {name: math.prod(shape) for name, shape in shapes.items()}
+    # a stride-1 conv or an FC spends one MAC per weight per output position
+    rows = [("stem", size["stem"], height * width * size["stem"])]
     h, w = height, width
-    for name, c_in, c_out, stride, kind in cfg.block_layout():
-        st = MSConvState.init(c_in, c_out, dilations=cfg.dilations,
-                              stride=stride, reduction=cfg.reduction,
-                              min_width=cfg.min_width)
-        bd = params_flops_breakdown(st, h, w, kind)
+    for name, _, c_out, stride, kind in cfg.block_layout():
+        bd = block_cost({p: shapes[f"{name}/{p}"] for p in BLOCK_PARAM_NAMES},
+                        h, w, stride, kind)
         rows.append((name, bd["params"], bd["flops"]))
         h, w = T.conv_out_len(h, stride), T.conv_out_len(w, stride)
-        if _has_proj(c_in, c_out, stride):
-            rows.append((f"{name}/proj", c_in * c_out, h * w * c_out * c_in))
+        if proj := size.get(f"{name}/proj"):
+            rows.append((f"{name}/proj", proj, h * w * proj))
         rows.append((f"{name}/add", 0, h * w * c_out))
-    c, e = cfg.stages[-1].channels, cfg.embed_dim
-    rows.append(("head", c * e + e, h * w * c + c + c * e + e))
+    c = shapes["w_embed"][0]
+    head = size["w_embed"] + size["b_embed"]
+    rows.append(("head", head, h * w * c + c + head))
     return rows
 
 

@@ -22,14 +22,13 @@ from operator import attrgetter
 import numpy as np
 
 from . import msct
-from .block import FusionKind
+from .block import FusionKind, param_rng
 from .data import LabeledImages, SyntheticSpec, gen_synthetic, make_pairs
 from .metrics import VerificationSet, pair_accuracy, pair_scores, tar_at_far
 from .model import (MarginKind, MarginLossConfig, StageSpec, TinyNetConfig,
                     init_params, margin_ce_on_tape, normalize_rows,
-                    tinynet_embed, tinynet_forward)
+                    param_shapes, tinynet_embed, tinynet_forward)
 from .autograd import Tape
-from .block import param_rng, _gauss
 
 
 class ConfigError(ValueError):
@@ -112,6 +111,8 @@ class RunConfig:
             raise ValueError("images must be square")
         if self.data.channels != self.model.in_channels:
             raise ValueError("data channels must equal model in_channels")
+        # the model carries the run's fusion kind in every block
+        object.__setattr__(self, "model", self.model.with_fusion(self.fusion))
 
 
 def _decayed(name: str) -> bool:
@@ -153,11 +154,10 @@ def _fmt(x: float) -> str:
 
 def full_init(cfg: RunConfig) -> dict[str, np.ndarray]:
     """Backbone parameters plus the class-center matrix."""
-    model_cfg = cfg.model.with_fusion(cfg.fusion)
-    params = init_params(model_cfg, cfg.seed)
-    params["centers"] = _gauss(param_rng(cfg.seed, "centers"),
-                               (cfg.loss.class_count, cfg.model.embed_dim),
-                               cfg.model.embed_dim)
+    params = init_params(cfg.model, cfg.seed)
+    params["centers"] = param_rng(cfg.seed, "centers").normal(
+        0.0, 1.0 / np.sqrt(cfg.model.embed_dim),
+        size=(cfg.loss.class_count, cfg.model.embed_dim))
     return params
 
 
@@ -167,12 +167,16 @@ def embed_dataset(params: dict[str, np.ndarray], model_cfg: TinyNetConfig,
 
     All batches run through one activation workspace (see
     ``tinynet_embed``), so a pass faults in its buffers once, not per batch.
+    A one-image last batch joins the one before it: a one-row FC takes
+    another BLAS path, so its bits would depend on the dataset's size.
     """
     net_params = {k: v for k, v in params.items() if k != "centers"}
     workspace: list[np.ndarray] = []
-    chunks = [tinynet_embed(images[i:i + batch_size], net_params, model_cfg,
-                            workspace)
-              for i in range(0, images.shape[0], batch_size)]
+    n = images.shape[0]
+    tail = batch_size > 1 and n % batch_size == 1
+    ends = [*range(batch_size, n - tail, batch_size), n]
+    chunks = [tinynet_embed(images[a:b], net_params, model_cfg, workspace)
+              for a, b in zip([0, *ends], ends)]
     return np.concatenate(chunks, axis=0)
 
 
@@ -192,7 +196,6 @@ def train(cfg: RunConfig, dataset: LabeledImages | None = None) -> TrainResult:
     Raises TrainingDivergedError if any step's loss is non-finite.
     """
     ds = gen_synthetic(cfg.data) if dataset is None else dataset
-    model_cfg = cfg.model.with_fusion(cfg.fusion)
     params = full_init(cfg)
     init_snapshot = {k: v.copy() for k, v in params.items()}
     velocity = {k: np.zeros_like(v) for k, v in params.items()}
@@ -215,7 +218,7 @@ def train(cfg: RunConfig, dataset: LabeledImages | None = None) -> TrainResult:
             tape = Tape()
             leaves = {k: tape.leaf(v) for k, v in params.items()}
             emb = tinynet_forward(tape, tape.constant(ds.images[idx]),
-                                  leaves, model_cfg)
+                                  leaves, cfg.model)
             # non-finite values and zero rows (norm overflow) both mean the
             # optimization state is unusable
             if (not np.isfinite(emb.value).all()
@@ -234,7 +237,7 @@ def train(cfg: RunConfig, dataset: LabeledImages | None = None) -> TrainResult:
             step_losses.append(loss)
             step += 1
         epoch_loss = float(np.mean(step_losses))
-        acc = train_accuracy(params, model_cfg, ds, cfg.batch_size)
+        acc = train_accuracy(params, cfg.model, ds, cfg.batch_size)
         result.epoch_losses.append(epoch_loss)
         result.epoch_accs.append(acc)
         result.log_lines.append(
@@ -334,10 +337,8 @@ def ablation_run(cfg: RunConfig, kinds=DEFAULT_ABLATION_KINDS, *,
     for kind in kinds:
         run_cfg = replace(cfg, fusion=kind)
         res = train(run_cfg, dataset=ds)
-        ver = evaluate_verification(res.params,
-                                    run_cfg.model.with_fusion(kind),
-                                    eval_ds, pairs, far_target,
-                                    cfg.batch_size)
+        ver = evaluate_verification(res.params, run_cfg.model, eval_ds,
+                                    pairs, far_target, cfg.batch_size)
         rows.append(AblationRow(
             kind=kind,
             final_loss=res.epoch_losses[-1] if res.epoch_losses else math.nan,
@@ -563,10 +564,11 @@ def load_checkpoint(directory) -> tuple[dict[str, np.ndarray], RunConfig]:
     """
     params = msct.load_tensors(directory)
     cfg = build_config(read_kv_file(os.path.join(directory, "config.txt")))
-    expected = full_init(cfg)
+    expected = {**param_shapes(cfg.model),
+                "centers": (cfg.loss.class_count, cfg.model.embed_dim)}
     for name in [*expected, *params]:
         got = params[name].shape if name in params else "nothing"
-        want = expected[name].shape if name in expected else "nothing"
+        want = expected.get(name, "nothing")
         if got != want:
             raise msct.FormatError(f"checkpoint parameter {name!r}: the files "
                                    f"hold {got}, the config needs {want}")

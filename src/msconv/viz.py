@@ -66,6 +66,8 @@ def visualize_features(params: dict[str, np.ndarray], cfg: TinyNetConfig,
     ``layer`` indexes blocks in forward order.  Maps are per-channel min-max
     normalized, so they show structure, not absolute magnitude.
     """
+    if top_k < 0:
+        raise ValueError(f"top must be non-negative, got {top_k}")
     image = np.asarray(image, dtype=np.float64)
     if image.ndim == 3:
         image = image[None]

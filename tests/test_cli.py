@@ -10,6 +10,7 @@ import shutil
 import struct
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -78,10 +79,15 @@ class TestGradcheckCommand:
                       r"threshold=(\S+) status=(pass|FAIL)")
 
     def test_ops_scope_passes(self, capsys):
-        """Every primitive op check prints a passing line."""
+        """Every primitive op check prints a passing line, the fused op
+        once per distinct fusion kind with and without a shortcut."""
         assert cli.main(["gradcheck", "--scope", "ops"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
-        assert len(lines) == 11
+        assert len(lines) == 21
+        fused = [f"op:msconv_fuse/{kind.value}{shortcut}"
+                 for kind in FusionKind for shortcut in ("", "+shortcut")]
+        assert [self.LINE.fullmatch(line).group(1)
+                for line in lines[-10:]] == fused
         for line in lines:
             match = self.LINE.fullmatch(line)
             assert match is not None
@@ -568,7 +574,7 @@ class TestFlopsCommand:
         stats = kv_lines(capsys.readouterr().out)
         with open(cfg_path) as fh:
             run_cfg = build_config(parse_kv_lines(fh.readlines()))
-        params = init_params(run_cfg.model.with_fusion(run_cfg.fusion), seed=0)
+        params = init_params(run_cfg.model, seed=0)
         assert int(stats["total_params"]) == \
             sum(arr.size for arr in params.values())
 
@@ -611,8 +617,11 @@ class TestAblateCommand:
     """Fusion-variant sweeps sharing one initialization."""
 
     def test_two_kind_report(self, tmp_path, capsys):
-        """Both requested kinds train, report and leave checkpoints."""
+        """Both requested kinds train, report and leave checkpoints whose
+        config reloads equal to the run's with the kind swapped in."""
         cfg_path = write_config(tmp_path / "run.cfg", epochs=1)
+        with open(cfg_path) as fh:
+            run_cfg = build_config(parse_kv_lines(fh.readlines()))
         out = tmp_path / "ablate"
         code = cli.main(["ablate", "--config", cfg_path, "--out", str(out),
                          "--kinds", "msconv,skconv", "--far", "0.1"])
@@ -625,7 +634,9 @@ class TestAblateCommand:
             assert len((out / kind / "metrics.log").read_text()
                        .splitlines()) == 1
             _, kind_cfg = load_checkpoint(out / kind)
-            assert kind_cfg.fusion == FusionKind(kind)
+            assert kind_cfg == replace(run_cfg, fusion=FusionKind(kind))
+            assert all(s.kind is FusionKind(kind)
+                       for s in kind_cfg.model.stages)
 
     @pytest.mark.parametrize("kinds", ["msconv,msconv", "no_mo,msconv_sum"])
     def test_repeated_kind_rejected(self, tmp_path, capsys, kinds):
@@ -669,6 +680,20 @@ class TestVizCommand:
         names = {os.path.basename(p) for p in paths}
         assert "u1.msct" in names and "u2.msct" in names
         assert any(n.startswith("s0b0_mul_c") for n in names)
+
+    def test_negative_top_rejected(self, trained, tmp_path, capsys):
+        """--top -1 fails cleanly instead of dropping the weakest channel."""
+        _, out = trained
+        img_path = tmp_path / "img.msct"
+        msct.write_tensor(img_path, np.zeros((8, 8, 2)))
+        maps = tmp_path / "maps"
+        code = cli.main(["viz", "--checkpoint", str(out / "checkpoint"),
+                         "--image", str(img_path), "--out", str(maps),
+                         "--top", "-1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "top" in err
+        assert not maps.exists()
 
     def test_bad_layer_rejected(self, trained, tmp_path, capsys):
         """Layer indices past the block list fail cleanly."""

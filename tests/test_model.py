@@ -6,18 +6,21 @@ central differences.  The margin losses are checked against hand-evaluated
 scalar cases and an independent log-sum-exp evaluation.
 """
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from msconv import tensor as T
 from msconv.autograd import Tape, finite_diff_check
-from msconv.block import BLOCK_PARAM_NAMES, FusionKind
+from msconv.block import BLOCK_PARAM_NAMES, FusionKind, MSConvState
 from msconv.model import (COS_CLAMP, MarginKind, MarginLossConfig, StageSpec,
                           TinyNetConfig, cost_rows, init_params,
                           margin_ce_on_tape, margin_loss, normalize_rows,
-                          tinynet_embed, tinynet_forward)
+                          param_shapes, tinynet_embed, tinynet_forward)
+from msconv.train import RunConfig, full_init
 from oracles import counting_net_forward, one_shot_embed
 
 of_kind = MarginLossConfig.of_kind
@@ -236,6 +239,108 @@ class TestCostModel:
         np.testing.assert_allclose(normalize_rows(emb[None]),
                                    tinynet_embed(x[None], params, cfg),
                                    rtol=0, atol=1e-12)
+
+
+    def test_params_column_reads_the_shape_table(self, no_param_draws):
+        """A two-stage 256/512 model is costed without drawing a weight."""
+        cfg = TinyNetConfig(stages=(StageSpec(1, 256, 2), StageSpec(1, 512, 2)))
+        rows = cost_rows(cfg, 64, 64)
+        assert sum(p for _, p, _ in rows) == \
+            sum(math.prod(shape) for shape in param_shapes(cfg).values())
+        assert dict((n, p) for n, p, _ in rows)["s1b0/proj"] == 256 * 512
+        with pytest.raises(AssertionError, match="drew weights"):
+            init_params(cfg, 0)
+
+
+@st.composite
+def tiny_net_configs(draw):
+    """Small backbones over every TinyNetConfig field that shapes a
+    parameter, with and without projections."""
+    def ints(lo, hi):
+        return draw(st.integers(lo, hi))
+
+    return TinyNetConfig(
+        in_channels=ints(1, 4), stem_channels=ints(1, 12),
+        stages=tuple(StageSpec(ints(1, 2), ints(1, 12), ints(1, 2),
+                               draw(st.sampled_from(FusionKind)))
+                     for _ in range(ints(1, 3))),
+        embed_dim=ints(1, 8), dilations=(ints(1, 3), ints(1, 3)),
+        reduction=ints(1, 8), min_width=ints(1, 6))
+
+
+class TestParamShapes:
+    @settings(max_examples=100, deadline=None)
+    @given(tiny_net_configs(), st.integers(0, 2**32 - 1))
+    def test_table_matches_drawn_params(self, cfg, seed):
+        """Same names, order and shapes as the drawn parameter set; a
+        projection exactly where a block changes stride or width."""
+        shapes = param_shapes(cfg)
+        params = init_params(cfg, seed)
+        assert list(shapes) == list(params)
+        assert all(params[k].shape == shape for k, shape in shapes.items())
+        for name, c_in, c_out, stride, _ in cfg.block_layout():
+            assert (f"{name}/proj" in shapes) == (stride != 1 or c_in != c_out)
+
+
+def digest(params):
+    """sha256 over every array's name, shape, dtype and bytes, in order."""
+    h = hashlib.sha256()
+    for name, arr in params.items():
+        for part in (name, str(arr.shape), str(arr.dtype)):
+            h.update(part.encode())
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+TWO_STAGE = TinyNetConfig(stages=(StageSpec(2, 24, 2), StageSpec(1, 40, 2)),
+                          embed_dim=16, min_width=4, reduction=4,
+                          dilations=(1, 3))
+GRADCHECK_BACKBONE = TinyNetConfig(
+    in_channels=2, stem_channels=4,
+    stages=(StageSpec(blocks=2, channels=6, stride=2),), embed_dim=5,
+    min_width=2)
+NO_PROJ = TinyNetConfig(in_channels=1, stem_channels=8,
+                        stages=(StageSpec(2, 8, 1),), embed_dim=4,
+                        min_width=2)
+
+
+class TestInitBytes:
+    """Initial weights are pinned to the bytes drawn before the shape table
+    (one draw per array from MSConvState.init and hand-written shapes)."""
+
+    @pytest.mark.parametrize("cfg,seed,want", [
+        (TinyNetConfig(), 0, "91973e8f134a88acb7600645388b2010"
+                             "d1a9d6e28bd0d08d1b3421e0572c3551"),
+        (TinyNetConfig(), 7, "03522436c15446c53e6d5d95d51bde06"
+                             "7a5862c1645aefbe40684fcedda48cd1"),
+        (TWO_STAGE, 0, "61abaaa0f10cafb9167cca41fcdacd59"
+                       "3782b7531538d55fb6db0321bbfc869f"),
+        (GRADCHECK_BACKBONE, 0, "df179fff809195e82a78f226ed45a56c"
+                                "7d2a4fd949d0ceec0a0e96af4e0d1a05"),
+        (NO_PROJ, 7, "d211ef13a82f01214660fb77b35cc068"
+                     "28a0b2877782218637a4232d1ea92aba"),
+    ], ids=["desk-0", "desk-7", "two_stage", "gradcheck", "no_proj"])
+    def test_init_params(self, cfg, seed, want):
+        assert digest(init_params(cfg, seed)) == want
+
+    def test_full_init(self):
+        assert digest(full_init(RunConfig())) == (
+            "e2e1db8f6df5a2aa9bed8a23fb0ef9cc561c080f7409c6df8007ec2635c4472d")
+        run = RunConfig(model=TWO_STAGE, seed=3,
+                        loss=MarginLossConfig.of_kind(ARC, 10))
+        assert digest(full_init(run)) == (
+            "ac47fbce98dc45223c1cf04f0634c67282a32a72688fdb3fec5e56db59eb7a09")
+
+    @pytest.mark.parametrize("args,kw,want", [
+        ((3, 4), dict(seed=2, min_width=2),
+         "f3ff56f118b94d23f5d9f055c1b36afe8400b22bed99e765ed283417cecf5070"),
+        ((16, 32), dict(seed=0),
+         "f69133b2209807310321efd0c4fc4ccffe1cf18f643759c93afe360b0cf51896"),
+        ((6, 8), dict(seed=8, tag="s0b1", stride=2, reduction=2, min_width=1),
+         "6510356dabd7267270f540eda8ac1d433ab0e22a3cdd4fb1e76c397379950ddc"),
+    ], ids=["small", "desk", "tagged"])
+    def test_block_state(self, args, kw, want):
+        assert digest(MSConvState.init(*args, **kw).params) == want
 
 
 class TestBackboneGradients:

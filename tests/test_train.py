@@ -5,6 +5,7 @@ import os
 import re
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from msconv.block import FusionKind
 from msconv.data import SyntheticSpec, gen_synthetic
 from msconv.model import (MarginKind, MarginLossConfig, StageSpec,
                           TinyNetConfig, init_params, margin_ce_on_tape,
-                          tinynet_embed, tinynet_forward)
+                          param_shapes, tinynet_embed, tinynet_forward)
 from msconv.train import (CONFIG_KEYS, PAIR_BLOCK, ConfigError, LRSchedule,
                           RunConfig, TrainingDivergedError, ablation_run,
                           build_config, config_from_lines, config_to_lines,
@@ -24,7 +25,7 @@ from msconv.train import (CONFIG_KEYS, PAIR_BLOCK, ConfigError, LRSchedule,
                           format_ablation_report, full_init, load_checkpoint,
                           lr_at, parse_kv_lines, save_checkpoint, sgd_step,
                           train, verification_set)
-from oracles import one_shot_verification
+from oracles import one_shot_embed, one_shot_verification
 
 
 def tiny_config(**kw):
@@ -218,6 +219,18 @@ class TestRunConfig:
         assert cfg.loss.kind is MarginKind.COS
         assert (cfg.loss.scale, cfg.loss.m3) == (16.0, 0.35)
 
+    def test_model_carries_the_run_fusion(self):
+        """Every block of the run's model has the run's fusion kind, also
+        after ``replace``."""
+        model = TinyNetConfig(stages=(StageSpec(1, 8, 1), StageSpec(2, 16, 2)))
+        cfg = RunConfig(model=model, fusion=FusionKind.NO_SO)
+        assert [k for *_, k in cfg.model.block_layout()] == \
+            [FusionKind.NO_SO] * 3
+        assert all(s.kind is FusionKind.SKCONV_REFERENCE for s in replace(
+            cfg, fusion=FusionKind.SKCONV_REFERENCE).model.stages)
+        assert RunConfig(model=model) == RunConfig(
+            model=model.with_fusion(FusionKind.NO_SO))
+
 
 class TestTrainLoop:
     def test_zero_epochs_returns_init(self):
@@ -311,9 +324,8 @@ class TestVerificationEvaluation:
         res = train(cfg)
         ds = gen_synthetic(cfg.data)
         pairs = [(0, 1, 1), (0, 6, 0), (6, 7, 1), (1, 12, 0)]
-        out = evaluate_verification(res.params,
-                                    cfg.model.with_fusion(cfg.fusion), ds,
-                                    pairs, far_target=0.5)
+        out = evaluate_verification(res.params, cfg.model, ds, pairs,
+                                    far_target=0.5)
         assert set(out) == {"tar", "threshold", "pair_acc", "acc_threshold",
                             "far_target"}
         assert 0.0 <= out["tar"] <= 1.0
@@ -383,16 +395,28 @@ class TestEmbedDataset:
 
     @pytest.mark.parametrize("count,size", [(33, 32), (70, 64)])
     def test_bytes_match_fresh_workspaces(self, count, size):
-        """The last batch of 33 at batch 32 holds one image; 70 images of
-        64x64 make three batches of several chunks each."""
+        """33 images at batch 32 run as one batch, the one-image tail folded
+        in; 70 images of 64x64 make three batches of several chunks each."""
         cfg = TinyNetConfig()
         params = init_params(cfg, seed=21)
         images = np.random.default_rng(count).uniform(
             -1.0, 1.0, (count, size, size, 3))
-        fresh = np.concatenate([tinynet_embed(images[i:i + 32], params, cfg)
-                                for i in range(0, count, 32)])
+        bounds = {33: (0, 33), 70: (0, 32, 64, 70)}[count]
+        fresh = np.concatenate([tinynet_embed(images[a:b], params, cfg)
+                                for a, b in zip(bounds, bounds[1:])])
         got = embed_dataset(params, cfg, images, 32)
         assert got.tobytes() == fresh.tobytes()
+
+    @pytest.mark.parametrize("count", [33, 65])
+    def test_bytes_do_not_depend_on_dataset_size(self, count):
+        """With a one-image tail at batch 32, every embedding still has the
+        bits of one pass over the whole set."""
+        cfg = TinyNetConfig()
+        params = init_params(cfg, seed=23)
+        images = np.random.default_rng(count).uniform(
+            -1.0, 1.0, (count, 32, 32, 3))
+        got = embed_dataset(params, cfg, images, 32)
+        assert got.tobytes() == one_shot_embed(images, params, cfg).tobytes()
 
     def test_workspace_stops_growing_after_first_batch(self, monkeypatch):
         train_module = sys.modules["msconv.train"]
@@ -407,7 +431,8 @@ class TestEmbedDataset:
         cfg = TinyNetConfig()
         images = np.random.default_rng(3).uniform(-1.0, 1.0, (65, 32, 32, 3))
         embed_dataset(init_params(cfg, seed=22), cfg, images, 32)
-        assert len(seen) == 3
+        # 32 images, then 33: the one-image tail joins the last batch
+        assert [len(buffers) for _, buffers in seen] == [5, 5]
         workspace, first = seen[0]
         # stem, both branches, the projection and the fused output
         assert len(first) == 5
@@ -621,6 +646,29 @@ class TestCheckpoint:
         save_checkpoint(tmp_path, params, cfg)
         with pytest.raises(msct.FormatError, match=r"'s0b0/k5': the files hold \(3, 3, 1, 6\)"):
             load_checkpoint(tmp_path)
+
+    def test_first_wrong_parameter_named(self, tmp_path):
+        """Checked in init order, the table first and then the files."""
+        cfg = tiny_config(epochs=0)
+        params = full_init(cfg)
+        params["aaa"] = np.zeros(2)
+        params["centers"] = params["centers"][:2]
+        del params["s0b0/w_expand"]
+        save_checkpoint(tmp_path, params, cfg)
+        with pytest.raises(msct.FormatError, match="'s0b0/w_expand'"):
+            load_checkpoint(tmp_path)
+
+    def test_load_draws_no_weights(self, tmp_path, no_param_draws):
+        """Shapes come from the table; zeros stand in for drawn weights."""
+        cfg = tiny_config(epochs=0)
+        params = {name: np.zeros(shape)
+                  for name, shape in param_shapes(cfg.model).items()}
+        params["centers"] = np.zeros((3, 8))
+        save_checkpoint(tmp_path, params, cfg)
+        loaded, loaded_cfg = load_checkpoint(tmp_path)
+        assert loaded_cfg == cfg and set(loaded) == set(params)
+        with pytest.raises(AssertionError, match="drew weights"):
+            full_init(cfg)
 
     def test_unknown_parameter_rejected(self, tmp_path):
         cfg = tiny_config(epochs=0)
