@@ -125,9 +125,6 @@ class Tape:
         # slot -> shape, for every value that needs a gradient
         self._grad_shapes: dict[int, tuple[int, ...]] = {}
         self._records: list[GradRecord] = []
-        # (slot, value) of the last op's output, the default loss; kept
-        # apart from its Var so the tape holds no reference back to itself
-        self._last: tuple[int, np.ndarray] | None = None
         self._consumed = False
 
     # -- plumbing ----------------------------------------------------------
@@ -207,7 +204,6 @@ class Tape:
             self._records.append(
                 GradRecord(op_id, tuple(v.index for v in inputs), out.index, vjp)
             )
-        self._last = (out.index, out.value)
         return out
 
     # -- ops ---------------------------------------------------------------
@@ -296,7 +292,7 @@ class Tape:
 
         return self.emit("scale_channels", (x, c), xv * cv[:, None, None, :], vjp)
 
-    def l2_normalize_rows(self, x: Var, eps: float = 0.0) -> Var:
+    def l2_normalize_rows(self, x: Var) -> Var:
         """Rows scaled to unit L2 norm; all-zero rows map to zero rows."""
         xv = x.value
         norms = np.sqrt(np.sum(xv * xv, axis=1, keepdims=True))
@@ -329,18 +325,14 @@ class Tape:
 
     # -- reverse pass --------------------------------------------------------
 
-    def backward(self, loss: Var | None = None, seed: float = 1.0) -> Gradients:
+    def backward(self, loss: Var, seed: float = 1.0) -> Gradients:
         """Propagate a scalar seed from the loss back to every recorded value.
 
-        The loss defaults to the output of the last op.  Consumes the tape: a
-        second backward, or any further op, raises :class:`TapeReuseError`.
-        The result holds leaf gradients only; see :class:`Gradients`.
+        Consumes the tape: a second backward, or any further op, raises
+        :class:`TapeReuseError`.  The result holds leaf gradients only; see
+        :class:`Gradients`.
         """
         self._guard()
-        if loss is None:
-            if self._last is None:
-                raise ValueError("empty tape has no loss to differentiate")
-            loss = Var(self, *self._last)
         if loss.tape is not self:
             raise ValueError("loss Var belongs to a different tape")
         if loss.value.size != 1:

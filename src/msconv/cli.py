@@ -23,9 +23,10 @@ from .data import gen_synthetic, load_dataset, make_pairs, read_pairs, \
 from .model import (MarginKind, MarginLossConfig, StageSpec, TinyNetConfig,
                     cost_rows, init_params, margin_ce_on_tape,
                     tinynet_forward)
-from .train import (ConfigError, DEFAULT_ABLATION_KINDS, ablation_run,
-                    build_config, evaluate_verification, format_ablation_report,
-                    load_checkpoint, read_kv_file, save_checkpoint, train)
+from .train import (ConfigError, DEFAULT_ABLATION_KINDS, TrainingDivergedError,
+                    ablation_run, build_config, evaluate_verification,
+                    format_ablation_report, load_checkpoint, read_kv_file,
+                    save_checkpoint, train)
 from .viz import visualize_features
 
 OP_THRESHOLD = 1e-6
@@ -33,7 +34,7 @@ BACKBONE_THRESHOLD = 1e-5
 
 
 def _parse_overrides(tokens: list[str]) -> dict[str, str]:
-    """Trailing `--key value` pairs into a raw string mapping."""
+    """Trailing `--key value` pairs, each key once, into a string mapping."""
     pairs: dict[str, str] = {}
     i = 0
     while i < len(tokens):
@@ -43,6 +44,8 @@ def _parse_overrides(tokens: list[str]) -> dict[str, str]:
         key = tok[2:].replace("-", "_")
         if i + 1 >= len(tokens):
             raise ConfigError(f"missing value for --{key}")
+        if key in pairs:
+            raise ConfigError(f"duplicate override --{key}")
         pairs[key] = tokens[i + 1]
         i += 2
     return pairs
@@ -140,16 +143,16 @@ def _backbone_case(seed: int):
     return params, build
 
 
-def _run_gradcheck(scope: str, seed: int) -> int:
+def _cmd_gradcheck(args, _extra) -> int:
     checks = []
-    if scope in ("ops", "all"):
-        for name, params, build in _op_cases(seed):
+    if args.scope in ("ops", "all"):
+        for name, params, build in _op_cases(args.seed):
             checks.append((f"op:{name}", params, build, OP_THRESHOLD))
-    if scope in ("block", "all"):
-        params, build = _block_case(seed)
+    if args.scope in ("block", "all"):
+        params, build = _block_case(args.seed)
         checks.append(("block", params, build, OP_THRESHOLD))
-    if scope in ("backbone", "all"):
-        params, build = _backbone_case(seed)
+    if args.scope in ("backbone", "all"):
+        params, build = _backbone_case(args.seed)
         checks.append(("backbone", params, build, BACKBONE_THRESHOLD))
     failed = 0
     for name, params, build, threshold in checks:
@@ -193,8 +196,7 @@ def _cmd_ablate(args, extra) -> int:
         fh.write(text)
     for kind, result in report.results.items():
         kind_dir = os.path.join(args.out, kind.value)
-        save_checkpoint(kind_dir, result.params,
-                        replace(cfg, fusion=kind))
+        save_checkpoint(kind_dir, result.params, result.config)
         with open(os.path.join(kind_dir, "metrics.log"), "w") as fh:
             for line in result.log_lines:
                 fh.write(line + "\n")
@@ -310,6 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _HANDLERS = {
+    "gradcheck": _cmd_gradcheck,
     "train": _cmd_train,
     "ablate": _cmd_ablate,
     "verify": _cmd_verify,
@@ -323,15 +326,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args, extra = parser.parse_known_args(argv)
     try:
-        if args.command == "gradcheck":
-            if extra:
-                raise ConfigError(f"unrecognized arguments: {extra}")
-            return _run_gradcheck(args.scope, args.seed)
-        handler = _HANDLERS[args.command]
-        if args.command in ("verify", "viz") and extra:
+        # only a command that reads a config takes `--key value` overrides
+        if extra and not hasattr(args, "config"):
             raise ConfigError(f"unrecognized arguments: {extra}")
-        return handler(args, extra)
-    except (ConfigError, msct.FormatError, OSError, ValueError) as exc:
+        return _HANDLERS[args.command](args, extra)
+    except (ConfigError, msct.FormatError, OSError, ValueError,
+            TrainingDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -32,7 +32,6 @@ class StageSpec:
     blocks: int
     channels: int
     stride: int = 1
-    kind: FusionKind = FusionKind.MSCONV
 
     def __post_init__(self):
         if self.blocks < 1 or self.channels < 1 or self.stride < 1:
@@ -48,6 +47,7 @@ class TinyNetConfig:
     dilations: tuple[int, int] = (1, 2)
     reduction: int = 16
     min_width: int = 32
+    fusion: FusionKind = FusionKind.MSCONV
 
     def __post_init__(self):
         if self.in_channels < 1 or self.stem_channels < 1 or self.embed_dim < 1:
@@ -59,8 +59,7 @@ class TinyNetConfig:
 
     def with_fusion(self, kind: FusionKind) -> "TinyNetConfig":
         """Same architecture with every block switched to ``kind``."""
-        return replace(self, stages=tuple(replace(s, kind=kind)
-                                          for s in self.stages))
+        return replace(self, fusion=kind)
 
     def total_stride(self) -> int:
         out = 1
@@ -74,7 +73,7 @@ class TinyNetConfig:
         for si, stage in enumerate(self.stages):
             for bi in range(stage.blocks):
                 stride = stage.stride if bi == 0 else 1
-                yield f"s{si}b{bi}", c_prev, stage.channels, stride, stage.kind
+                yield f"s{si}b{bi}", c_prev, stage.channels, stride, self.fusion
                 c_prev = stage.channels
 
 

@@ -97,17 +97,24 @@ def check_plain_name(filename: str, where: str) -> str:
 
 
 def read_manifest(path: str | os.PathLike) -> dict[str, str]:
+    """name -> filename per line; a bad line or a name listed twice raises
+    FormatError naming ``path:line`` (and the earlier line)."""
     entries: dict[str, str] = {}
+    line_of: dict[str, int] = {}
     for lineno, line in text_lines(path):
         if "=" not in line:
             raise FormatError(f"{path}:{lineno}: expected name=filename")
         name, filename = line.split("=", 1)
+        if name in line_of:
+            raise FormatError(f"{path}:{lineno}: {name!r} is already listed "
+                              f"on line {line_of[name]}")
+        line_of[name] = lineno
         entries[name] = check_plain_name(filename, f"{path}:{lineno}")
     return entries
 
 
-def save_tensors(directory: str | os.PathLike, tensors: dict[str, np.ndarray],
-                 manifest_name: str = "manifest.txt") -> None:
+def save_tensors(directory: str | os.PathLike,
+                 tensors: dict[str, np.ndarray]) -> None:
     """Write one .msct per tensor plus a manifest, names sorted for stable bytes.
 
     Raises ValueError, before writing anything, when two names map to the
@@ -124,10 +131,9 @@ def save_tensors(directory: str | os.PathLike, tensors: dict[str, np.ndarray],
     os.makedirs(directory, exist_ok=True)
     for name, filename in entries.items():
         write_tensor(os.path.join(directory, filename), tensors[name])
-    write_manifest(os.path.join(directory, manifest_name), entries)
+    write_manifest(os.path.join(directory, "manifest.txt"), entries)
 
 
-def load_tensors(directory: str | os.PathLike,
-                 manifest_name: str = "manifest.txt") -> dict[str, np.ndarray]:
-    entries = read_manifest(os.path.join(directory, manifest_name))
+def load_tensors(directory: str | os.PathLike) -> dict[str, np.ndarray]:
+    entries = read_manifest(os.path.join(directory, "manifest.txt"))
     return {name: read_tensor(os.path.join(directory, fn)) for name, fn in entries.items()}

@@ -18,12 +18,12 @@ bits did not.  ``conv2d_raw`` writes into a caller's ``out`` buffer when
 given one, so an inference pass can reuse its activation memory.
 
 Inference runs depth-first on top of that: ``_depth_chunks`` splits a batch
-into near-equal chunks, largest first, of at most as many images as fit
-``_DEPTH_BYTES`` (2 MiB, the L2 size) of one image's largest activation
-and of at least two, and ``model.tinynet_embed`` runs the whole network on
-one chunk before the next.  Two images is the floor because a one-row GEMM
-takes OpenBLAS's gemv path, whose bits differ; with two or more rows every
-op here is row-independent, so the chunking changes no bit.
+by ``even_chunks`` (``train.embed_dataset``'s batch rule too) into chunks
+of as many images as fit ``_DEPTH_BYTES`` (2 MiB, the L2 size) of one
+image's largest activation, and ``model.tinynet_embed`` runs the whole
+network on one chunk before the next.  Split two or more images, no chunk
+holds one: a one-row GEMM takes OpenBLAS's gemv path, whose bits differ;
+with more rows every op here is row-independent, so the split changes no bit.
 
 Precision follows the inputs.  The library feeds float64 everywhere: the
 synthetic data and the parameter initialisation are float64, so training,
@@ -120,24 +120,26 @@ def _chunk_step(n: int, image_bytes: int) -> int:
 _DEPTH_BYTES = 2 * 1024 * 1024
 
 
-def _depth_chunks(n: int, image_bytes: int) -> list[slice]:
-    """Slices that split ``n`` images into depth-first inference chunks.
+def even_chunks(n: int, step: int) -> list[slice]:
+    """Slices that split ``n`` images into near-equal chunks, largest first.
 
-    ``image_bytes`` is one image's largest activation.  With ``step`` as
-    many images as fit ``_DEPTH_BYTES`` of it, at least two, the images
-    split into ``max(1, min(ceil(n / step), n // 2))`` chunks of near-equal
-    size, largest first, so buffers sized by the first chunk hold every
-    later one.  No chunk has more than ``step`` images (but three when
-    ``step`` is two and ``n`` is odd), and none has one image when
-    ``n >= 2`` (see the module docstring).
+    The images split into ``max(1, min(ceil(n / step), n // 2))`` chunks
+    for ``step`` at least two (a smaller step counts as two), so buffers
+    sized by the first chunk hold every later one.  No chunk has more than
+    ``step`` images (but three when ``step`` is two and ``n`` is odd), and
+    none has one image when ``n >= 2`` (see the module docstring).
     """
-    step = max(2, _DEPTH_BYTES // image_bytes)
+    step = max(2, step)
     count = max(1, min(-(-n // step), n // 2))
     size, extra = divmod(n, count)
-    ends = [0]
-    for k in range(count):
-        ends.append(ends[-1] + size + (k < extra))
+    ends = [k * size + min(k, extra) for k in range(count + 1)]
     return [slice(a, b) for a, b in zip(ends, ends[1:])]
+
+
+def _depth_chunks(n: int, image_bytes: int) -> list[slice]:
+    """``even_chunks`` at as many images as fit ``_DEPTH_BYTES`` of
+    ``image_bytes``, one image's largest activation."""
+    return even_chunks(n, _DEPTH_BYTES // image_bytes)
 
 
 def _tap_slices(kh: int, kw: int, dilation: int, stride: int, oh: int, ow: int):

@@ -21,7 +21,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from . import msct
+from . import msct, tensor as T
 from .block import FusionKind, param_rng
 from .data import LabeledImages, SyntheticSpec, gen_synthetic, make_pairs
 from .metrics import VerificationSet, pair_accuracy, pair_scores, tar_at_far
@@ -111,7 +111,7 @@ class RunConfig:
             raise ValueError("images must be square")
         if self.data.channels != self.model.in_channels:
             raise ValueError("data channels must equal model in_channels")
-        # the model carries the run's fusion kind in every block
+        # the model carries the run's fusion kind
         object.__setattr__(self, "model", self.model.with_fusion(self.fusion))
 
 
@@ -163,20 +163,15 @@ def full_init(cfg: RunConfig) -> dict[str, np.ndarray]:
 
 def embed_dataset(params: dict[str, np.ndarray], model_cfg: TinyNetConfig,
                   images: np.ndarray, batch_size: int) -> np.ndarray:
-    """Embeddings for every image, batched, deterministic order.
+    """Embeddings for every image in ``T.even_chunks`` batches.
 
     All batches run through one activation workspace (see
     ``tinynet_embed``), so a pass faults in its buffers once, not per batch.
-    A one-image last batch joins the one before it: a one-row FC takes
-    another BLAS path, so its bits would depend on the dataset's size.
     """
     net_params = {k: v for k, v in params.items() if k != "centers"}
     workspace: list[np.ndarray] = []
-    n = images.shape[0]
-    tail = batch_size > 1 and n % batch_size == 1
-    ends = [*range(batch_size, n - tail, batch_size), n]
-    chunks = [tinynet_embed(images[a:b], net_params, model_cfg, workspace)
-              for a, b in zip([0, *ends], ends)]
+    chunks = [tinynet_embed(images[rows], net_params, model_cfg, workspace)
+              for rows in T.even_chunks(images.shape[0], batch_size)]
     return np.concatenate(chunks, axis=0)
 
 
@@ -369,6 +364,12 @@ def format_ablation_report(report: AblationReport) -> str:
 
 # -- flat key=value configuration ---------------------------------------------
 
+def _finite(v: str) -> float:
+    if not math.isfinite(x := float(v)):
+        raise ValueError(f"{v!r} is not a finite number")
+    return x
+
+
 def _int_list(v: str) -> tuple[int, ...]:
     return tuple(int(part) for part in v.split(","))
 
@@ -396,7 +397,7 @@ CONFIG_KEYS = (
     ("samples_per_identity", int, attrgetter("data.samples_per_identity")),
     ("image_size", int, attrgetter("data.height")),
     ("channels", int, attrgetter("data.channels")),
-    ("noise_sigma", float, attrgetter("data.noise_sigma")),
+    ("noise_sigma", _finite, attrgetter("data.noise_sigma")),
     ("shift_range", int, attrgetter("data.shift_range")),
     ("data_seed", int, attrgetter("data.seed")),
     ("stem_channels", int, attrgetter("model.stem_channels")),
@@ -409,14 +410,14 @@ CONFIG_KEYS = (
     ("min_width", int, attrgetter("model.min_width")),
     ("fusion", _choice(FusionKind), attrgetter("fusion")),
     ("loss", _choice(MarginKind), attrgetter("loss.kind")),
-    ("scale", float, attrgetter("loss.scale")),
-    ("m1", float, attrgetter("loss.m1")),
-    ("m2", float, attrgetter("loss.m2")),
-    ("m3", float, attrgetter("loss.m3")),
-    ("lr_init", float, attrgetter("lr_init")),
-    ("lr_min", float, attrgetter("lr_min")),
-    ("momentum", float, attrgetter("momentum")),
-    ("weight_decay", float, attrgetter("weight_decay")),
+    ("scale", _finite, attrgetter("loss.scale")),
+    ("m1", _finite, attrgetter("loss.m1")),
+    ("m2", _finite, attrgetter("loss.m2")),
+    ("m3", _finite, attrgetter("loss.m3")),
+    ("lr_init", _finite, attrgetter("lr_init")),
+    ("lr_min", _finite, attrgetter("lr_min")),
+    ("momentum", _finite, attrgetter("momentum")),
+    ("weight_decay", _finite, attrgetter("weight_decay")),
     ("batch_size", int, attrgetter("batch_size")),
     ("epochs", int, attrgetter("epochs")),
     ("seed", int, attrgetter("seed")),

@@ -3,6 +3,7 @@
 import sys
 
 import pytest
+from hypothesis import settings
 
 
 @pytest.fixture
@@ -15,3 +16,9 @@ def no_param_draws(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "msconv" and hasattr(module, "param_rng"):
             monkeypatch.setattr(module, "param_rng", refuse)
+
+
+# A long fuzzing run, loaded only on request:
+#   pytest --hypothesis-profile=deep tests/test_cli_fuzz.py
+# It raises the example count of every test that does not fix its own.
+settings.register_profile("deep", max_examples=2000)

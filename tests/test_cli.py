@@ -180,6 +180,36 @@ class TestTrainCommand:
         assert code == 2
         assert "expected --key" in capsys.readouterr().err
 
+    def test_repeated_override_rejected(self, tmp_path, capsys):
+        """A key given twice on the command line is an error, as in a
+        config file, not a silent win for the last value."""
+        code = cli.main(["flops", "--epochs", "1", "--epochs", "2"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: duplicate override --epochs\n"
+
+    @pytest.mark.parametrize("key, value", [
+        ("noise_sigma", "nan"), ("lr_init", "inf"), ("weight_decay", "1e999")])
+    def test_non_finite_float_rejected(self, tmp_path, capsys, key, value):
+        """Float keys take finite numbers only: nan, inf and an overflowing
+        literal end in exit 2 before any training."""
+        cfg_path = write_config(tmp_path / "run.cfg")
+        code = cli.main(["train", "--config", cfg_path,
+                         "--out", str(tmp_path / "o"), f"--{key}", value])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: bad value for {key!r}: {value!r} is not a finite number\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_divergence_reported(self, tmp_path, capsys):
+        """A run whose loss overflows ends in one error line and exit 2."""
+        cfg_path = write_config(tmp_path / "run.cfg", epochs=1)
+        code = cli.main(["train", "--config", cfg_path,
+                         "--out", str(tmp_path / "o"), "--scale", "1e308"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite loss at epoch 0 step 0; ")
+        assert err.count("\n") == 1
+
     def test_missing_config_file(self, tmp_path, capsys):
         """A nonexistent config path is reported, not raised."""
         code = cli.main(["train", "--config", str(tmp_path / "nope.cfg"),
@@ -555,6 +585,22 @@ class TestVerifyCommand:
         assert capsys.readouterr().err.startswith(
             f"error: {config}:{lineno}: non-ASCII byte 0xe9")
 
+    def test_repeated_manifest_name_rejected(self, trained, tmp_path, capsys):
+        """A manifest naming a parameter twice ends in exit 2 naming both
+        lines, not a load of the later file in the earlier one's place."""
+        _, out = trained
+        ckpt = tmp_path / "checkpoint"
+        shutil.copytree(out / "checkpoint", ckpt)
+        manifest = ckpt / "manifest.txt"
+        first = manifest.read_text().splitlines().index("s0b0/k3=s0b0_k3.msct")
+        with open(manifest, "a") as fh:
+            fh.write("s0b0/k3=s0b0_k5.msct\n")
+        lineno = manifest.read_text().count("\n")
+        assert cli.main(["verify", "--checkpoint", str(ckpt)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {manifest}:{lineno}: 's0b0/k3' is already listed on line "
+            f"{first + 1}\n")
+
     def test_extra_arguments_rejected(self, trained, capsys):
         """verify takes no config overrides."""
         _, out = trained
@@ -635,8 +681,19 @@ class TestAblateCommand:
                        .splitlines()) == 1
             _, kind_cfg = load_checkpoint(out / kind)
             assert kind_cfg == replace(run_cfg, fusion=FusionKind(kind))
-            assert all(s.kind is FusionKind(kind)
-                       for s in kind_cfg.model.stages)
+            assert kind_cfg.model.fusion is FusionKind(kind)
+
+    def test_divergence_reported(self, tmp_path, capsys):
+        """A kind whose loss overflows ends the sweep in one error line and
+        exit 2."""
+        cfg_path = write_config(tmp_path / "run.cfg", epochs=1)
+        code = cli.main(["ablate", "--config", cfg_path,
+                         "--out", str(tmp_path / "o"), "--kinds", "msconv",
+                         "--weight_decay", "1e300"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite loss at epoch ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("kinds", ["msconv,msconv", "no_mo,msconv_sum"])
     def test_repeated_kind_rejected(self, tmp_path, capsys, kinds):

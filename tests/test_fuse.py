@@ -61,8 +61,8 @@ class TestForwardBytes:
     def test_embed_matches_separate_ops(self, kind):
         """A projected and an identity shortcut, over three chunks."""
         cfg = TinyNetConfig(in_channels=2, stem_channels=8,
-                            stages=(StageSpec(2, 16, 2, kind),), embed_dim=8,
-                            min_width=2)
+                            stages=(StageSpec(2, 16, 2),), embed_dim=8,
+                            min_width=2, fusion=kind)
         params = init_params(cfg, seed=3)
         x = rand((70, 16, 16, 2), 4)
         assert -(-70 // T._chunk_step(70, 8 * 8 * 16 * 8)) == 3
@@ -127,8 +127,8 @@ class TestStepGradients:
         """Without a projection the fused vjp forms each gradient with the
         separate ops' expressions and sums, in their order."""
         cfg = TinyNetConfig(in_channels=2, stem_channels=4,
-                            stages=(StageSpec(2, 4, 1, kind),), embed_dim=5,
-                            min_width=2)
+                            stages=(StageSpec(2, 4, 1),), embed_dim=5,
+                            min_width=2, fusion=kind)
         got = step_gradients(tinynet_forward, cfg, 12)
         want = step_gradients(unfused_net_forward, cfg, 12)
         for name in want:
@@ -150,8 +150,8 @@ class TestStepGradients:
         sizeable fraction of that magnitude.
         """
         cfg = TinyNetConfig(in_channels=2, stem_channels=3,
-                            stages=(StageSpec(2, 4, 2, kind),), embed_dim=5,
-                            min_width=2)
+                            stages=(StageSpec(2, 4, 2),), embed_dim=5,
+                            min_width=2, fusion=kind)
         got = step_gradients(tinynet_forward, cfg, seed)
         want = step_gradients(unfused_net_forward, cfg, seed)
         for name in want:

@@ -178,8 +178,10 @@ class TestLayout:
     def test_with_fusion_rewrites_every_stage(self):
         cfg = small_config(stages=(StageSpec(1, 4, 2), StageSpec(1, 4, 1)))
         swapped = cfg.with_fusion(FusionKind.NO_SO)
-        assert all(s.kind is FusionKind.NO_SO for s in swapped.stages)
-        assert cfg.stages[0].kind is FusionKind.MSCONV
+        assert swapped == small_config(stages=cfg.stages,
+                                       fusion=FusionKind.NO_SO)
+        assert [k for *_, k in swapped.block_layout()] == [FusionKind.NO_SO] * 2
+        assert cfg.fusion is FusionKind.MSCONV
 
     def test_projection_only_when_shape_changes(self):
         cfg = small_config(stages=(StageSpec(2, 3, 1),))
@@ -210,11 +212,13 @@ class TestLayout:
 
 
 class TestCostModel:
-    def test_network_flops_match_instrumented_counter(self):
+    @pytest.mark.parametrize(
+        "kind", [FusionKind.MSCONV, FusionKind.SKCONV_REFERENCE],
+        ids=lambda k: k.value)
+    def test_network_flops_match_instrumented_counter(self, kind):
         """Every cost row equals a scalar-loop count of the whole backbone."""
-        cfg = small_config(stages=(
-            StageSpec(1, 3, 1, FusionKind.MSCONV),
-            StageSpec(1, 4, 2, FusionKind.SKCONV_REFERENCE)))
+        cfg = small_config(stages=(StageSpec(1, 3, 1), StageSpec(1, 4, 2)),
+                           fusion=kind)
         params = init_params(cfg, seed=12)
         x = rand((6, 6, 2), 13)
         blocks = []
@@ -261,11 +265,11 @@ def tiny_net_configs(draw):
 
     return TinyNetConfig(
         in_channels=ints(1, 4), stem_channels=ints(1, 12),
-        stages=tuple(StageSpec(ints(1, 2), ints(1, 12), ints(1, 2),
-                               draw(st.sampled_from(FusionKind)))
+        stages=tuple(StageSpec(ints(1, 2), ints(1, 12), ints(1, 2))
                      for _ in range(ints(1, 3))),
         embed_dim=ints(1, 8), dilations=(ints(1, 3), ints(1, 3)),
-        reduction=ints(1, 8), min_width=ints(1, 6))
+        reduction=ints(1, 8), min_width=ints(1, 6),
+        fusion=draw(st.sampled_from(FusionKind)))
 
 
 class TestParamShapes:

@@ -149,6 +149,15 @@ class TestFiles:
         with pytest.raises(msct.FormatError):
             msct.read_manifest(p)
 
+    def test_manifest_repeated_name(self, tmp_path):
+        """A name listed twice is a FormatError naming both lines, not a
+        silent load of the later file."""
+        p = tmp_path / "manifest.txt"
+        p.write_text("a=a.msct\nb=b.msct\n\na=b.msct\n")
+        with pytest.raises(msct.FormatError, match=re.escape(
+                f"{p}:4: 'a' is already listed on line 1")):
+            msct.read_manifest(p)
+
     def test_manifest_non_ascii_byte(self, tmp_path):
         """A byte outside ASCII is a FormatError naming path:line, not a
         UnicodeDecodeError."""

@@ -226,10 +226,10 @@ class TestRunConfig:
         cfg = RunConfig(model=model, fusion=FusionKind.NO_SO)
         assert [k for *_, k in cfg.model.block_layout()] == \
             [FusionKind.NO_SO] * 3
-        assert all(s.kind is FusionKind.SKCONV_REFERENCE for s in replace(
-            cfg, fusion=FusionKind.SKCONV_REFERENCE).model.stages)
+        assert replace(cfg, fusion=FusionKind.SKCONV_REFERENCE).model.fusion \
+            is FusionKind.SKCONV_REFERENCE
         assert RunConfig(model=model) == RunConfig(
-            model=model.with_fusion(FusionKind.NO_SO))
+            model=replace(model, fusion=FusionKind.NO_SO))
 
 
 class TestTrainLoop:
@@ -395,13 +395,13 @@ class TestEmbedDataset:
 
     @pytest.mark.parametrize("count,size", [(33, 32), (70, 64)])
     def test_bytes_match_fresh_workspaces(self, count, size):
-        """33 images at batch 32 run as one batch, the one-image tail folded
-        in; 70 images of 64x64 make three batches of several chunks each."""
+        """33 images at batch 32 run as batches of 17 and 16; 70 images of
+        64x64 make three batches of several chunks each."""
         cfg = TinyNetConfig()
         params = init_params(cfg, seed=21)
         images = np.random.default_rng(count).uniform(
             -1.0, 1.0, (count, size, size, 3))
-        bounds = {33: (0, 33), 70: (0, 32, 64, 70)}[count]
+        bounds = {33: (0, 17, 33), 70: (0, 24, 47, 70)}[count]
         fresh = np.concatenate([tinynet_embed(images[a:b], params, cfg)
                                 for a, b in zip(bounds, bounds[1:])])
         got = embed_dataset(params, cfg, images, 32)
@@ -418,25 +418,34 @@ class TestEmbedDataset:
         got = embed_dataset(params, cfg, images, 32)
         assert got.tobytes() == one_shot_embed(images, params, cfg).tobytes()
 
+    def test_batch_of_one_matches_one_pass(self):
+        """Batch size 1 still runs no one-image batch: batches of two, and
+        one of three for an odd count."""
+        cfg = TinyNetConfig()
+        params = init_params(cfg, seed=24)
+        images = np.random.default_rng(7).uniform(-1.0, 1.0, (7, 32, 32, 3))
+        got = embed_dataset(params, cfg, images, 1)
+        assert got.tobytes() == one_shot_embed(images, params, cfg).tobytes()
+
     def test_workspace_stops_growing_after_first_batch(self, monkeypatch):
         train_module = sys.modules["msconv.train"]
         seen = []
 
         def spy(x, params, cfg, workspace=None):
             out = tinynet_embed(x, params, cfg, workspace)
-            seen.append((workspace, list(workspace)))
+            seen.append((len(x), workspace, list(workspace)))
             return out
 
         monkeypatch.setattr(train_module, "tinynet_embed", spy)
         cfg = TinyNetConfig()
         images = np.random.default_rng(3).uniform(-1.0, 1.0, (65, 32, 32, 3))
         embed_dataset(init_params(cfg, seed=22), cfg, images, 32)
-        # 32 images, then 33: the one-image tail joins the last batch
-        assert [len(buffers) for _, buffers in seen] == [5, 5]
-        workspace, first = seen[0]
+        # near-equal batches, largest first
+        assert [count for count, _, _ in seen] == [22, 22, 21]
+        _, workspace, first = seen[0]
         # stem, both branches, the projection and the fused output
         assert len(first) == 5
-        for ws, buffers in seen[1:]:
+        for _, ws, buffers in seen[1:]:
             assert ws is workspace
             assert all(a is b for a, b in zip(buffers, first, strict=True))
 
