@@ -329,7 +329,9 @@ def main(argv=None) -> int:
         # only a command that reads a config takes `--key value` overrides
         if extra and not hasattr(args, "config"):
             raise ConfigError(f"unrecognized arguments: {extra}")
-        return _HANDLERS[args.command](args, extra)
+        # a diverging run ends in its error line, not in numpy warnings
+        with np.errstate(all="ignore"):
+            return _HANDLERS[args.command](args, extra)
     except (ConfigError, msct.FormatError, OSError, ValueError,
             TrainingDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -164,22 +164,19 @@ def cost_rows(cfg: TinyNetConfig, height: int, width: int,
 
 
 def tinynet_embed(x: T.Tensor4, params: dict[str, np.ndarray],
-                  cfg: TinyNetConfig,
-                  workspace: list[np.ndarray] | None = None) -> T.ChannelVec:
+                  cfg: TinyNetConfig, batch_size: int | None = None,
+                  ) -> T.ChannelVec:
     """Pure embedding extraction, run depth-first in cache-sized chunks.
 
-    The whole network runs on one chunk of images before the next
-    (``T._depth_chunks``, sized by one image's largest activation).  Each
-    chunk gets a fresh constant tape that records nothing; all of them share
-    one workspace, so every chunk writes its activations into the buffers
-    the first, largest chunk allocated.  Every op is row-independent for
-    batches of two or more images, and no chunk holds one image unless
-    ``x`` does, so the bits equal one pass over the whole of ``x``.
-
-    ``workspace`` is that list of buffers (see ``autograd.Tape``), empty at
-    first; a caller embedding several batches hands every call the same
-    list, so later calls reuse the first call's memory.  Left out, each call
-    starts a fresh one.  The returned embeddings never alias it.
+    ``x`` splits once, by ``T.even_chunks`` at as many images as fit
+    ``T._DEPTH_BYTES`` of one image's largest activation, and at no more
+    than ``batch_size`` when given, and the whole network runs on one chunk
+    before the next.  Each chunk gets a fresh constant tape that records
+    nothing; all share one workspace (see ``autograd.Tape``), the buffers
+    the first, largest chunk allocated, which the returned embeddings never
+    alias.  Every op is row-independent for two or more images, and no
+    chunk holds one image unless ``x`` does, so the bits equal one pass
+    over the whole of ``x``.
     """
     x = T.check_tensor4(x, "input")
     n, h, w, _ = x.shape
@@ -188,10 +185,11 @@ def tinynet_embed(x: T.Tensor4, params: dict[str, np.ndarray],
         h, w = T.conv_out_len(h, stride), T.conv_out_len(w, stride)
         elems = max(elems, h * w * c_out)
     itemsize = np.result_type(x, params["stem"]).itemsize
-    if workspace is None:
-        workspace = []
+    step = min(T._DEPTH_BYTES // (elems * itemsize),
+               n if batch_size is None else batch_size)
+    workspace: list[np.ndarray] = []
     parts = []
-    for rows in T._depth_chunks(n, elems * itemsize):
+    for rows in T.even_chunks(n, step):
         tape = Tape(workspace)
         consts = {k: tape.constant(v) for k, v in params.items()}
         parts.append(tinynet_forward(tape, tape.constant(x[rows]), consts,

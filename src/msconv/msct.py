@@ -58,12 +58,19 @@ def tensor_from_bytes(blob: bytes) -> np.ndarray:
     if len(blob) != expected:
         raise FormatError(f"payload length {len(blob)} != expected {expected}")
     data = np.frombuffer(blob, dtype="<f4", offset=body, count=count)
-    return data.reshape(dims).copy()
+    try:
+        return data.reshape(dims).copy()
+    except ValueError:  # more dimensions than numpy holds
+        raise FormatError(f"rank {rank} exceeds numpy's limit") from None
 
 
 def read_tensor(path: str | os.PathLike) -> np.ndarray:
+    """``tensor_from_bytes`` of a file; its FormatError names ``path``."""
     with open(path, "rb") as f:
-        return tensor_from_bytes(f.read())
+        try:
+            return tensor_from_bytes(f.read())
+        except FormatError as exc:
+            raise FormatError(f"{path}: {exc}") from None
 
 
 def write_manifest(path: str | os.PathLike, entries: dict[str, str]) -> None:

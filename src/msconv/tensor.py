@@ -17,13 +17,13 @@ moved to chunks (its weight gradient now sums per chunk); the forward's
 bits did not.  ``conv2d_raw`` writes into a caller's ``out`` buffer when
 given one, so an inference pass can reuse its activation memory.
 
-Inference runs depth-first on top of that: ``_depth_chunks`` splits a batch
-by ``even_chunks`` (``train.embed_dataset``'s batch rule too) into chunks
-of as many images as fit ``_DEPTH_BYTES`` (2 MiB, the L2 size) of one
-image's largest activation, and ``model.tinynet_embed`` runs the whole
-network on one chunk before the next.  Split two or more images, no chunk
-holds one: a one-row GEMM takes OpenBLAS's gemv path, whose bits differ;
-with more rows every op here is row-independent, so the split changes no bit.
+Inference runs depth-first on top of that: ``model.tinynet_embed`` splits
+an image set once, by ``even_chunks``, into chunks of as many images as fit
+``_DEPTH_BYTES`` (2 MiB, the L2 size) of one image's largest activation
+(fewer when its caller caps the batch size), and runs the whole network on
+one chunk before the next.  Split two or more images, no chunk holds one: a
+one-row GEMM takes OpenBLAS's gemv path, whose bits differ; with more rows
+every op here is row-independent, so the split changes no bit.
 
 Precision follows the inputs.  The library feeds float64 everywhere: the
 synthetic data and the parameter initialisation are float64, so training,
@@ -134,12 +134,6 @@ def even_chunks(n: int, step: int) -> list[slice]:
     size, extra = divmod(n, count)
     ends = [k * size + min(k, extra) for k in range(count + 1)]
     return [slice(a, b) for a, b in zip(ends, ends[1:])]
-
-
-def _depth_chunks(n: int, image_bytes: int) -> list[slice]:
-    """``even_chunks`` at as many images as fit ``_DEPTH_BYTES`` of
-    ``image_bytes``, one image's largest activation."""
-    return even_chunks(n, _DEPTH_BYTES // image_bytes)
 
 
 def _tap_slices(kh: int, kw: int, dilation: int, stride: int, oh: int, ow: int):

@@ -21,7 +21,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from . import msct, tensor as T
+from . import msct
 from .block import FusionKind, param_rng
 from .data import LabeledImages, SyntheticSpec, gen_synthetic, make_pairs
 from .metrics import VerificationSet, pair_accuracy, pair_scores, tar_at_far
@@ -163,16 +163,10 @@ def full_init(cfg: RunConfig) -> dict[str, np.ndarray]:
 
 def embed_dataset(params: dict[str, np.ndarray], model_cfg: TinyNetConfig,
                   images: np.ndarray, batch_size: int) -> np.ndarray:
-    """Embeddings for every image in ``T.even_chunks`` batches.
-
-    All batches run through one activation workspace (see
-    ``tinynet_embed``), so a pass faults in its buffers once, not per batch.
-    """
+    """Embeddings for every image: one ``tinynet_embed`` pass over the set,
+    no more than ``batch_size`` images through the network at once."""
     net_params = {k: v for k, v in params.items() if k != "centers"}
-    workspace: list[np.ndarray] = []
-    chunks = [tinynet_embed(images[rows], net_params, model_cfg, workspace)
-              for rows in T.even_chunks(images.shape[0], batch_size)]
-    return np.concatenate(chunks, axis=0)
+    return tinynet_embed(images, net_params, model_cfg, batch_size)
 
 
 def train_accuracy(params: dict[str, np.ndarray], model_cfg: TinyNetConfig,
@@ -560,8 +554,8 @@ def save_checkpoint(directory, params: dict[str, np.ndarray],
 def load_checkpoint(directory) -> tuple[dict[str, np.ndarray], RunConfig]:
     """Tensors and config of a checkpoint directory.
 
-    Raises msct.FormatError naming the first parameter whose presence or
-    shape differs from what the config's model needs.
+    Raises msct.FormatError naming the first parameter that is missing,
+    extra, misshapen or non-finite for the config's model.
     """
     params = msct.load_tensors(directory)
     cfg = build_config(read_kv_file(os.path.join(directory, "config.txt")))
@@ -573,4 +567,7 @@ def load_checkpoint(directory) -> tuple[dict[str, np.ndarray], RunConfig]:
         if got != want:
             raise msct.FormatError(f"checkpoint parameter {name!r}: the files "
                                    f"hold {got}, the config needs {want}")
+        if not np.isfinite(params[name]).all():
+            raise msct.FormatError(f"checkpoint parameter {name!r} holds "
+                                   "non-finite values")
     return params, cfg

@@ -10,6 +10,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -203,12 +204,15 @@ class TestTrainCommand:
     def test_divergence_reported(self, tmp_path, capsys):
         """A run whose loss overflows ends in one error line and exit 2."""
         cfg_path = write_config(tmp_path / "run.cfg", epochs=1)
-        code = cli.main(["train", "--config", cfg_path,
-                         "--out", str(tmp_path / "o"), "--scale", "1e308"])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["train", "--config", cfg_path,
+                             "--out", str(tmp_path / "o"), "--scale", "1e308"])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: non-finite loss at epoch 0 step 0; ")
         assert err.count("\n") == 1
+        assert [str(w.message) for w in caught] == []
 
     def test_missing_config_file(self, tmp_path, capsys):
         """A nonexistent config path is reported, not raised."""
@@ -459,7 +463,32 @@ class TestVerifyCommand:
             b"MSCT" + struct.pack("<4I", 3, 0, 2**32 - 1, 2**32 - 1))
         assert cli.main(["verify", "--checkpoint", str(ckpt)]) == 2
         assert capsys.readouterr().err.startswith(
-            "error: dimensions (0, 4294967295, 4294967295) exceed")
+            f"error: {ckpt / filename}: dimensions (0, 4294967295, 4294967295) "
+            "exceed")
+
+    @pytest.mark.parametrize("command", ["verify", "viz"])
+    def test_checkpoint_non_finite_value_rejected(self, trained, tmp_path,
+                                                  capsys, command):
+        """One NaN in the stem ends in exit 2 and one error line naming the
+        parameter, before any image is embedded."""
+        _, out = trained
+        ckpt = tmp_path / "checkpoint"
+        shutil.copytree(out / "checkpoint", ckpt)
+        filename = msct.read_manifest(ckpt / "manifest.txt")["stem"]
+        stem = msct.read_tensor(ckpt / filename)
+        stem[1, 1, 0, 0] = np.nan
+        msct.write_tensor(ckpt / filename, stem)
+        img_path = tmp_path / "img.msct"
+        msct.write_tensor(img_path, np.zeros((8, 8, 2)))
+        argv = {"verify": ["verify", "--checkpoint", str(ckpt)],
+                "viz": ["viz", "--checkpoint", str(ckpt), "--image",
+                        str(img_path), "--out", str(tmp_path / "maps")]}
+        assert cli.main(argv[command]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: checkpoint parameter 'stem' holds "
+                                "non-finite values\n")
+        assert captured.out == ""
+        assert not (tmp_path / "maps").exists()
 
     def test_non_ascii_manifest_rejected(self, trained, tmp_path, capsys):
         _, out = trained
@@ -687,13 +716,16 @@ class TestAblateCommand:
         """A kind whose loss overflows ends the sweep in one error line and
         exit 2."""
         cfg_path = write_config(tmp_path / "run.cfg", epochs=1)
-        code = cli.main(["ablate", "--config", cfg_path,
-                         "--out", str(tmp_path / "o"), "--kinds", "msconv",
-                         "--weight_decay", "1e300"])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["ablate", "--config", cfg_path,
+                             "--out", str(tmp_path / "o"), "--kinds", "msconv",
+                             "--weight_decay", "1e300"])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: non-finite loss at epoch ")
         assert err.count("\n") == 1
+        assert [str(w.message) for w in caught] == []
 
     @pytest.mark.parametrize("kinds", ["msconv,msconv", "no_mo,msconv_sum"])
     def test_repeated_kind_rejected(self, tmp_path, capsys, kinds):

@@ -97,7 +97,8 @@ class TestSyntheticData:
             LabeledImages(np.zeros((2, 4, 4, 1)), np.zeros(3, dtype=np.int64))
 
 
-DATASET_DEFECTS = ("no images", "unequal shapes", "rank 2", "non-finite")
+DATASET_DEFECTS = ("no images", "unequal shapes", "rank 2", "non-finite",
+                   "truncated")
 
 
 def corrupt_dataset(directory, defect):
@@ -118,6 +119,11 @@ def corrupt_dataset(directory, defect):
         for path in paths:
             msct.write_tensor(path, msct.read_tensor(path)[..., 0])
         return paths[0], f"shape {first.shape[:2]} is not a non-empty"
+    if defect == "truncated":
+        # keep the header (magic, rank and three dimensions), drop the values
+        with open(paths[1], "r+b") as f:
+            f.truncate(20)
+        return paths[1], f"payload length 20 != expected {20 + 4 * first.size}"
     bad = msct.read_tensor(paths[2])
     bad[1, 1, 0] = np.nan
     msct.write_tensor(paths[2], bad)

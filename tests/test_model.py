@@ -155,11 +155,46 @@ class TestDepthFirstEmbed:
         monkeypatch.setattr(model, "Tape", SpyTape)
         cfg = TinyNetConfig()
         tinynet_embed(rand((33, 32, 32, 3), 15), init_params(cfg, 16), cfg)
-        assert len(tapes) == len(T._depth_chunks(33, 32 * 32 * 16 * 8)) == 3
+        assert len(tapes) == len(
+            T.even_chunks(33, T._DEPTH_BYTES // (32 * 32 * 16 * 8))) == 3
         assert all(t._workspace is tapes[0]._workspace for t in tapes)
         # stem, both branches, the projection and the fused output
         assert len(tapes[0]._workspace) == 5
         assert all(t._records == [] for t in tapes)
+
+    @staticmethod
+    def chunk_sizes(monkeypatch, n, size, batch_size=None):
+        """Images per network pass when tinynet_embed runs ``n`` desk
+        images of ``size`` x ``size``."""
+        from msconv import model
+        sizes = []
+
+        def spy(tape, x, params, cfg):
+            sizes.append(x.value.shape[0])
+            return tinynet_forward(tape, x, params, cfg)
+
+        monkeypatch.setattr(model, "tinynet_forward", spy)
+        cfg = TinyNetConfig()
+        tinynet_embed(np.zeros((n, size, size, 3)), init_params(cfg, 17), cfg,
+                      batch_size)
+        return sizes
+
+    @pytest.mark.parametrize("size,images", [(64, 4), (32, 16)])
+    def test_desk_stem_chunk_sizes(self, monkeypatch, size, images):
+        """The desk stem (16 float64 channels) fills 2 MiB at 4 images of
+        64x64 and 16 of 32x32; a batch size of 32 does not raise that."""
+        sizes = self.chunk_sizes(monkeypatch, 32, size, batch_size=32)
+        assert sizes == [images] * (32 // images)
+
+    def test_batch_past_one_step_splits(self, monkeypatch):
+        """20 images at 32x32 (a step of 16) run as two chunks of 10, not
+        as one chunk larger than the step."""
+        assert self.chunk_sizes(monkeypatch, 20, 32) == [10, 10]
+
+    def test_batch_size_caps_chunks(self, monkeypatch):
+        """A batch size below the depth step splits by the batch size."""
+        assert self.chunk_sizes(monkeypatch, 33, 32, batch_size=8) == \
+            [7, 7, 7, 6, 6]
 
 
 class TestLayout:

@@ -1,10 +1,14 @@
 """Tensor container format tests: header layout, round trips, validation."""
 
+import math
+import os
 import re
 import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from msconv import msct
 
@@ -107,6 +111,20 @@ class TestValidation:
         raw = b"MSCT" + struct.pack("<I", 3) + struct.pack("<3I", 0, 2**30, 2**30)
         assert msct.tensor_from_bytes(raw).shape == (0, 2**30, 2**30)
 
+    @pytest.mark.parametrize("rank", [65, 200])
+    def test_rank_past_numpy_rejected(self, rank):
+        """A header of more dimensions than numpy holds is a FormatError,
+        not numpy's ValueError."""
+        raw = (b"MSCT" + struct.pack("<I", rank)
+               + struct.pack(f"<{rank}I", *[1] * rank) + b"\x00" * 4)
+        with pytest.raises(msct.FormatError, match=f"rank {rank} "):
+            msct.tensor_from_bytes(raw)
+
+    def test_rank_numpy_holds_accepted(self):
+        raw = (b"MSCT" + struct.pack("<I", 32) + struct.pack("<32I", *[1] * 32)
+               + b"\x00" * 4)
+        assert msct.tensor_from_bytes(raw).shape == (1,) * 32
+
     def test_non_finite_roundtrips(self):
         """Serialization is storage, not policy: inf and nan survive."""
         x = np.array([np.inf, -np.inf, np.nan], dtype=np.float32)
@@ -121,6 +139,13 @@ class TestFiles:
         msct.write_tensor(p, x)
         np.testing.assert_array_equal(msct.read_tensor(p),
                                       x.astype(np.float32))
+
+    def test_read_error_names_the_file(self, tmp_path):
+        p = tmp_path / "t.msct"
+        p.write_bytes(msct.tensor_bytes(np.ones((2, 3)))[:-4])
+        with pytest.raises(msct.FormatError, match=re.escape(
+                f"{p}: payload length 36 != expected 40")):
+            msct.read_tensor(p)
 
     def test_save_load_named_set(self, tmp_path):
         tensors = {"stem/w": rand((3, 3, 2, 4), 2), "fc.b": rand((5,), 3)}
@@ -198,3 +223,93 @@ class TestFiles:
     def test_load_missing_manifest(self, tmp_path):
         with pytest.raises(OSError):
             msct.load_tensors(tmp_path / "nope")
+
+
+# -- mutated inputs -----------------------------------------------------------
+
+@st.composite
+def valid_blobs(draw):
+    """The bytes of a small float32 tensor of rank 1 to 4."""
+    shape = draw(st.lists(st.integers(0, 4), min_size=1, max_size=4))
+    values = np.arange(math.prod(shape), dtype=np.float32).reshape(shape)
+    return bytearray(msct.tensor_bytes(values))
+
+
+U32 = st.one_of(st.integers(0, 80), st.sampled_from([2**31, 2**32 - 1]),
+                st.integers(0, 2**32 - 1))
+
+
+@st.composite
+def mutated_blobs(draw):
+    """A valid blob truncated, bit-flipped, or with its rank or one
+    dimension replaced by any u32."""
+    blob = draw(valid_blobs())
+    how = draw(st.sampled_from(["truncate", "flip", "rank", "dimension"]))
+    if how == "truncate":
+        return bytes(blob[:draw(st.integers(0, len(blob) - 1))])
+    if how == "flip":
+        for bit in draw(st.lists(st.integers(0, 8 * len(blob) - 1),
+                                 min_size=1, max_size=8)):
+            blob[bit // 8] ^= 1 << bit % 8
+    elif how == "rank":
+        blob[4:8] = struct.pack("<I", draw(U32))
+    else:
+        (rank,) = struct.unpack_from("<I", blob, 4)
+        k = draw(st.integers(0, rank - 1))
+        blob[8 + 4 * k:12 + 4 * k] = struct.pack("<I", draw(U32))
+    return bytes(blob)
+
+
+MANIFEST_LINES = ["stem=stem.msct", "s0b0/w1=s0b0_w1.msct",
+                  "w_embed=w_embed.msct", "b_embed=b_embed.msct"]
+
+
+@st.composite
+def mutated_manifests(draw):
+    """A valid manifest with lines deleted, repeated, moved or replaced by
+    arbitrary bytes."""
+    lines = [line.encode() for line in MANIFEST_LINES]
+    for _ in range(draw(st.integers(1, 4))):
+        how = draw(st.sampled_from(["delete", "repeat", "move", "replace"]))
+        k = draw(st.integers(0, len(lines) - 1)) if lines else None
+        if k is None:
+            lines.append(draw(st.binary(max_size=24)).replace(b"\n", b""))
+        elif how == "delete":
+            del lines[k]
+        elif how == "repeat":
+            lines.insert(k, lines[k])
+        elif how == "move":
+            lines.insert(draw(st.integers(0, len(lines) - 1)), lines.pop(k))
+        else:
+            lines[k] = draw(st.one_of(
+                st.binary(max_size=24),
+                st.text("ab=/._\\ \t\r\x00\xe9", max_size=24).map(
+                    lambda t: t.encode("latin-1")))).replace(b"\n", b"")
+    return b"".join(line + b"\n" for line in lines)
+
+
+class TestMutatedInputs:
+    """Every mutation of a valid input returns a value or raises
+    FormatError, and nothing else."""
+
+    @given(blob=mutated_blobs())
+    def test_tensor_from_bytes(self, blob):
+        try:
+            got = msct.tensor_from_bytes(blob)
+        except msct.FormatError:
+            return
+        assert got.dtype == np.float32
+        assert len(blob) == 8 + 4 * got.ndim + 4 * got.size
+
+    @given(text=mutated_manifests())
+    def test_read_manifest(self, text):
+        with tempfile.TemporaryDirectory() as root:
+            path = os.path.join(root, "manifest.txt")
+            with open(path, "wb") as f:
+                f.write(text)
+            try:
+                entries = msct.read_manifest(path)
+            except msct.FormatError:
+                return
+        for filename in entries.values():
+            assert msct.check_plain_name(filename, path) == filename

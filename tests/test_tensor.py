@@ -349,33 +349,20 @@ class TestConvKernelBytes:
                 T.conv2d_raw(x, w, out=out)
 
 
-class TestDepthChunks:
+class TestEvenChunks:
     @settings(max_examples=300, deadline=None)
-    @given(n=st.integers(1, 2000), image_bytes=st.integers(1, 1 << 26))
-    def test_chunks_cover_in_order_largest_first(self, n, image_bytes):
+    @given(n=st.integers(1, 2000), step=st.integers(0, 3000))
+    def test_chunks_cover_in_order_largest_first(self, n, step):
         """Contiguous chunks over [0, n), sizes near-equal and falling, none
         over the step and none of one image once there are two."""
-        chunks = T._depth_chunks(n, image_bytes)
+        chunks = T.even_chunks(n, step)
         assert chunks[0].start == 0 and chunks[-1].stop == n
         assert all(a.stop == b.start for a, b in zip(chunks, chunks[1:]))
         sizes = [c.stop - c.start for c in chunks]
         assert sizes == sorted(sizes, reverse=True)
         assert sizes[0] - sizes[-1] <= 1
         assert n < 2 or min(sizes) >= 2
-        step = max(2, T._DEPTH_BYTES // image_bytes)
+        step = max(2, step)
         assert len(chunks) == max(1, min(-(-n // step), n // 2))
         # no chunk outgrows the step, but for odd n at step 2 one holds 3
         assert sizes[0] <= step or (step == 2 and sizes[0] == 3)
-
-    @pytest.mark.parametrize("size,images", [(64, 4), (32, 16)])
-    def test_desk_stem_chunk_sizes(self, size, images):
-        """The desk stem (16 float64 channels) fills 2 MiB at 4 images of
-        64x64 and 16 of 32x32."""
-        chunks = T._depth_chunks(32, size * size * 16 * 8)
-        assert [c.stop - c.start for c in chunks] == [images] * (32 // images)
-
-    def test_batch_past_one_step_splits(self):
-        """The desk's last batch of 20 images at 32x32 (a step of 16) runs
-        as two chunks of 10, not as one chunk larger than the step."""
-        chunks = T._depth_chunks(20, 32 * 32 * 16 * 8)
-        assert [c.stop - c.start for c in chunks] == [10, 10]

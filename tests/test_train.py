@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
-from msconv import msct
+from msconv import msct, tensor as T
 from msconv.autograd import Tape
 from msconv.block import FusionKind
 from msconv.data import SyntheticSpec, gen_synthetic
@@ -391,12 +391,12 @@ class TestBlockedScoring:
 
 
 class TestEmbedDataset:
-    """embed_dataset hands every batch one activation workspace."""
+    """embed_dataset embeds a set in one tinynet_embed call."""
 
     @pytest.mark.parametrize("count,size", [(33, 32), (70, 64)])
     def test_bytes_match_fresh_workspaces(self, count, size):
-        """33 images at batch 32 run as batches of 17 and 16; 70 images of
-        64x64 make three batches of several chunks each."""
+        """The bits of embedding the set in separate calls, each with a
+        fresh workspace, at uneven bounds."""
         cfg = TinyNetConfig()
         params = init_params(cfg, seed=21)
         images = np.random.default_rng(count).uniform(
@@ -427,25 +427,37 @@ class TestEmbedDataset:
         got = embed_dataset(params, cfg, images, 1)
         assert got.tobytes() == one_shot_embed(images, params, cfg).tobytes()
 
-    def test_workspace_stops_growing_after_first_batch(self, monkeypatch):
+    def test_one_embed_call_per_set(self, monkeypatch):
+        """A set is one tinynet_embed call: its chunks run on tapes that
+        share one workspace, which stops growing after the first chunk."""
+        from msconv import model
         train_module = sys.modules["msconv.train"]
+        calls = []
+
+        def spy(x, params, cfg, batch_size=None):
+            calls.append((len(x), batch_size))
+            return tinynet_embed(x, params, cfg, batch_size)
+
         seen = []
 
-        def spy(x, params, cfg, workspace=None):
-            out = tinynet_embed(x, params, cfg, workspace)
-            seen.append((len(x), workspace, list(workspace)))
-            return out
+        class SpyTape(Tape):
+            def __init__(self, workspace=None):
+                super().__init__(workspace)
+                seen.append((workspace, list(workspace)))
 
         monkeypatch.setattr(train_module, "tinynet_embed", spy)
+        monkeypatch.setattr(model, "Tape", SpyTape)
         cfg = TinyNetConfig()
         images = np.random.default_rng(3).uniform(-1.0, 1.0, (65, 32, 32, 3))
         embed_dataset(init_params(cfg, seed=22), cfg, images, 32)
-        # near-equal batches, largest first
-        assert [count for count, _, _ in seen] == [22, 22, 21]
-        _, workspace, first = seen[0]
+        assert calls == [(65, 32)]
+        # near-equal chunks at the 16-image depth step, largest first
+        assert len(seen) == len(T.even_chunks(65, 16)) == 5
+        workspace, _ = seen[0]
+        first = seen[1][1]
         # stem, both branches, the projection and the fused output
         assert len(first) == 5
-        for _, ws, buffers in seen[1:]:
+        for ws, buffers in seen[1:]:
             assert ws is workspace
             assert all(a is b for a, b in zip(buffers, first, strict=True))
 
