@@ -23,11 +23,13 @@ The convolution and the block's fused op take their output arrays from
 ``Tape.empty``.  A tape built with a ``workspace`` (a list of arrays, empty
 at first) hands out the workspace's buffers in allocation order instead of
 fresh arrays, so a sequence of forward passes over batches no larger than
-the first, run through one fresh tape each, reuses the first pass's memory.  A value taken from the
-workspace stays valid only until the next tape sharing the workspace
-allocates; callers keep only values computed outside it (the embedding
-head's outputs are fresh arrays).  Such a tape refuses leaves, so it never
-records an op that could save a buffer for a backward pass.
+the first, run through one fresh tape each, reuses the first pass's memory.
+A value taken from the workspace stays valid only until the next tape
+sharing the workspace allocates; callers keep only values computed outside
+it (the embedding head's outputs are fresh arrays).  A workspace serves one
+thread at a time: ``model.tinynet_embed`` gives each of its workers its own.
+Such a tape refuses leaves, so it never records an op that could save a
+buffer for a backward pass.
 
 ``backward`` frees each recorded op's output gradient once the record that
 produced the value has used it, so only leaf gradients live to the end: the

@@ -9,7 +9,11 @@ operate on cosine logits between embeddings and class-center rows.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -163,20 +167,61 @@ def cost_rows(cfg: TinyNetConfig, height: int, width: int,
     return rows
 
 
+def _cores() -> int:
+    """CPUs this process may run on, read afresh on every call."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# tinynet_embed's helper threads: one pool per process, made on first use,
+# remade larger when a call needs more helpers and dropped in a forked child,
+# whose copy of the pool has no threads behind it.  A dropped pool's idle
+# threads exit once nothing refers to it.
+_helpers: tuple[int, ThreadPoolExecutor] | None = None
+_helpers_lock = threading.Lock()
+
+
+def _helper_pool(count: int) -> ThreadPoolExecutor:
+    global _helpers
+    with _helpers_lock:
+        if _helpers is None or _helpers[0] < count:
+            _helpers = (count, ThreadPoolExecutor(
+                count, thread_name_prefix="msconv-embed"))
+        return _helpers[1]
+
+
+def _forget_helpers() -> None:
+    global _helpers, _helpers_lock
+    _helpers, _helpers_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helpers)
+
+
 def tinynet_embed(x: T.Tensor4, params: dict[str, np.ndarray],
                   cfg: TinyNetConfig, batch_size: int | None = None,
                   ) -> T.ChannelVec:
-    """Pure embedding extraction, run depth-first in cache-sized chunks.
+    """Pure embedding extraction, run depth-first in cache-sized chunks on
+    every core.
 
     ``x`` splits once, by ``T.even_chunks`` at as many images as fit
     ``T._DEPTH_BYTES`` of one image's largest activation, and at no more
     than ``batch_size`` when given, and the whole network runs on one chunk
-    before the next.  Each chunk gets a fresh constant tape that records
-    nothing; all share one workspace (see ``autograd.Tape``), the buffers
-    the first, largest chunk allocated, which the returned embeddings never
-    alias.  Every op is row-independent for two or more images, and no
-    chunk holds one image unless ``x`` does, so the bits equal one pass
-    over the whole of ``x``.
+    at a time.  The chunks go to ``min(cores, chunks)`` workers: the calling
+    thread and helpers from one long-lived pool, each taking the next chunk
+    in order and running it in a copy of the caller's context (its numpy
+    error state).  Each chunk gets a fresh constant tape that records
+    nothing; a worker's tapes share one workspace (see ``autograd.Tape``),
+    the buffers its first, largest chunk allocated, which the returned
+    embeddings never alias.  The call returns or raises once every worker
+    has stopped, raising the earliest failed chunk's exception.
+
+    The plan never depends on the core count and each chunk's bits depend
+    only on its images, so the bytes are the same on any number of cores:
+    those of one pass over each chunk in turn.  At the desk widths that is
+    one pass over the whole of ``x``; see the ``tensor`` module docstring.
     """
     x = T.check_tensor4(x, "input")
     n, h, w, _ = x.shape
@@ -187,13 +232,40 @@ def tinynet_embed(x: T.Tensor4, params: dict[str, np.ndarray],
     itemsize = np.result_type(x, params["stem"]).itemsize
     step = min(T._DEPTH_BYTES // (elems * itemsize),
                n if batch_size is None else batch_size)
-    workspace: list[np.ndarray] = []
-    parts = []
-    for rows in T.even_chunks(n, step):
-        tape = Tape(workspace)
-        consts = {k: tape.constant(v) for k, v in params.items()}
-        parts.append(tinynet_forward(tape, tape.constant(x[rows]), consts,
-                                     cfg).value)
+    chunks = T.even_chunks(n, step)
+    parts: list[np.ndarray | None] = [None] * len(chunks)
+    failed: dict[int, Exception] = {}
+    order, lock = iter(range(len(chunks))), threading.Lock()
+    stop = threading.Event()
+
+    def work():
+        workspace: list[np.ndarray] = []
+        while not stop.is_set():
+            with lock:
+                k = next(order, None)
+            if k is None:
+                return
+            try:
+                tape = Tape(workspace)
+                consts = {name: tape.constant(v) for name, v in params.items()}
+                parts[k] = tinynet_forward(tape, tape.constant(x[chunks[k]]),
+                                           consts, cfg).value
+            except Exception as exc:
+                failed[k] = exc
+                stop.set()
+
+    count = min(_cores(), len(chunks))
+    helpers = [_helper_pool(count - 1).submit(contextvars.copy_context().run,
+                                              work)
+               for _ in range(count - 1)]
+    try:
+        work()
+    finally:
+        stop.set()
+        for helper in helpers:
+            helper.result()
+    if failed:
+        raise failed[min(failed)]
     return np.concatenate(parts)
 
 

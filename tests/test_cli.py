@@ -259,31 +259,48 @@ class TestTrainCommand:
             assert (a / "checkpoint" / name).read_bytes() == \
                 (b / "checkpoint" / name).read_bytes()
 
-    def test_verify_bytes_independent_of_blas_threads(self, tmp_path):
-        """verify --data on 36 images of 64x64 (the desk model, so batches
-        of 32 and 4 walked in chunks of 4) prints the same bytes on one and
-        on two BLAS threads."""
+    @staticmethod
+    def verify_desk_set(tmp_path, launch=("-m", "msconv.cli"), **env):
+        """stdout of a child ``msconv verify --data`` on 36 images of 64x64
+        (the desk model, so batches of 32 and 4 walked in chunks of 4),
+        run as ``python <launch> verify ...`` with ``env`` added."""
         cfg_path = tmp_path / "run.cfg"
-        cfg_path.write_text("image_size = 64\nidentities = 4\n"
-                            "samples_per_identity = 9\nepochs = 0\n")
         run, data = tmp_path / "run", tmp_path / "data"
-        assert cli.main(["train", "--config", str(cfg_path),
-                         "--out", str(run)]) == 0
-        assert cli.main(["gen-data", "--config", str(cfg_path),
-                         "--out", str(data), "--genuine", "30",
-                         "--impostor", "60"]) == 0
+        if not run.exists():
+            cfg_path.write_text("image_size = 64\nidentities = 4\n"
+                                "samples_per_identity = 9\nepochs = 0\n")
+            assert cli.main(["train", "--config", str(cfg_path),
+                             "--out", str(run)]) == 0
+            assert cli.main(["gen-data", "--config", str(cfg_path),
+                             "--out", str(data), "--genuine", "30",
+                             "--impostor", "60"]) == 0
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
-        outs = []
-        for n in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=n, OMP_NUM_THREADS=n,
-                       PYTHONPATH=os.pathsep.join(path))
-            outs.append(subprocess.run(
-                [sys.executable, "-m", "msconv.cli", "verify", "--checkpoint",
-                 str(run / "checkpoint"), "--data", str(data)],
-                env=env, check=True, capture_output=True).stdout)
+        return subprocess.run(
+            [sys.executable, *launch, "verify",
+             "--checkpoint", str(run / "checkpoint"), "--data", str(data)],
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(path), **env),
+            check=True, capture_output=True).stdout
+
+    def test_verify_bytes_independent_of_blas_threads(self, tmp_path):
+        """verify --data prints the same bytes on one and on two BLAS
+        threads."""
+        outs = [self.verify_desk_set(tmp_path, OPENBLAS_NUM_THREADS=n,
+                                     OMP_NUM_THREADS=n) for n in ("1", "2")]
         assert b"tar=" in outs[0]
         assert outs[0] == outs[1]
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="needs os.sched_setaffinity")
+    def test_verify_bytes_independent_of_cores(self, tmp_path):
+        """verify --data prints the same bytes in a child pinned to one CPU,
+        whose embedding runs on one worker, and in an unpinned child."""
+        pin = ("-c", "import os, sys; "
+               "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+               "from msconv.cli import main; sys.exit(main(sys.argv[1:]))")
+        pinned = self.verify_desk_set(tmp_path, pin)
+        assert b"tar=" in pinned
+        assert pinned == self.verify_desk_set(tmp_path)
 
 
 class TestGenDataCommand:

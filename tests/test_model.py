@@ -7,7 +7,14 @@ scalar cases and an independent log-sum-exp evaluation.
 """
 
 import hashlib
+import itertools
 import math
+import os
+import signal
+import sys
+import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +28,7 @@ from msconv.model import (COS_CLAMP, MarginKind, MarginLossConfig, StageSpec,
                           margin_ce_on_tape, margin_loss, normalize_rows,
                           param_shapes, tinynet_embed, tinynet_forward)
 from msconv.train import RunConfig, full_init
-from oracles import counting_net_forward, one_shot_embed
+from oracles import counting_net_forward, one_shot_embed, planned_embed
 
 of_kind = MarginLossConfig.of_kind
 PLAIN, ARC, COS, COMBINED = (MarginKind.PLAIN, MarginKind.ARC, MarginKind.COS,
@@ -34,6 +41,22 @@ def rand(shape, seed=0, scale=1.0):
 
 def unit_rows(shape, seed=0):
     return normalize_rows(rand(shape, seed))
+
+
+def meet_two_workers(monkeypatch):
+    """tinynet_embed runs on two workers, whose first two chunks wait for
+    each other (10 s at most), so each worker runs a chunk."""
+    from msconv import model
+    monkeypatch.setattr(model, "_cores", lambda: 2)
+    barrier, calls = threading.Barrier(2, timeout=10), itertools.count()
+    forward = model.tinynet_forward
+
+    def meet(tape, x, params, cfg):
+        if next(calls) < 2:
+            barrier.wait()
+        return forward(tape, x, params, cfg)
+
+    monkeypatch.setattr(model, "tinynet_forward", meet)
 
 
 def small_config(**kw):
@@ -142,42 +165,55 @@ class TestDepthFirstEmbed:
         tinynet_embed(rand((9, 32, 32, 3), 14), params, cfg)
         assert first.tobytes() == kept.tobytes()
 
-    def test_chunks_share_one_workspace(self, monkeypatch):
-        """Every chunk's tape allocates from the first chunk's buffers."""
+    def test_one_workspace_per_worker(self, monkeypatch):
+        """Two workers each run one chunk at the same time, each on its own
+        workspace; a workspace stops growing after its worker's first
+        chunk, and every tape records nothing."""
         from msconv import model
+        meet_two_workers(monkeypatch)
         tapes = []
 
-        class SpyTape(Tape):
-            def __init__(self, *args):
-                super().__init__(*args)
-                tapes.append(self)
+        class SpyTape(model.Tape):
+            def __init__(self, workspace):
+                tapes.append((self, threading.get_ident(), list(workspace)))
+                super().__init__(workspace)
 
         monkeypatch.setattr(model, "Tape", SpyTape)
         cfg = TinyNetConfig()
-        tinynet_embed(rand((33, 32, 32, 3), 15), init_params(cfg, 16), cfg)
-        assert len(tapes) == len(
-            T.even_chunks(33, T._DEPTH_BYTES // (32 * 32 * 16 * 8))) == 3
-        assert all(t._workspace is tapes[0]._workspace for t in tapes)
-        # stem, both branches, the projection and the fused output
-        assert len(tapes[0]._workspace) == 5
-        assert all(t._records == [] for t in tapes)
+        tinynet_embed(rand((65, 32, 32, 3), 15), init_params(cfg, 16), cfg)
+        assert len(tapes) == len(T.even_chunks(65, 16)) == 5
+        workers = {}
+        for tape, thread, _ in tapes:
+            assert workers.setdefault(thread, tape._workspace) is tape._workspace
+        assert len(workers) == 2
+        for workspace in workers.values():
+            # stem, both branches, the projection and the fused output
+            assert len(workspace) == 5
+            later = [seen for tape, _, seen in tapes
+                     if tape._workspace is workspace][1:]
+            for seen in later:
+                assert all(a is b for a, b in zip(seen, workspace, strict=True))
+        assert all(tape._records == [] for tape, _, _ in tapes)
 
     @staticmethod
-    def chunk_sizes(monkeypatch, n, size, batch_size=None):
-        """Images per network pass when tinynet_embed runs ``n`` desk
-        images of ``size`` x ``size``."""
+    def chunk_sizes(monkeypatch, n, size, batch_size=None, cores=2):
+        """Images per network pass, in image order, when tinynet_embed runs
+        ``n`` desk images of ``size`` x ``size`` on ``cores`` workers."""
         from msconv import model
-        sizes = []
+        starts = []
 
         def spy(tape, x, params, cfg):
-            sizes.append(x.value.shape[0])
+            # every pixel of image i holds i
+            starts.append((int(x.value[0, 0, 0, 0]), x.value.shape[0]))
             return tinynet_forward(tape, x, params, cfg)
 
         monkeypatch.setattr(model, "tinynet_forward", spy)
+        monkeypatch.setattr(model, "_cores", lambda: cores)
         cfg = TinyNetConfig()
-        tinynet_embed(np.zeros((n, size, size, 3)), init_params(cfg, 17), cfg,
+        x = np.arange(n, dtype=np.float64).repeat(size * size * 3)
+        tinynet_embed(x.reshape(n, size, size, 3), init_params(cfg, 17), cfg,
                       batch_size)
-        return sizes
+        return [count for _, count in sorted(starts)]
 
     @pytest.mark.parametrize("size,images", [(64, 4), (32, 16)])
     def test_desk_stem_chunk_sizes(self, monkeypatch, size, images):
@@ -195,6 +231,153 @@ class TestDepthFirstEmbed:
         """A batch size below the depth step splits by the batch size."""
         assert self.chunk_sizes(monkeypatch, 33, 32, batch_size=8) == \
             [7, 7, 7, 6, 6]
+
+    @pytest.mark.parametrize("cores", [1, 3, 8])
+    def test_plan_does_not_depend_on_cores(self, monkeypatch, cores):
+        """The chunks are the same on any number of workers."""
+        for n, size, batch_size in [(32, 64, 32), (20, 32, None), (33, 32, 8)]:
+            assert self.chunk_sizes(monkeypatch, n, size, batch_size, cores) \
+                == self.chunk_sizes(monkeypatch, n, size, batch_size, 2)
+
+
+# (config, images, image size, depth step): the desk model at both desk
+# sizes, and a narrow one (a gate of width 2) whose bits at 129 and 130
+# images need not equal one pass over the set (see the tensor module
+# docstring) but are fixed by the chunk plan
+NARROW = TinyNetConfig(in_channels=2, stem_channels=8,
+                       stages=(StageSpec(2, 16, 2),), embed_dim=8, min_width=2)
+PLANS = {"desk-32": (TinyNetConfig(), 33, 32, 16),
+         "desk-64": (TinyNetConfig(), 18, 64, 4),
+         "narrow-70": (NARROW, 70, 16, 128),
+         "narrow-129": (NARROW, 129, 16, 128),
+         "narrow-130": (NARROW, 130, 16, 128)}
+
+
+class TestWorkers:
+    """tinynet_embed's chunks on one worker per core: the same bytes on any
+    number of workers, and failures reach the caller."""
+
+    @pytest.mark.parametrize("plan", list(PLANS))
+    @pytest.mark.parametrize("kind", [FusionKind.MSCONV,
+                                      FusionKind.SKCONV_REFERENCE],
+                             ids=lambda k: k.value)
+    @pytest.mark.parametrize("cores", [1, 2, 3, 8])
+    def test_bytes_follow_the_plan(self, monkeypatch, cores, kind, plan):
+        """The bits of the chunks run one after another on one thread."""
+        from msconv import model
+        cfg, n, size, step = PLANS[plan]
+        cfg = cfg.with_fusion(kind)
+        params = init_params(cfg, seed=3)
+        x = rand((n, size, size, cfg.in_channels), 4)
+        monkeypatch.setattr(model, "_cores", lambda: cores)
+        assert tinynet_embed(x, params, cfg).tobytes() == \
+            planned_embed(x, params, cfg, step).tobytes()
+
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    def test_earliest_failed_chunk_raises(self, monkeypatch, cores):
+        """Chunks 1 and 2 of three fail, at once when three workers run
+        them; the call raises chunk 1's error only once the slow chunk 0
+        has finished."""
+        from msconv import model
+        monkeypatch.setattr(model, "_cores", lambda: cores)
+        barrier, calls = threading.Barrier(cores, timeout=10), itertools.count()
+        done = []
+
+        def spy(tape, x, params, cfg):
+            start = int(x.value[0, 0, 0, 0])
+            if next(calls) < cores:
+                barrier.wait()
+            if start:
+                raise ValueError(f"chunk at image {start}")
+            time.sleep(0.2)
+            done.append(start)
+            return tinynet_forward(tape, x, params, cfg)
+
+        monkeypatch.setattr(model, "tinynet_forward", spy)
+        cfg = TinyNetConfig()
+        x = np.arange(33, dtype=np.float64).repeat(32 * 32 * 3)
+        with pytest.raises(ValueError, match="^chunk at image 11$"):
+            tinynet_embed(x.reshape(33, 32, 32, 3), init_params(cfg, 5), cfg)
+        assert done == [0]
+
+    def test_every_chunk_runs_once_under_stress(self, monkeypatch):
+        """Eight workers on 100 two-image chunks, switching threads every
+        microsecond: each chunk runs once and lands in its own slot."""
+        from msconv import model
+        monkeypatch.setattr(model, "_cores", lambda: 8)
+        starts = []
+
+        def spy(tape, x, params, cfg):
+            starts.append(int(x.value[0, 0, 0, 0]))
+            return tinynet_forward(tape, x, params, cfg)
+
+        monkeypatch.setattr(model, "tinynet_forward", spy)
+        cfg = small_config()
+        params = init_params(cfg, seed=12)
+        x = np.arange(200, dtype=np.float64).repeat(8 * 8 * 2)
+        x = x.reshape(200, 8, 8, 2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = tinynet_embed(x, params, cfg, batch_size=2)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(starts) == list(range(0, 200, 2))
+        assert got.tobytes() == planned_embed(x, params, cfg, 2).tobytes()
+
+    def test_non_finite_reaches_the_caller(self, monkeypatch):
+        """Under debug checks a NaN parameter raises NonFiniteError from
+        the workers, and the next call gives the planned bytes."""
+        monkeypatch.setattr(T, "_debug_checks", False)
+        meet_two_workers(monkeypatch)
+        cfg = TinyNetConfig()
+        params = init_params(cfg, seed=6)
+        x = rand((33, 32, 32, 3), 7)
+        broken = dict(params, stem=params["stem"].copy())
+        broken["stem"][0, 0, 0, 0] = np.nan
+        T.set_debug_checks(True)
+        with pytest.raises(T.NonFiniteError):
+            tinynet_embed(x, broken, cfg)
+        assert tinynet_embed(x, params, cfg).tobytes() == \
+            planned_embed(x, params, cfg, 16).tobytes()
+
+    def test_helpers_keep_the_caller_error_state(self, monkeypatch):
+        """An overflow in a helper's chunk under the caller's
+        ``np.errstate(all="ignore")`` warns nowhere."""
+        meet_two_workers(monkeypatch)
+        cfg = TinyNetConfig()
+        x = np.full((33, 32, 32, 3), 1e300)
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = tinynet_embed(x, init_params(cfg, seed=8), cfg)
+        assert not np.isfinite(got).all()
+
+    @pytest.mark.skipif(not hasattr(os, "register_at_fork"),
+                        reason="needs os.fork")
+    def test_forked_child_embeds(self, monkeypatch):
+        """A child forked after a call that used the helper pool embeds the
+        same bytes; a hang fails after 30 s."""
+        meet_two_workers(monkeypatch)
+        cfg = TinyNetConfig()
+        params = init_params(cfg, seed=9)
+        x = rand((33, 32, 32, 3), 10)
+        want = tinynet_embed(x, params, cfg).tobytes()
+        pid = os.fork()
+        if pid == 0:
+            same = False
+            try:
+                meet_two_workers(monkeypatch)
+                same = tinynet_embed(x, params, cfg).tobytes() == want
+            finally:
+                os._exit(0 if same else 1)
+        deadline = time.monotonic() + 30
+        while not (done := os.waitpid(pid, os.WNOHANG))[0]:
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child's embed call hung")
+            time.sleep(0.05)
+        assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
 class TestLayout:

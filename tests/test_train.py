@@ -4,6 +4,7 @@ import math
 import os
 import re
 import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -428,8 +429,9 @@ class TestEmbedDataset:
         assert got.tobytes() == one_shot_embed(images, params, cfg).tobytes()
 
     def test_one_embed_call_per_set(self, monkeypatch):
-        """A set is one tinynet_embed call: its chunks run on tapes that
-        share one workspace, which stops growing after the first chunk."""
+        """A set is one tinynet_embed call: its chunks run on tapes with one
+        workspace per worker, which stops growing after the worker's first
+        chunk."""
         from msconv import model
         train_module = sys.modules["msconv.train"]
         calls = []
@@ -443,23 +445,27 @@ class TestEmbedDataset:
         class SpyTape(Tape):
             def __init__(self, workspace=None):
                 super().__init__(workspace)
-                seen.append((workspace, list(workspace)))
+                seen.append((threading.get_ident(), workspace, list(workspace)))
 
         monkeypatch.setattr(train_module, "tinynet_embed", spy)
         monkeypatch.setattr(model, "Tape", SpyTape)
+        monkeypatch.setattr(model, "_cores", lambda: 2)
         cfg = TinyNetConfig()
         images = np.random.default_rng(3).uniform(-1.0, 1.0, (65, 32, 32, 3))
         embed_dataset(init_params(cfg, seed=22), cfg, images, 32)
         assert calls == [(65, 32)]
         # near-equal chunks at the 16-image depth step, largest first
         assert len(seen) == len(T.even_chunks(65, 16)) == 5
-        workspace, _ = seen[0]
-        first = seen[1][1]
-        # stem, both branches, the projection and the fused output
-        assert len(first) == 5
-        for ws, buffers in seen[1:]:
-            assert ws is workspace
-            assert all(a is b for a, b in zip(buffers, first, strict=True))
+        workers = {}
+        for thread, workspace, _ in seen:
+            assert workers.setdefault(thread, workspace) is workspace
+        for workspace in workers.values():
+            # stem, both branches, the projection and the fused output
+            assert len(workspace) == 5
+            for _, ws, buffers in seen:
+                if ws is workspace and buffers:
+                    assert all(a is b for a, b in
+                               zip(buffers, workspace, strict=True))
 
 
 class TestAblationHarness:
