@@ -99,7 +99,8 @@ BLOCK_PARAM_NAMES = tuple(block_param_shapes(1, 1, 1, 1))
 @dataclass(frozen=True)
 class MSConvState:
     """One block's arrays, keyed as in ``block_param_shapes``, and its branch
-    geometry."""
+    geometry.  No library code uses it; it stays only for
+    ``perfbench/test_perfbench.py``."""
 
     params: dict[str, np.ndarray]
     dilations: tuple[int, int]
@@ -330,6 +331,7 @@ def block_cost(shapes: dict[str, tuple[int, ...]], height: int, width: int,
 def params_flops_breakdown(st: MSConvState, height: int, width: int,
                            kind: FusionKind = FusionKind.MSCONV,
                            ) -> dict[str, int]:
-    """``block_cost`` of one block's arrays and stride."""
+    """``block_cost`` of one block's arrays and stride.  No library code
+    uses it; it stays only for ``perfbench/test_perfbench.py``."""
     return block_cost({p: arr.shape for p, arr in st.params.items()},
                       height, width, st.stride, kind)

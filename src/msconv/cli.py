@@ -16,8 +16,8 @@ import numpy as np
 
 from . import msct
 from .autograd import finite_diff_check
-from .block import (FusionKind, MSConvState, block_forward_on_tape,
-                    fuse_on_tape)
+from .block import (DEFAULT_REDUCTION, FusionKind, block_forward_on_tape,
+                    block_param_shapes, fuse_on_tape, init_param)
 from .data import gen_synthetic, load_dataset, make_pairs, read_pairs, \
     save_dataset, write_pairs
 from .model import (MarginKind, MarginLossConfig, StageSpec, TinyNetConfig,
@@ -109,14 +109,13 @@ def _op_cases(seed: int):
 
 
 def _block_case(seed: int):
-    rng = np.random.default_rng(seed)
-    st = MSConvState.init(3, 4, seed=seed, min_width=2)
-    params = dict(st.params)
-    params["x"] = rng.normal(size=(2, 6, 6, 3))
+    shapes = block_param_shapes(3, 4, DEFAULT_REDUCTION, min_width=2)
+    params = {p: init_param(seed, f"block/{p}", shape)
+              for p, shape in shapes.items()}
+    params["x"] = np.random.default_rng(seed).normal(size=(2, 6, 6, 3))
 
     def build(tape, v):
-        out, _ = block_forward_on_tape(
-            tape, v["x"], v, dilations=st.dilations, stride=st.stride)
+        out, _ = block_forward_on_tape(tape, v["x"], v, dilations=(1, 2))
         return tape.mean(out)
 
     return params, build

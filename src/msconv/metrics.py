@@ -69,10 +69,15 @@ def _accept_counts(scores: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     return scores.size - np.searchsorted(ordered, thresholds, side="left")
 
 
-def tar_at_far(vs: VerificationSet, far_target: float) -> tuple[float, float]:
-    """True-accept rate at the smallest threshold meeting the FAR target."""
+def check_far(far_target: float) -> None:
+    """Rejects a FAR target outside (0, 1), NaN included."""
     if not 0.0 < far_target < 1.0:
         raise ValueError(f"far_target must be in (0, 1), got {far_target}")
+
+
+def tar_at_far(vs: VerificationSet, far_target: float) -> tuple[float, float]:
+    """True-accept rate at the smallest threshold meeting the FAR target."""
+    check_far(far_target)
     cand = _candidates(vs)
     far = _accept_counts(vs.impostor, cand) / vs.impostor.size
     # far is nonincreasing along cand and ends at 0, so a qualifying

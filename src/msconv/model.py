@@ -13,7 +13,7 @@ import contextvars
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -174,32 +174,6 @@ def _cores() -> int:
     return os.cpu_count() or 1
 
 
-# tinynet_embed's helper threads: one pool per process, made on first use,
-# remade larger when a call needs more helpers and dropped in a forked child,
-# whose copy of the pool has no threads behind it.  A dropped pool's idle
-# threads exit once nothing refers to it.
-_helpers: tuple[int, ThreadPoolExecutor] | None = None
-_helpers_lock = threading.Lock()
-
-
-def _helper_pool(count: int) -> ThreadPoolExecutor:
-    global _helpers
-    with _helpers_lock:
-        if _helpers is None or _helpers[0] < count:
-            _helpers = (count, ThreadPoolExecutor(
-                count, thread_name_prefix="msconv-embed"))
-        return _helpers[1]
-
-
-def _forget_helpers() -> None:
-    global _helpers, _helpers_lock
-    _helpers, _helpers_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_helpers)
-
-
 def tinynet_embed(x: T.Tensor4, params: dict[str, np.ndarray],
                   cfg: TinyNetConfig, batch_size: int | None = None,
                   ) -> T.ChannelVec:
@@ -209,14 +183,15 @@ def tinynet_embed(x: T.Tensor4, params: dict[str, np.ndarray],
     ``x`` splits once, by ``T.even_chunks`` at as many images as fit
     ``T._DEPTH_BYTES`` of one image's largest activation, and at no more
     than ``batch_size`` when given, and the whole network runs on one chunk
-    at a time.  The chunks go to ``min(cores, chunks)`` workers: the calling
-    thread and helpers from one long-lived pool, each taking the next chunk
-    in order and running it in a copy of the caller's context (its numpy
-    error state).  Each chunk gets a fresh constant tape that records
-    nothing; a worker's tapes share one workspace (see ``autograd.Tape``),
-    the buffers its first, largest chunk allocated, which the returned
-    embeddings never alias.  The call returns or raises once every worker
-    has stopped, raising the earliest failed chunk's exception.
+    at a time.  The chunks go, in order, to a pool of ``min(cores, chunks)``
+    threads opened and closed within the call; each chunk runs in a copy of
+    the caller's context (its numpy error state) on a fresh constant tape
+    that records nothing.  A thread's tapes share one workspace (see
+    ``autograd.Tape``), the buffers its first, largest chunk allocated,
+    which the returned embeddings never alias.  The call returns or raises
+    once every thread has stopped, raising the earliest failed chunk's
+    exception: the pool starts chunks in order, so the chunks it never
+    starts all come after every chunk that failed.
 
     The plan never depends on the core count and each chunk's bits depend
     only on its images, so the bytes are the same on any number of cores:
@@ -233,40 +208,21 @@ def tinynet_embed(x: T.Tensor4, params: dict[str, np.ndarray],
     step = min(T._DEPTH_BYTES // (elems * itemsize),
                n if batch_size is None else batch_size)
     chunks = T.even_chunks(n, step)
-    parts: list[np.ndarray | None] = [None] * len(chunks)
-    failed: dict[int, Exception] = {}
-    order, lock = iter(range(len(chunks))), threading.Lock()
-    stop = threading.Event()
+    local = threading.local()
 
-    def work():
-        workspace: list[np.ndarray] = []
-        while not stop.is_set():
-            with lock:
-                k = next(order, None)
-            if k is None:
-                return
-            try:
-                tape = Tape(workspace)
-                consts = {name: tape.constant(v) for name, v in params.items()}
-                parts[k] = tinynet_forward(tape, tape.constant(x[chunks[k]]),
-                                           consts, cfg).value
-            except Exception as exc:
-                failed[k] = exc
-                stop.set()
+    def run(chunk: slice) -> np.ndarray:
+        tape = Tape(vars(local).setdefault("workspace", []))
+        consts = {name: tape.constant(v) for name, v in params.items()}
+        return tinynet_forward(tape, tape.constant(x[chunk]), consts, cfg).value
 
-    count = min(_cores(), len(chunks))
-    helpers = [_helper_pool(count - 1).submit(contextvars.copy_context().run,
-                                              work)
-               for _ in range(count - 1)]
-    try:
-        work()
-    finally:
-        stop.set()
-        for helper in helpers:
-            helper.result()
-    if failed:
-        raise failed[min(failed)]
-    return np.concatenate(parts)
+    with ThreadPoolExecutor(min(_cores(), len(chunks)),
+                            thread_name_prefix="msconv-embed") as pool:
+        futures = [pool.submit(contextvars.copy_context().run, run, chunk)
+                   for chunk in chunks]
+        wait(futures, return_when=FIRST_EXCEPTION)
+        for future in futures:
+            future.cancel()
+    return np.concatenate([future.result() for future in futures])
 
 
 # -- margin losses -----------------------------------------------------------

@@ -2,8 +2,8 @@
 
 The recipe: SGD with momentum 0.9, coupled weight decay 5e-4 on weights (not
 biases), learning rate annealed from 0.02 to 5e-6 along a quarter cosine wave
-evaluated per step.  Everything is seeded and single-threaded, so two runs of
-the same config produce byte-identical logs and checkpoints.
+evaluated per step.  Everything is seeded and thread-count independent, so two
+runs of the same config produce byte-identical logs and checkpoints.
 
 Run configs serialize to flat ``key = value`` text (the same format the CLI
 reads), and checkpoints echo their config alongside the tensors so a saved
@@ -24,7 +24,8 @@ import numpy as np
 from . import msct
 from .block import FusionKind, param_rng
 from .data import LabeledImages, SyntheticSpec, gen_synthetic, make_pairs
-from .metrics import VerificationSet, pair_accuracy, pair_scores, tar_at_far
+from .metrics import (VerificationSet, check_far, pair_accuracy, pair_scores,
+                      tar_at_far)
 from .model import (MarginKind, MarginLossConfig, StageSpec, TinyNetConfig,
                     init_params, margin_ce_on_tape, normalize_rows,
                     param_shapes, tinynet_embed, tinynet_forward)
@@ -45,6 +46,9 @@ class TrainingDivergedError(RuntimeError):
         super().__init__(
             f"non-finite loss at epoch {epoch} step {step}; "
             f"batch indices {self.batch_indices}")
+
+    def __reduce__(self):
+        return type(self), (self.epoch, self.step, self.batch_indices)
 
 
 @dataclass(frozen=True)
@@ -272,6 +276,7 @@ def verification_set(embs: np.ndarray, pairs) -> VerificationSet:
 def evaluate_verification(params, model_cfg: TinyNetConfig, ds: LabeledImages,
                           pairs, far_target: float, batch_size: int = 32,
                           ) -> dict[str, float]:
+    check_far(far_target)
     embs = embed_dataset(params, model_cfg, ds.images, batch_size)
     vs = verification_set(embs, pairs)
     tar, thr = tar_at_far(vs, far_target)
@@ -311,8 +316,10 @@ def ablation_run(cfg: RunConfig, kinds=DEFAULT_ABLATION_KINDS, *,
 
     Held-out evaluation uses a freshly generated identity set (data seed + 1)
     so the verification numbers measure the embedding space, not memorized
-    training samples.  A kind listed twice (aliases included) is rejected.
+    training samples.  A kind listed twice (aliases included) and a FAR
+    target outside (0, 1) are rejected before any training.
     """
+    check_far(far_target)
     if len(set(kinds)) != len(kinds):
         raise ValueError("a fusion kind is listed more than once: "
                          f"{[k.value for k in kinds]}")

@@ -63,6 +63,20 @@ def kv_lines(text):
     return out
 
 
+BAD_FARS = ["0", "1", "2", "nan"]
+
+
+def spy_on_work(monkeypatch):
+    """Replaces training and embedding with spies that record their calls
+    and do nothing; returns the list they append to."""
+    from msconv import train
+    calls = []
+    for name in ("train", "embed_dataset"):
+        monkeypatch.setattr(train, name,
+                            lambda *args, name=name, **kw: calls.append(name))
+    return calls
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
     """One shared training run: (config path, output dir) for reuse."""
@@ -435,6 +449,19 @@ class TestVerifyCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: pair counts")
 
+    @pytest.mark.parametrize("far", BAD_FARS)
+    def test_bad_far_rejected_before_embedding(self, trained, monkeypatch,
+                                               capsys, far):
+        """A FAR target outside (0, 1) fails before any image is embedded."""
+        calls = spy_on_work(monkeypatch)
+        _, out = trained
+        code = cli.main(["verify", "--checkpoint", str(out / "checkpoint"),
+                         "--far", far])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "error: far_target must be in (0, 1)")
+        assert calls == []
+
     @pytest.mark.parametrize("command", ["verify", "viz"])
     def test_checkpoint_missing_parameter_rejected(self, trained, tmp_path,
                                                    capsys, command):
@@ -754,6 +781,22 @@ class TestAblateCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith(
             "error: a fusion kind is listed more than once")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("far", BAD_FARS)
+    def test_bad_far_rejected_before_training(self, tmp_path, monkeypatch,
+                                              capsys, far):
+        """A FAR target outside (0, 1) fails before any kind trains, and
+        leaves no output directory."""
+        calls = spy_on_work(monkeypatch)
+        cfg_path = write_config(tmp_path / "run.cfg", epochs=1)
+        out = tmp_path / "o"
+        code = cli.main(["ablate", "--config", cfg_path, "--out", str(out),
+                         "--far", far])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "error: far_target must be in (0, 1)")
+        assert calls == []
         assert not out.exists()
 
     def test_bad_kind_rejected(self, tmp_path, capsys):

@@ -342,7 +342,7 @@ class TestWorkers:
             planned_embed(x, params, cfg, 16).tobytes()
 
     def test_helpers_keep_the_caller_error_state(self, monkeypatch):
-        """An overflow in a helper's chunk under the caller's
+        """An overflow in a pool thread's chunk under the caller's
         ``np.errstate(all="ignore")`` warns nowhere."""
         meet_two_workers(monkeypatch)
         cfg = TinyNetConfig()
@@ -352,10 +352,28 @@ class TestWorkers:
             got = tinynet_embed(x, init_params(cfg, seed=8), cfg)
         assert not np.isfinite(got).all()
 
-    @pytest.mark.skipif(not hasattr(os, "register_at_fork"),
-                        reason="needs os.fork")
+    @pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
+    def test_no_worker_outlives_the_call(self, monkeypatch, fails):
+        """No ``msconv-embed`` thread is alive once a call that ran chunks
+        on two threads has returned or raised."""
+        monkeypatch.setattr(T, "_debug_checks", fails)
+        meet_two_workers(monkeypatch)
+        cfg = TinyNetConfig()
+        params = init_params(cfg, seed=11)
+        if fails:
+            params["stem"][0, 0, 0, 0] = np.nan
+        try:
+            tinynet_embed(rand((33, 32, 32, 3), 12), params, cfg)
+        except T.NonFiniteError:
+            assert fails
+        else:
+            assert not fails
+        assert [t.name for t in threading.enumerate()
+                if t.name.startswith("msconv-embed")] == []
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_embeds(self, monkeypatch):
-        """A child forked after a call that used the helper pool embeds the
+        """A child forked after a call that ran on two threads embeds the
         same bytes; a hang fails after 30 s."""
         meet_two_workers(monkeypatch)
         cfg = TinyNetConfig()

@@ -2,6 +2,7 @@
 
 import math
 import os
+import pickle
 import re
 import sys
 import threading
@@ -304,6 +305,14 @@ class TestTrainLoop:
                 train(cfg)
         assert info.value.epoch >= 0
         assert len(info.value.batch_indices) > 0
+
+    def test_divergence_error_pickles(self):
+        """A round trip keeps the message and every field."""
+        err = TrainingDivergedError(3, 7, np.array([4, 1, 9]))
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is TrainingDivergedError
+        assert str(back) == str(err)
+        assert (back.epoch, back.step, back.batch_indices) == (3, 7, [4, 1, 9])
 
 
 class TestVerificationEvaluation:
