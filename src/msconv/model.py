@@ -174,24 +174,35 @@ def _cores() -> int:
     return os.cpu_count() or 1
 
 
+def depth_step(cfg: TinyNetConfig, size: tuple[int, int], dtype) -> int:
+    """Images of ``size`` (height, width) whose largest activation in
+    ``dtype`` fits ``T._DEPTH_BYTES``: the chunk size of every depth-first
+    pass, in inference and in training alike."""
+    h, w = size
+    elems = h * w * cfg.stem_channels
+    for _, _, c_out, stride, _ in cfg.block_layout():
+        h, w = T.conv_out_len(h, stride), T.conv_out_len(w, stride)
+        elems = max(elems, h * w * c_out)
+    return T._DEPTH_BYTES // (elems * np.dtype(dtype).itemsize)
+
+
 def tinynet_embed(x: T.Tensor4, params: dict[str, np.ndarray],
                   cfg: TinyNetConfig, batch_size: int | None = None,
                   ) -> T.ChannelVec:
     """Pure embedding extraction, run depth-first in cache-sized chunks on
     every core.
 
-    ``x`` splits once, by ``T.even_chunks`` at as many images as fit
-    ``T._DEPTH_BYTES`` of one image's largest activation, and at no more
-    than ``batch_size`` when given, and the whole network runs on one chunk
-    at a time.  The chunks go, in order, to a pool of ``min(cores, chunks)``
-    threads opened and closed within the call; each chunk runs in a copy of
-    the caller's context (its numpy error state) on a fresh constant tape
-    that records nothing.  A thread's tapes share one workspace (see
-    ``autograd.Tape``), the buffers its first, largest chunk allocated,
-    which the returned embeddings never alias.  The call returns or raises
-    once every thread has stopped, raising the earliest failed chunk's
-    exception: the pool starts chunks in order, so the chunks it never
-    starts all come after every chunk that failed.
+    ``x`` splits once, by ``T.even_chunks`` at the ``depth_step``, and at
+    no more than ``batch_size`` when given, and the whole network runs on
+    one chunk at a time.  The chunks go, in order, to a pool of
+    ``min(cores, chunks)`` threads opened and closed within the call; each
+    chunk runs in a copy of the caller's context (its numpy error state) on
+    a fresh constant tape that records nothing.  A thread's tapes share one
+    workspace (see ``autograd.Tape``), the buffers its first, largest chunk
+    allocated, which the returned embeddings never alias.  The call returns
+    or raises once every thread has stopped, raising the earliest failed
+    chunk's exception: the pool starts chunks in order, so the chunks it
+    never starts all come after every chunk that failed.
 
     The plan never depends on the core count and each chunk's bits depend
     only on its images, so the bytes are the same on any number of cores:
@@ -199,13 +210,9 @@ def tinynet_embed(x: T.Tensor4, params: dict[str, np.ndarray],
     one pass over the whole of ``x``; see the ``tensor`` module docstring.
     """
     x = T.check_tensor4(x, "input")
-    n, h, w, _ = x.shape
-    elems = h * w * cfg.stem_channels
-    for _, _, c_out, stride, _ in cfg.block_layout():
-        h, w = T.conv_out_len(h, stride), T.conv_out_len(w, stride)
-        elems = max(elems, h * w * c_out)
-    itemsize = np.result_type(x, params["stem"]).itemsize
-    step = min(T._DEPTH_BYTES // (elems * itemsize),
+    n = x.shape[0]
+    dtype = np.result_type(x, params["stem"])
+    step = min(depth_step(cfg, x.shape[1:3], dtype),
                n if batch_size is None else batch_size)
     chunks = T.even_chunks(n, step)
     local = threading.local()

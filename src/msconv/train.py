@@ -2,8 +2,20 @@
 
 The recipe: SGD with momentum 0.9, coupled weight decay 5e-4 on weights (not
 biases), learning rate annealed from 0.02 to 5e-6 along a quarter cosine wave
-evaluated per step.  Everything is seeded and thread-count independent, so two
-runs of the same config produce byte-identical logs and checkpoints.
+evaluated per step.  Everything is seeded and independent of the core count,
+so two runs of the same config produce byte-identical logs and checkpoints.
+
+Each step runs depth-first, like inference: its batch splits by
+``T.even_chunks`` at ``model.depth_step`` into micro-batches, each run
+forward and backward on its own tape with its loss seeded at its share of
+the batch (m/n images).  Their losses and gradients are summed in plan
+order, then one ``sgd_step`` follows.  The micro-batches run on
+``min(cores, chunks)`` workers: the caller, which takes chunk 0, and helper
+processes that ``train`` forks once, before its first step, and joins
+before it returns; chunk k goes to worker k % workers.  A caller that
+cannot fork runs every chunk itself.  The plan never depends on the core
+count and a chunk's bits depend only on its images and the parameters, so
+neither do the bits of a run.
 
 Run configs serialize to flat ``key = value`` text (the same format the CLI
 reads), and checkpoints echo their config alongside the tensors so a saved
@@ -13,6 +25,7 @@ model is self-describing.
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
 import shutil
 from dataclasses import dataclass, field, replace
@@ -21,14 +34,15 @@ from operator import attrgetter
 
 import numpy as np
 
-from . import msct
+from . import model, msct, tensor as T
 from .block import FusionKind, param_rng
 from .data import LabeledImages, SyntheticSpec, gen_synthetic, make_pairs
 from .metrics import (VerificationSet, check_far, pair_accuracy, pair_scores,
                       tar_at_far)
 from .model import (MarginKind, MarginLossConfig, StageSpec, TinyNetConfig,
-                    init_params, margin_ce_on_tape, normalize_rows,
-                    param_shapes, tinynet_embed, tinynet_forward)
+                    depth_step, init_params, margin_ce_on_tape,
+                    normalize_rows, param_shapes, tinynet_embed,
+                    tinynet_forward)
 from .autograd import Tape
 
 
@@ -182,11 +196,126 @@ def train_accuracy(params: dict[str, np.ndarray], model_cfg: TinyNetConfig,
     return float(np.mean(predicted == ds.labels))
 
 
+def _micro_batch(params: dict[str, np.ndarray], ds: LabeledImages,
+                 cfg: RunConfig, idx: np.ndarray, chunk: slice, epoch: int,
+                 step: int) -> tuple[float, dict[str, np.ndarray]]:
+    """Loss and parameter gradients of images ``idx[chunk]``, both weighted
+    by the chunk's share m/n of the step's n images.
+
+    Raises TrainingDivergedError, naming the whole step's batch, if the
+    chunk's embeddings or loss are unusable.
+    """
+    part = idx[chunk]
+    share = len(part) / len(idx)
+    tape = Tape()
+    leaves = {k: tape.leaf(v) for k, v in params.items()}
+    emb = tinynet_forward(tape, tape.constant(ds.images[part]), leaves,
+                          cfg.model)
+    # non-finite values and zero rows (norm overflow) both mean the
+    # optimization state is unusable
+    if not np.isfinite(emb.value).all() or not emb.value.any(axis=1).all():
+        raise TrainingDivergedError(epoch, step, idx)
+    centers = tape.l2_normalize_rows(leaves["centers"])
+    loss_var = margin_ce_on_tape(tape, emb, centers, ds.labels[part], cfg.loss)
+    loss = float(loss_var.value)
+    if not math.isfinite(loss):
+        raise TrainingDivergedError(epoch, step, idx)
+    grads = tape.backward(loss_var, share)
+    return loss * share, {k: grads[v] for k, v in leaves.items()}
+
+
+def _run_chunks(params, ds, cfg, idx, chunks, epoch, step) -> list:
+    """``_micro_batch`` of each chunk in turn; the first to raise ends the
+    list with its exception."""
+    out = []
+    for chunk in chunks:
+        try:
+            out.append(_micro_batch(params, ds, cfg, idx, chunk, epoch, step))
+        except Exception as exc:
+            out.append(exc)
+            break
+    return out
+
+
+def _helper(conn, callers_ends, ds, cfg) -> None:
+    """A helper process: one reply to each step's message.  It first closes
+    its copies of the caller's pipe ends, so a caller that dies reaches it
+    as end of file, and it returns then."""
+    for end in callers_ends:
+        end.close()
+    try:
+        while True:
+            params, idx, chunks, epoch, step = conn.recv()
+            conn.send(_run_chunks(params, ds, cfg, idx, chunks, epoch, step))
+    except (EOFError, OSError):
+        return
+
+
+def _lost(process) -> ChildProcessError:
+    """The error a helper that died answers, naming its pid and the signal
+    or exit code it ended with."""
+    process.join()
+    code = process.exitcode
+    how = (f"was killed by signal {-code}" if code < 0
+           else f"exited with code {code}")
+    return ChildProcessError(f"training helper {process.pid} {how}")
+
+
+def _fork_helpers(count: int, ds: LabeledImages, cfg: RunConfig) -> list:
+    """``count`` helper processes, each with the caller's end of its pipe;
+    none when the caller cannot fork."""
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon):
+        return []
+    ctx = multiprocessing.get_context("fork")
+    helpers = []
+    for _ in range(count):
+        conn, child = ctx.Pipe()
+        process = ctx.Process(target=_helper, daemon=True, args=(
+            child, [c for c, _ in helpers] + [conn], ds, cfg))
+        process.start()
+        child.close()
+        helpers.append((conn, process))
+    return helpers
+
+
+def _step(helpers, params, ds, cfg, idx, chunks, epoch, step):
+    """The step's summed loss and gradients, from its chunks run on the
+    caller (chunk 0 and every ``workers``-th after it) and the helpers.
+
+    Raises the earliest failed chunk's exception in plan order, once every
+    helper has answered; a helper that died answers ChildProcessError.
+    """
+    workers = len(helpers) + 1
+    for h, (conn, _) in enumerate(helpers, start=1):
+        try:
+            conn.send((params, idx, chunks[h::workers], epoch, step))
+        except OSError:
+            pass  # a dead helper; its recv below reports it
+    replies = [_run_chunks(params, ds, cfg, idx, chunks[::workers], epoch,
+                           step)]
+    for conn, process in helpers:
+        try:
+            replies.append(conn.recv())
+        except (EOFError, OSError):
+            replies.append([_lost(process)])
+    loss, grads = 0.0, None
+    for k in range(len(chunks)):
+        part = replies[k % workers][k // workers]
+        if isinstance(part, BaseException):
+            raise part
+        loss += part[0]
+        grads = part[1] if grads is None else {
+            name: grads[name] + g for name, g in part[1].items()}
+    return loss, grads
+
+
 def train(cfg: RunConfig, dataset: LabeledImages | None = None) -> TrainResult:
     """Run the full recipe; pure apart from consuming the config and data.
 
     Emits one log line per epoch (mean step loss, train accuracy, last lr).
-    Raises TrainingDivergedError if any step's loss is non-finite.
+    Raises TrainingDivergedError if any step's loss is non-finite, and
+    ChildProcessError if a helper process dies.
     """
     ds = gen_synthetic(cfg.data) if dataset is None else dataset
     params = full_init(cfg)
@@ -198,44 +327,42 @@ def train(cfg: RunConfig, dataset: LabeledImages | None = None) -> TrainResult:
     total_steps = cfg.epochs * batches_per_epoch
     sched = (LRSchedule(total_steps, cfg.lr_init, cfg.lr_min)
              if total_steps else None)
+    chunk_step = depth_step(cfg.model, ds.images.shape[1:3],
+                            np.result_type(ds.images, params["stem"]))
+    most = len(T.even_chunks(min(n, cfg.batch_size), chunk_step))
+    workers = min(model._cores(), most) if total_steps else 1
 
     result = TrainResult(cfg, params, init_snapshot)
     step = 0
-    for epoch in range(cfg.epochs):
-        order = np.random.default_rng([cfg.seed, 3, epoch]).permutation(n)
-        step_losses = []
-        lr = cfg.lr_init
-        for b in range(batches_per_epoch):
-            idx = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
-            lr = lr_at(sched, step)
-            tape = Tape()
-            leaves = {k: tape.leaf(v) for k, v in params.items()}
-            emb = tinynet_forward(tape, tape.constant(ds.images[idx]),
-                                  leaves, cfg.model)
-            # non-finite values and zero rows (norm overflow) both mean the
-            # optimization state is unusable
-            if (not np.isfinite(emb.value).all()
-                    or not emb.value.any(axis=1).all()):
-                raise TrainingDivergedError(epoch, step, idx)
-            centers = tape.l2_normalize_rows(leaves["centers"])
-            loss_var = margin_ce_on_tape(tape, emb, centers,
-                                         ds.labels[idx], cfg.loss)
-            loss = float(loss_var.value)
-            if not math.isfinite(loss):
-                raise TrainingDivergedError(epoch, step, idx)
-            grads = tape.backward(loss_var)
-            params, velocity = sgd_step(
-                params, {k: grads[v] for k, v in leaves.items()},
-                velocity, cfg, lr)
-            step_losses.append(loss)
-            step += 1
-        epoch_loss = float(np.mean(step_losses))
-        acc = train_accuracy(params, cfg.model, ds, cfg.batch_size)
-        result.epoch_losses.append(epoch_loss)
-        result.epoch_accs.append(acc)
-        result.log_lines.append(
-            f"epoch={epoch + 1} loss={_fmt(epoch_loss)} acc={_fmt(acc)} "
-            f"lr={_fmt(lr)}")
+    helpers = _fork_helpers(workers - 1, ds, cfg)
+    try:
+        for epoch in range(cfg.epochs):
+            order = np.random.default_rng([cfg.seed, 3, epoch]).permutation(n)
+            step_losses = []
+            lr = cfg.lr_init
+            for b in range(batches_per_epoch):
+                idx = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
+                lr = lr_at(sched, step)
+                loss, grads = _step(helpers, params, ds, cfg, idx,
+                                    T.even_chunks(len(idx), chunk_step),
+                                    epoch, step)
+                params, velocity = sgd_step(params, grads, velocity, cfg, lr)
+                step_losses.append(loss)
+                step += 1
+            epoch_loss = float(np.mean(step_losses))
+            acc = train_accuracy(params, cfg.model, ds, cfg.batch_size)
+            result.epoch_losses.append(epoch_loss)
+            result.epoch_accs.append(acc)
+            result.log_lines.append(
+                f"epoch={epoch + 1} loss={_fmt(epoch_loss)} acc={_fmt(acc)} "
+                f"lr={_fmt(lr)}")
+    finally:
+        # an idle helper holds nothing to clean up; a busy one (the caller
+        # was interrupted mid-step) need not finish
+        for conn, process in helpers:
+            conn.close()
+            process.kill()
+            process.join()
     result.params = params
     return result
 
@@ -484,7 +611,7 @@ def build_config(pairs: dict[str, str]) -> RunConfig:
             height=merged["image_size"], width=merged["image_size"],
             channels=merged["channels"], noise_sigma=merged["noise_sigma"],
             shift_range=merged["shift_range"], seed=merged["data_seed"])
-        model = TinyNetConfig(
+        net = TinyNetConfig(
             in_channels=merged["channels"],
             stem_channels=merged["stem_channels"],
             stages=tuple(StageSpec(blocks=b, channels=c, stride=s)
@@ -495,7 +622,7 @@ def build_config(pairs: dict[str, str]) -> RunConfig:
             merged["loss"], merged["identities"], merged["scale"],
             **{m: vals[m] for m in _MARGINS if m in vals})
         return RunConfig(
-            data=data, model=model, loss=loss, fusion=merged["fusion"],
+            data=data, model=net, loss=loss, fusion=merged["fusion"],
             lr_init=merged["lr_init"], lr_min=merged["lr_min"],
             momentum=merged["momentum"], weight_decay=merged["weight_decay"],
             batch_size=merged["batch_size"], epochs=merged["epochs"],

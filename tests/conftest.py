@@ -1,5 +1,6 @@
 """Fixtures shared by the test modules."""
 
+import signal
 import sys
 
 import pytest
@@ -16,6 +17,20 @@ def no_param_draws(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "msconv" and hasattr(module, "param_rng"):
             monkeypatch.setattr(module, "param_rng", refuse)
+
+
+@pytest.fixture
+def bounded():
+    """Fails the test with TimeoutError once it has run for 60 s: the alarm
+    also breaks a wait on a training helper's pipe."""
+    def expire(signum, frame):
+        raise TimeoutError("the test ran for more than 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 # A long fuzzing run, loaded only on request:

@@ -22,6 +22,7 @@ from msconv.data import load_dataset, read_pairs
 from msconv.model import init_params
 from msconv.train import build_config, load_checkpoint, parse_kv_lines
 from test_data_metrics import DATASET_DEFECTS, corrupt_dataset
+from test_train import split_steps, spy_on_forks
 
 BASE_CONFIG = {
     "identities": 3,
@@ -64,6 +65,33 @@ def kv_lines(text):
 
 
 BAD_FARS = ["0", "1", "2", "nan"]
+
+
+def run_bytes(out):
+    """metrics.log and every checkpoint file of a train run, by name."""
+    ckpt = out / "checkpoint"
+    return {"metrics.log": (out / "metrics.log").read_bytes(),
+            **{name: (ckpt / name).read_bytes() for name in os.listdir(ckpt)}}
+
+
+def child_msconv(argv, prelude=""):
+    """``msconv <argv>`` in a fresh Python that first runs ``prelude`` (with
+    os, signal and sys imported); its completed process, after at most
+    120 s."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    code = ("import os, signal, sys\n" + prelude +
+            "from msconv.cli import main\nsys.exit(main(sys.argv[1:]))\n")
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)), timeout=120)
+
+
+# split_steps in a child: BASE_CONFIG steps in three chunks of two images,
+# on two workers
+TWO_WORKERS = ("from msconv import model, tensor\n"
+               "model._cores = lambda: 2\n"
+               "tensor._DEPTH_BYTES = 2 * 8 * 8 * 4 * 8\n")
 
 
 def spy_on_work(monkeypatch):
@@ -170,6 +198,74 @@ class TestTrainCommand:
         for name in names_a:
             assert (out_a / "checkpoint" / name).read_bytes() == \
                 (out_b / "checkpoint" / name).read_bytes()
+
+    def test_bytes_independent_of_workers(self, tmp_path, monkeypatch,
+                                          bounded):
+        """metrics.log and the checkpoint are the same bytes when each step
+        runs on 1, 2 or 3 workers, 0, 1 or 2 of them forked helpers."""
+        cfg_path = write_config(tmp_path / "run.cfg", samples_per_identity=7)
+        forked = spy_on_forks(monkeypatch)
+        outs = []
+        for workers in (1, 2, 3):
+            split_steps(monkeypatch, workers)
+            out = tmp_path / f"workers{workers}"
+            assert cli.main(["train", "--config", cfg_path,
+                             "--out", str(out)]) == 0
+            outs.append(run_bytes(out))
+        assert len(forked) == 0 + 1 + 2
+        assert outs[0] == outs[1] == outs[2]
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="needs os.sched_setaffinity")
+    def test_bytes_independent_of_cores(self, tmp_path):
+        """A child pinned to one CPU, whose steps run on the caller alone,
+        and an unpinned child write the same bytes.  The desk model on 36
+        images of 32x32 splits each batch of 32 into two chunks of 16."""
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("identities = 4\nsamples_per_identity = 9\n"
+                            "epochs = 1\n")
+        outs = []
+        for prelude in ("os.sched_setaffinity(0, "
+                        "{min(os.sched_getaffinity(0))})\n", ""):
+            out = tmp_path / f"run{len(outs)}"
+            proc = child_msconv(["train", "--config", str(cfg_path),
+                                 "--out", str(out)], prelude)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(run_bytes(out))
+        assert outs[0] == outs[1]
+
+    def test_killed_helper_reported(self, tmp_path):
+        """A helper killed by SIGKILL ends the run in one error line naming
+        it, with exit code 2."""
+        kill = ("from msconv import train\n"
+                "caller, forward = os.getpid(), train.tinynet_forward\n"
+                "def kill(*args):\n"
+                "    if os.getpid() != caller:\n"
+                "        os.kill(os.getpid(), signal.SIGKILL)\n"
+                "    return forward(*args)\n"
+                "train.tinynet_forward = kill\n")
+        proc = child_msconv(["train", "--config",
+                             write_config(tmp_path / "run.cfg"),
+                             "--out", str(tmp_path / "out")],
+                            TWO_WORKERS + kill)
+        assert proc.returncode == 2
+        assert re.fullmatch(r"error: training helper \d+ was killed by "
+                            r"signal 9\n", proc.stderr)
+        assert proc.stdout == ""
+
+    def test_piped_stdout_written_once(self, tmp_path):
+        """Text buffered on a piped stdout before the helpers fork, and
+        every line the run prints, appear once."""
+        out = tmp_path / "out"
+        proc = child_msconv(["train", "--config",
+                             write_config(tmp_path / "run.cfg"),
+                             "--out", str(out)],
+                            TWO_WORKERS + "print('before the fork')\n")
+        assert proc.returncode == 0, proc.stderr
+        log = (out / "metrics.log").read_text().splitlines()
+        assert proc.stdout.splitlines() == [
+            "before the fork", *log, f"metrics_log={out / 'metrics.log'}",
+            f"checkpoint={out / 'checkpoint'}"]
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         """Misspelled overrides fail instead of being ignored."""

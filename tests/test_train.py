@@ -1,6 +1,7 @@
 """Schedule, optimizer, training-loop, config, and checkpoint tests."""
 
 import math
+import multiprocessing
 import os
 import pickle
 import re
@@ -18,8 +19,9 @@ from msconv.autograd import Tape
 from msconv.block import FusionKind
 from msconv.data import SyntheticSpec, gen_synthetic
 from msconv.model import (MarginKind, MarginLossConfig, StageSpec,
-                          TinyNetConfig, init_params, margin_ce_on_tape,
-                          param_shapes, tinynet_embed, tinynet_forward)
+                          TinyNetConfig, depth_step, init_params,
+                          margin_ce_on_tape, param_shapes, tinynet_embed,
+                          tinynet_forward)
 from msconv.train import (CONFIG_KEYS, PAIR_BLOCK, ConfigError, LRSchedule,
                           RunConfig, TrainingDivergedError, ablation_run,
                           build_config, config_from_lines, config_to_lines,
@@ -28,6 +30,9 @@ from msconv.train import (CONFIG_KEYS, PAIR_BLOCK, ConfigError, LRSchedule,
                           lr_at, parse_kv_lines, save_checkpoint, sgd_step,
                           train, verification_set)
 from oracles import one_shot_embed, one_shot_verification
+
+# the module; ``msconv.train`` as a package attribute is the function
+train_module = sys.modules["msconv.train"]
 
 
 def tiny_config(**kw):
@@ -315,6 +320,149 @@ class TestTrainLoop:
         assert (back.epoch, back.step, back.batch_indices) == (3, 7, [4, 1, 9])
 
 
+def split_steps(monkeypatch, workers):
+    """Every ``tiny_config`` step of six images runs as three chunks of two
+    (a depth budget of two images' 8x8x4 float64 stem output), on
+    ``workers`` workers."""
+    from msconv import model
+    monkeypatch.setattr(model, "_cores", lambda: workers)
+    monkeypatch.setattr(T, "_DEPTH_BYTES", 2 * 8 * 8 * 4 * 8)
+
+
+def spy_on_forks(monkeypatch):
+    """The helper processes train starts, appended to the returned list."""
+    forked, start = [], multiprocessing.context.ForkProcess.start
+
+    def spy(process):
+        forked.append(process)
+        start(process)
+
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", spy)
+    return forked
+
+
+def first_batch(cfg):
+    """Image indices of a run's first step, as train's epoch-0 shuffle
+    orders them."""
+    order = np.random.default_rng([cfg.seed, 3, 0]).permutation(cfg.data.total)
+    return order[:cfg.batch_size]
+
+
+class TestMicroBatches:
+    """Each step's micro-batches, run on the caller and forked helpers."""
+
+    def test_sum_equals_the_whole_batch(self):
+        """A desk batch in two micro-batches of 16 gives the whole batch's
+        loss to 1e-15 and each gradient to 1e-14 of the array's largest
+        magnitude (1.2e-15 measured over a desk epoch's 16 batches)."""
+        cfg = RunConfig()
+        ds = gen_synthetic(cfg.data)
+        params = full_init(cfg)
+        idx = first_batch(cfg)
+        chunks = T.even_chunks(len(idx), depth_step(cfg.model, (32, 32),
+                                                    np.float64))
+        assert chunks == [slice(0, 16), slice(16, 32)]
+        loss, grads = train_module._step([], params, ds, cfg, idx, chunks,
+                                         0, 0)
+        tape = Tape()
+        leaves = {k: tape.leaf(v) for k, v in params.items()}
+        emb = tinynet_forward(tape, tape.constant(ds.images[idx]), leaves,
+                              cfg.model)
+        whole = margin_ce_on_tape(tape, emb,
+                                  tape.l2_normalize_rows(leaves["centers"]),
+                                  ds.labels[idx], cfg.loss)
+        assert loss == pytest.approx(float(whole.value), rel=1e-15)
+        want = tape.backward(whole)
+        for name, leaf in leaves.items():
+            g = want[leaf]
+            assert np.abs(grads[name] - g).max() <= 1e-14 * np.abs(g).max()
+
+    def test_batch_within_the_step_forks_nothing(self, monkeypatch, bounded):
+        """Batches no larger than the depth step run whole, on the caller
+        alone, whatever the core count."""
+        from msconv import model
+        monkeypatch.setattr(model, "_cores", lambda: 8)
+
+        def refuse(process):
+            raise AssertionError("train forked a helper")
+
+        monkeypatch.setattr(multiprocessing.context.ForkProcess, "start",
+                            refuse)
+        sizes = []
+
+        def spy(tape, x, params, cfg):
+            sizes.append(x.value.shape[0])
+            return tinynet_forward(tape, x, params, cfg)
+
+        monkeypatch.setattr(train_module, "tinynet_forward", spy)
+        train(tiny_config())
+        # two epochs of 18 images in batches of 6
+        assert sizes == [6] * 6
+
+    @pytest.mark.parametrize("where", ["nowhere", "helper", "caller"])
+    def test_no_helper_outlives_train(self, monkeypatch, bounded, where):
+        """No helper is alive once train has returned, or has raised the
+        divergence of the first step's chunk 1 (on the helper) or chunk 0
+        (on the caller) with that step's epoch, step and batch."""
+        forked = spy_on_forks(monkeypatch)
+        split_steps(monkeypatch, 2)
+        cfg = tiny_config()
+        ds = gen_synthetic(cfg.data)
+        idx = first_batch(cfg)
+        if where != "nowhere":
+            ds.images[idx[2 if where == "helper" else 0]] = np.nan
+        with np.errstate(all="ignore"):
+            try:
+                train(cfg, ds)
+            except TrainingDivergedError as err:
+                assert (err.epoch, err.step, err.batch_indices) == \
+                    (0, 0, list(idx))
+            else:
+                assert where == "nowhere"
+        assert len(forked) == 1
+        assert not forked[0].is_alive()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_earliest_failed_chunk_raises(self, monkeypatch, bounded,
+                                          workers):
+        """Chunks 1 and 2 of the first step fail: chunk 1's error is
+        raised, whichever workers ran them."""
+        split_steps(monkeypatch, workers)
+        cfg = tiny_config()
+        ds = gen_synthetic(cfg.data)
+        idx = first_batch(cfg)
+
+        def spy(tape, x, params, cfg):
+            for k in (1, 2):
+                if np.array_equal(x.value, ds.images[idx[2 * k:2 * k + 2]]):
+                    raise ValueError(f"chunk {k}")
+            return tinynet_forward(tape, x, params, cfg)
+
+        monkeypatch.setattr(train_module, "tinynet_forward", spy)
+        with pytest.raises(ValueError, match="^chunk 1$"):
+            train(cfg, ds)
+
+    def test_helpers_keep_the_caller_error_state(self, monkeypatch, bounded):
+        """A helper runs its chunks under the numpy error state that the
+        caller of train set."""
+        split_steps(monkeypatch, 2)
+        caller = os.getpid()
+
+        def spy(tape, x, params, cfg):
+            if os.getpid() != caller:
+                raise ValueError(repr(np.geterr()))
+            return tinynet_forward(tape, x, params, cfg)
+
+        monkeypatch.setattr(train_module, "tinynet_forward", spy)
+        with np.errstate(divide="raise", over="ignore", under="warn",
+                         invalid="ignore"):
+            want = repr(np.geterr())
+            with pytest.raises(ValueError) as info:
+                train(tiny_config())
+        assert str(info.value) == want
+
+
 class TestVerificationEvaluation:
     def test_verification_set_split(self):
         embs = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -442,7 +590,6 @@ class TestEmbedDataset:
         workspace per worker, which stops growing after the worker's first
         chunk."""
         from msconv import model
-        train_module = sys.modules["msconv.train"]
         calls = []
 
         def spy(x, params, cfg, batch_size=None):
