@@ -27,7 +27,7 @@ the first, run through one fresh tape each, reuses the first pass's memory.
 A value taken from the workspace stays valid only until the next tape
 sharing the workspace allocates; callers keep only values computed outside
 it (the embedding head's outputs are fresh arrays).  A workspace serves one
-thread at a time: ``model.tinynet_embed`` gives each of its workers its own.
+tape at a time: each ``model.tinynet_embed`` worker process has its own.
 Such a tape refuses leaves, so it never records an op that could save a
 buffer for a backward pass.
 

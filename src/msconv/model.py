@@ -9,11 +9,10 @@ operate on cosine logits between embeddings and class-center rows.
 
 from __future__ import annotations
 
-import contextvars
 import math
+import multiprocessing
 import os
-import threading
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+from contextlib import closing
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -186,6 +185,96 @@ def depth_step(cfg: TinyNetConfig, size: tuple[int, int], dtype) -> int:
     return T._DEPTH_BYTES // (elems * np.dtype(dtype).itemsize)
 
 
+# the caller's end of every open helper pipe in this process
+_CALLER_ENDS = set()
+
+
+class Workers:
+    """The caller and ``count - 1`` helper processes, forked here once, that
+    run ``work(chunk, *shared)``.  A helper inherits ``work`` and whatever it
+    reads through the fork; a caller that cannot fork (no "fork" start
+    method, or a daemonic process) runs every chunk itself."""
+
+    def __init__(self, count: int, work):
+        self.work = work
+        self.helpers = []
+        if ("fork" not in multiprocessing.get_all_start_methods()
+                or multiprocessing.current_process().daemon):
+            return
+        ctx = multiprocessing.get_context("fork")
+        for _ in range(count - 1):
+            conn, child = ctx.Pipe()
+            _CALLER_ENDS.add(conn)
+            process = ctx.Process(target=self._serve, args=(child,),
+                                  daemon=True)
+            process.start()
+            child.close()
+            self.helpers.append((conn, process))
+
+    def _run(self, chunks: list, shared: tuple) -> list:
+        """``work`` of each chunk in turn; the first to raise ends the list
+        with its exception."""
+        out = []
+        for chunk in chunks:
+            try:
+                out.append(self.work(chunk, *shared))
+            except Exception as exc:
+                out.append(exc)
+                break
+        return out
+
+    def _serve(self, conn) -> None:
+        """A helper: one reply to each message.  It first closes every
+        caller's pipe end it inherited, of any ``Workers``, so a caller that
+        dies reaches every helper as end of file, and it returns then."""
+        for end in _CALLER_ENDS:
+            end.close()
+        try:
+            while True:
+                conn.send(self._run(*conn.recv()))
+        except (EOFError, OSError):
+            return
+
+    def map(self, chunks: list, *shared) -> list:
+        """``work(chunk, *shared)`` of every chunk, in plan order; chunk k
+        runs on worker k % count, the caller being worker 0.  Raises the
+        earliest failed chunk's exception once every helper has answered; a
+        helper that died answers ChildProcessError, naming how it ended."""
+        count = len(self.helpers) + 1
+        for h, (conn, _) in enumerate(self.helpers, start=1):
+            try:
+                conn.send((chunks[h::count], shared))
+            except OSError:
+                pass  # a dead helper; its recv below reports it
+        replies = [self._run(chunks[::count], shared)]
+        for conn, process in self.helpers:
+            try:
+                replies.append(conn.recv())
+            except (EOFError, OSError):
+                process.join()
+                code = process.exitcode
+                how = (f"was killed by signal {-code}" if code < 0
+                       else f"exited with code {code}")
+                replies.append(
+                    [ChildProcessError(f"helper {process.pid} {how}")])
+        out = []
+        for k in range(len(chunks)):
+            part = replies[k % count][k // count]
+            if isinstance(part, BaseException):
+                raise part
+            out.append(part)
+        return out
+
+    def close(self) -> None:
+        """Kill and join the helpers: an idle one holds nothing to clean
+        up, and a busy one (the caller was interrupted) need not finish."""
+        for conn, process in self.helpers:
+            _CALLER_ENDS.discard(conn)
+            conn.close()
+            process.kill()
+            process.join()
+
+
 def tinynet_embed(x: T.Tensor4, params: dict[str, np.ndarray],
                   cfg: TinyNetConfig, batch_size: int | None = None,
                   ) -> T.ChannelVec:
@@ -194,15 +283,12 @@ def tinynet_embed(x: T.Tensor4, params: dict[str, np.ndarray],
 
     ``x`` splits once, by ``T.even_chunks`` at the ``depth_step``, and at
     no more than ``batch_size`` when given, and the whole network runs on
-    one chunk at a time.  The chunks go, in order, to a pool of
-    ``min(cores, chunks)`` threads opened and closed within the call; each
-    chunk runs in a copy of the caller's context (its numpy error state) on
-    a fresh constant tape that records nothing.  A thread's tapes share one
-    workspace (see ``autograd.Tape``), the buffers its first, largest chunk
-    allocated, which the returned embeddings never alias.  The call returns
-    or raises once every thread has stopped, raising the earliest failed
-    chunk's exception: the pool starts chunks in order, so the chunks it
-    never starts all come after every chunk that failed.
+    one chunk at a time, on a fresh constant tape that records nothing.
+    The chunks run on ``min(cores, chunks)`` ``Workers`` forked for the
+    call, with the caller's numpy error state, and closed within it.  Each
+    process's tapes share one workspace (see ``autograd.Tape``), the
+    buffers its first, largest chunk allocated, which the returned
+    embeddings never alias.
 
     The plan never depends on the core count and each chunk's bits depend
     only on its images, so the bytes are the same on any number of cores:
@@ -215,21 +301,15 @@ def tinynet_embed(x: T.Tensor4, params: dict[str, np.ndarray],
     step = min(depth_step(cfg, x.shape[1:3], dtype),
                n if batch_size is None else batch_size)
     chunks = T.even_chunks(n, step)
-    local = threading.local()
+    workspace = []
 
     def run(chunk: slice) -> np.ndarray:
-        tape = Tape(vars(local).setdefault("workspace", []))
+        tape = Tape(workspace)
         consts = {name: tape.constant(v) for name, v in params.items()}
         return tinynet_forward(tape, tape.constant(x[chunk]), consts, cfg).value
 
-    with ThreadPoolExecutor(min(_cores(), len(chunks)),
-                            thread_name_prefix="msconv-embed") as pool:
-        futures = [pool.submit(contextvars.copy_context().run, run, chunk)
-                   for chunk in chunks]
-        wait(futures, return_when=FIRST_EXCEPTION)
-        for future in futures:
-            future.cancel()
-    return np.concatenate([future.result() for future in futures])
+    with closing(Workers(min(_cores(), len(chunks)), run)) as workers:
+        return np.concatenate(workers.map(chunks))
 
 
 # -- margin losses -----------------------------------------------------------

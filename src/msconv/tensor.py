@@ -21,16 +21,16 @@ Inference runs depth-first on top of that: ``model.tinynet_embed`` splits
 an image set once, by ``even_chunks``, into chunks of ``model.depth_step``
 images, as many as fit ``_DEPTH_BYTES`` (2 MiB, the L2 size) of one image's
 largest activation (fewer when its caller caps the batch size), and runs the
-whole network on one chunk at a time, one chunk per core at once.  Training
-splits each step's batch by the same rule into micro-batches, run forward
-and backward one per core at once (see ``train``).  The split never depends
-on the core count and a chunk's bits depend only on its images, so the split
-fixes the bits whatever the number of cores.  Split two or more images, no
-chunk holds one: a one-row GEMM takes OpenBLAS's gemv path, whose bits
-differ.  With more rows the bits equal one pass over the whole set at the
-desk widths, where every op here is row-independent.  They need not at
-narrow FC widths: on OpenBLAS 0.3.31's Haswell kernels a row of
-``(n, k) @ (k, m)`` depends on ``n`` when ``m % 8`` is 1, 2 or 3 and
+whole network on one chunk at a time, one chunk per process and core at
+once (``model.Workers``).  Training splits each step's batch by the same
+rule into micro-batches, run forward and backward the same way.  The split
+never depends on the core count and a chunk's bits depend only on its
+images, so the split fixes the bits whatever the number of cores.  Split
+two or more images, no chunk holds one: a one-row GEMM takes OpenBLAS's
+gemv path, whose bits differ.  With more rows the bits equal one pass over
+the whole set at the desk widths, where every op here is row-independent.
+They need not at narrow FC widths: on OpenBLAS 0.3.31's Haswell kernels a
+row of ``(n, k) @ (k, m)`` depends on ``n`` when ``m % 8`` is 1, 2 or 3 and
 ``k >= 16``, or ``m == 1`` and ``k >= 8``, which a small ``min_width`` or a
 large ``reduction`` reaches.
 

@@ -9,13 +9,12 @@ Each step runs depth-first, like inference: its batch splits by
 ``T.even_chunks`` at ``model.depth_step`` into micro-batches, each run
 forward and backward on its own tape with its loss seeded at its share of
 the batch (m/n images).  Their losses and gradients are summed in plan
-order, then one ``sgd_step`` follows.  The micro-batches run on
-``min(cores, chunks)`` workers: the caller, which takes chunk 0, and helper
-processes that ``train`` forks once, before its first step, and joins
-before it returns; chunk k goes to worker k % workers.  A caller that
-cannot fork runs every chunk itself.  The plan never depends on the core
-count and a chunk's bits depend only on its images and the parameters, so
-neither do the bits of a run.
+order, then one ``sgd_step`` follows.  The micro-batches run on one
+``model.Workers`` per ``train`` call, of ``min(cores, chunks)`` workers:
+the caller, which takes chunk 0, and helper processes forked before the
+first step, which inherit the dataset and receive each step's parameters.
+The plan never depends on the core count and a chunk's bits depend only on
+its images and the parameters, so neither do the bits of a run.
 
 Run configs serialize to flat ``key = value`` text (the same format the CLI
 reads), and checkpoints echo their config alongside the tensors so a saved
@@ -25,11 +24,12 @@ model is self-describing.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 import shutil
+from contextlib import closing
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import partial
 from operator import attrgetter
 
 import numpy as np
@@ -40,7 +40,7 @@ from .data import LabeledImages, SyntheticSpec, gen_synthetic, make_pairs
 from .metrics import (VerificationSet, check_far, pair_accuracy, pair_scores,
                       tar_at_far)
 from .model import (MarginKind, MarginLossConfig, StageSpec, TinyNetConfig,
-                    depth_step, init_params, margin_ce_on_tape,
+                    Workers, depth_step, init_params, margin_ce_on_tape,
                     normalize_rows, param_shapes, tinynet_embed,
                     tinynet_forward)
 from .autograd import Tape
@@ -196,8 +196,8 @@ def train_accuracy(params: dict[str, np.ndarray], model_cfg: TinyNetConfig,
     return float(np.mean(predicted == ds.labels))
 
 
-def _micro_batch(params: dict[str, np.ndarray], ds: LabeledImages,
-                 cfg: RunConfig, idx: np.ndarray, chunk: slice, epoch: int,
+def _micro_batch(ds: LabeledImages, cfg: RunConfig, chunk: slice,
+                 params: dict[str, np.ndarray], idx: np.ndarray, epoch: int,
                  step: int) -> tuple[float, dict[str, np.ndarray]]:
     """Loss and parameter gradients of images ``idx[chunk]``, both weighted
     by the chunk's share m/n of the step's n images.
@@ -224,89 +224,14 @@ def _micro_batch(params: dict[str, np.ndarray], ds: LabeledImages,
     return loss * share, {k: grads[v] for k, v in leaves.items()}
 
 
-def _run_chunks(params, ds, cfg, idx, chunks, epoch, step) -> list:
-    """``_micro_batch`` of each chunk in turn; the first to raise ends the
-    list with its exception."""
-    out = []
-    for chunk in chunks:
-        try:
-            out.append(_micro_batch(params, ds, cfg, idx, chunk, epoch, step))
-        except Exception as exc:
-            out.append(exc)
-            break
-    return out
-
-
-def _helper(conn, callers_ends, ds, cfg) -> None:
-    """A helper process: one reply to each step's message.  It first closes
-    its copies of the caller's pipe ends, so a caller that dies reaches it
-    as end of file, and it returns then."""
-    for end in callers_ends:
-        end.close()
-    try:
-        while True:
-            params, idx, chunks, epoch, step = conn.recv()
-            conn.send(_run_chunks(params, ds, cfg, idx, chunks, epoch, step))
-    except (EOFError, OSError):
-        return
-
-
-def _lost(process) -> ChildProcessError:
-    """The error a helper that died answers, naming its pid and the signal
-    or exit code it ended with."""
-    process.join()
-    code = process.exitcode
-    how = (f"was killed by signal {-code}" if code < 0
-           else f"exited with code {code}")
-    return ChildProcessError(f"training helper {process.pid} {how}")
-
-
-def _fork_helpers(count: int, ds: LabeledImages, cfg: RunConfig) -> list:
-    """``count`` helper processes, each with the caller's end of its pipe;
-    none when the caller cannot fork."""
-    if ("fork" not in multiprocessing.get_all_start_methods()
-            or multiprocessing.current_process().daemon):
-        return []
-    ctx = multiprocessing.get_context("fork")
-    helpers = []
-    for _ in range(count):
-        conn, child = ctx.Pipe()
-        process = ctx.Process(target=_helper, daemon=True, args=(
-            child, [c for c, _ in helpers] + [conn], ds, cfg))
-        process.start()
-        child.close()
-        helpers.append((conn, process))
-    return helpers
-
-
-def _step(helpers, params, ds, cfg, idx, chunks, epoch, step):
-    """The step's summed loss and gradients, from its chunks run on the
-    caller (chunk 0 and every ``workers``-th after it) and the helpers.
-
-    Raises the earliest failed chunk's exception in plan order, once every
-    helper has answered; a helper that died answers ChildProcessError.
-    """
-    workers = len(helpers) + 1
-    for h, (conn, _) in enumerate(helpers, start=1):
-        try:
-            conn.send((params, idx, chunks[h::workers], epoch, step))
-        except OSError:
-            pass  # a dead helper; its recv below reports it
-    replies = [_run_chunks(params, ds, cfg, idx, chunks[::workers], epoch,
-                           step)]
-    for conn, process in helpers:
-        try:
-            replies.append(conn.recv())
-        except (EOFError, OSError):
-            replies.append([_lost(process)])
+def _step(workers: Workers, params, idx, chunks, epoch, step):
+    """The step's loss and gradients: its chunks' ``_micro_batch`` parts,
+    summed in plan order."""
     loss, grads = 0.0, None
-    for k in range(len(chunks)):
-        part = replies[k % workers][k // workers]
-        if isinstance(part, BaseException):
-            raise part
-        loss += part[0]
-        grads = part[1] if grads is None else {
-            name: grads[name] + g for name, g in part[1].items()}
+    for part_loss, part in workers.map(chunks, params, idx, epoch, step):
+        loss += part_loss
+        grads = part if grads is None else {
+            name: grads[name] + g for name, g in part.items()}
     return loss, grads
 
 
@@ -330,12 +255,11 @@ def train(cfg: RunConfig, dataset: LabeledImages | None = None) -> TrainResult:
     chunk_step = depth_step(cfg.model, ds.images.shape[1:3],
                             np.result_type(ds.images, params["stem"]))
     most = len(T.even_chunks(min(n, cfg.batch_size), chunk_step))
-    workers = min(model._cores(), most) if total_steps else 1
+    count = min(model._cores(), most) if total_steps else 1
 
     result = TrainResult(cfg, params, init_snapshot)
     step = 0
-    helpers = _fork_helpers(workers - 1, ds, cfg)
-    try:
+    with closing(Workers(count, partial(_micro_batch, ds, cfg))) as workers:
         for epoch in range(cfg.epochs):
             order = np.random.default_rng([cfg.seed, 3, epoch]).permutation(n)
             step_losses = []
@@ -343,7 +267,7 @@ def train(cfg: RunConfig, dataset: LabeledImages | None = None) -> TrainResult:
             for b in range(batches_per_epoch):
                 idx = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
                 lr = lr_at(sched, step)
-                loss, grads = _step(helpers, params, ds, cfg, idx,
+                loss, grads = _step(workers, params, idx,
                                     T.even_chunks(len(idx), chunk_step),
                                     epoch, step)
                 params, velocity = sgd_step(params, grads, velocity, cfg, lr)
@@ -356,13 +280,6 @@ def train(cfg: RunConfig, dataset: LabeledImages | None = None) -> TrainResult:
             result.log_lines.append(
                 f"epoch={epoch + 1} loss={_fmt(epoch_loss)} acc={_fmt(acc)} "
                 f"lr={_fmt(lr)}")
-    finally:
-        # an idle helper holds nothing to clean up; a busy one (the caller
-        # was interrupted mid-step) need not finish
-        for conn, process in helpers:
-            conn.close()
-            process.kill()
-            process.join()
     result.params = params
     return result
 

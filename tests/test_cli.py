@@ -8,8 +8,10 @@ import os
 import re
 import shutil
 import struct
+import signal
 import subprocess
 import sys
+import time
 import warnings
 from dataclasses import replace
 
@@ -22,7 +24,8 @@ from msconv.data import load_dataset, read_pairs
 from msconv.model import init_params
 from msconv.train import build_config, load_checkpoint, parse_kv_lines
 from test_data_metrics import DATASET_DEFECTS, corrupt_dataset
-from test_train import split_steps, spy_on_forks
+from test_model import spy_on_forks
+from test_train import split_steps
 
 BASE_CONFIG = {
     "identities": 3,
@@ -74,17 +77,29 @@ def run_bytes(out):
             **{name: (ckpt / name).read_bytes() for name in os.listdir(ckpt)}}
 
 
-def child_msconv(argv, prelude=""):
+def child_msconv(argv, prelude="", output=None):
     """``msconv <argv>`` in a fresh Python that first runs ``prelude`` (with
-    os, signal and sys imported); its completed process, after at most
-    120 s."""
+    os, signal, sys and time imported); its completed process, after at
+    most 120 s.  ``output``, when given, is an open file that takes the
+    child's stdout and stderr in place of captured pipes, so the call
+    returns when the child ends, whatever its children hold open."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
-    code = ("import os, signal, sys\n" + prelude +
+    code = ("import os, signal, sys, time\n" + prelude +
             "from msconv.cli import main\nsys.exit(main(sys.argv[1:]))\n")
     return subprocess.run(
-        [sys.executable, "-c", code, *argv], capture_output=True, text=True,
+        [sys.executable, "-c", code, *argv], capture_output=output is None,
+        stdout=output, stderr=output, text=True,
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)), timeout=120)
+
+
+def running(pid):
+    """Whether process ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
 
 
 # split_steps in a child: BASE_CONFIG steps in three chunks of two images,
@@ -202,7 +217,8 @@ class TestTrainCommand:
     def test_bytes_independent_of_workers(self, tmp_path, monkeypatch,
                                           bounded):
         """metrics.log and the checkpoint are the same bytes when each step
-        runs on 1, 2 or 3 workers, 0, 1 or 2 of them forked helpers."""
+        and each acc= pass runs on 1, 2 or 3 workers, 0, 1 or 2 of them
+        forked helpers."""
         cfg_path = write_config(tmp_path / "run.cfg", samples_per_identity=7)
         forked = spy_on_forks(monkeypatch)
         outs = []
@@ -212,7 +228,9 @@ class TestTrainCommand:
             assert cli.main(["train", "--config", cfg_path,
                              "--out", str(out)]) == 0
             outs.append(run_bytes(out))
-        assert len(forked) == 0 + 1 + 2
+        # per run: the step helpers, and the embed helpers of each of the
+        # two epochs' acc= passes (21 images in ten chunks)
+        assert len(forked) == 3 * (0 + 1 + 2)
         assert outs[0] == outs[1] == outs[2]
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
@@ -249,9 +267,46 @@ class TestTrainCommand:
                              "--out", str(tmp_path / "out")],
                             TWO_WORKERS + kill)
         assert proc.returncode == 2
-        assert re.fullmatch(r"error: training helper \d+ was killed by "
-                            r"signal 9\n", proc.stderr)
+        assert re.fullmatch(r"error: helper \d+ was killed by signal 9\n",
+                            proc.stderr)
         assert proc.stdout == ""
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+    def test_no_helper_outlives_a_killed_caller(self, tmp_path):
+        """A run SIGKILLed in its first acc= pass, while its step helper and
+        the pass's embed helper are alive, leaves neither running: within
+        30 s each is gone or a zombie."""
+        pids = tmp_path / "pids"
+        kill = ("from msconv import train\n"
+                f"pids = {str(pids)!r}\n"
+                "def record():\n"
+                "    with open(pids, 'a') as fh:\n"
+                "        fh.write(f'{os.getpid()}\\n')\n"
+                "os.register_at_fork(after_in_child=record)\n"
+                "caller, forward = os.getpid(), model.tinynet_forward\n"
+                "def kill(*args):\n"
+                "    while os.getpid() == caller:\n"
+                "        if os.path.exists(pids) and \\\n"
+                "                len(open(pids).read().split()) == 2:\n"
+                "            os.kill(caller, signal.SIGKILL)\n"
+                "        time.sleep(0.01)\n"
+                "    return forward(*args)\n"
+                "model.tinynet_forward = kill\n")
+        with open(tmp_path / "output", "w") as output:
+            proc = child_msconv(["train", "--config",
+                                 write_config(tmp_path / "run.cfg"),
+                                 "--out", str(tmp_path / "out")],
+                                TWO_WORKERS + kill, output)
+        assert proc.returncode == -signal.SIGKILL
+        helpers = [int(pid) for pid in pids.read_text().split()]
+        assert len(helpers) == 2
+        deadline = time.monotonic() + 30
+        while (alive := [pid for pid in helpers if running(pid)]) and \
+                time.monotonic() < deadline:
+            time.sleep(0.05)
+        for pid in alive:
+            os.kill(pid, signal.SIGKILL)
+        assert alive == []
 
     def test_piped_stdout_written_once(self, tmp_path):
         """Text buffered on a piped stdout before the helpers fork, and
@@ -446,6 +501,24 @@ class TestGenDataCommand:
 
 class TestVerifyCommand:
     """Verification metrics for a stored checkpoint."""
+
+    def test_killed_helper_reported(self, trained):
+        """An embed helper killed by SIGKILL ends verify in one error line
+        naming it, with exit code 2 and nothing on stdout."""
+        _, out = trained
+        kill = ("from msconv import train\n"
+                "caller, forward = os.getpid(), model.tinynet_forward\n"
+                "def kill(*args):\n"
+                "    if os.getpid() != caller:\n"
+                "        os.kill(os.getpid(), signal.SIGKILL)\n"
+                "    return forward(*args)\n"
+                "model.tinynet_forward = kill\n")
+        proc = child_msconv(["verify", "--checkpoint",
+                             str(out / "checkpoint")], TWO_WORKERS + kill)
+        assert proc.returncode == 2
+        assert re.fullmatch(r"error: helper \d+ was killed by signal 9\n",
+                            proc.stderr)
+        assert proc.stdout == ""
 
     def test_synthesized_holdout(self, trained, capsys):
         """Without --data an unseen split is generated from the config."""

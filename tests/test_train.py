@@ -6,9 +6,9 @@ import os
 import pickle
 import re
 import sys
-import threading
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -19,7 +19,7 @@ from msconv.autograd import Tape
 from msconv.block import FusionKind
 from msconv.data import SyntheticSpec, gen_synthetic
 from msconv.model import (MarginKind, MarginLossConfig, StageSpec,
-                          TinyNetConfig, depth_step, init_params,
+                          TinyNetConfig, Workers, depth_step, init_params,
                           margin_ce_on_tape, param_shapes, tinynet_embed,
                           tinynet_forward)
 from msconv.train import (CONFIG_KEYS, PAIR_BLOCK, ConfigError, LRSchedule,
@@ -30,6 +30,8 @@ from msconv.train import (CONFIG_KEYS, PAIR_BLOCK, ConfigError, LRSchedule,
                           lr_at, parse_kv_lines, save_checkpoint, sgd_step,
                           train, verification_set)
 from oracles import one_shot_embed, one_shot_verification
+from test_model import (assert_on_workers, assert_one_workspace_per_worker,
+                        log_passes, plan_images, spy_on_forks)
 
 # the module; ``msconv.train`` as a package attribute is the function
 train_module = sys.modules["msconv.train"]
@@ -329,18 +331,6 @@ def split_steps(monkeypatch, workers):
     monkeypatch.setattr(T, "_DEPTH_BYTES", 2 * 8 * 8 * 4 * 8)
 
 
-def spy_on_forks(monkeypatch):
-    """The helper processes train starts, appended to the returned list."""
-    forked, start = [], multiprocessing.context.ForkProcess.start
-
-    def spy(process):
-        forked.append(process)
-        start(process)
-
-    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", spy)
-    return forked
-
-
 def first_batch(cfg):
     """Image indices of a run's first step, as train's epoch-0 shuffle
     orders them."""
@@ -362,8 +352,8 @@ class TestMicroBatches:
         chunks = T.even_chunks(len(idx), depth_step(cfg.model, (32, 32),
                                                     np.float64))
         assert chunks == [slice(0, 16), slice(16, 32)]
-        loss, grads = train_module._step([], params, ds, cfg, idx, chunks,
-                                         0, 0)
+        workers = Workers(1, partial(train_module._micro_batch, ds, cfg))
+        loss, grads = train_module._step(workers, params, idx, chunks, 0, 0)
         tape = Tape()
         leaves = {k: tape.leaf(v) for k, v in params.items()}
         emb = tinynet_forward(tape, tape.constant(ds.images[idx]), leaves,
@@ -377,27 +367,28 @@ class TestMicroBatches:
             g = want[leaf]
             assert np.abs(grads[name] - g).max() <= 1e-14 * np.abs(g).max()
 
-    def test_batch_within_the_step_forks_nothing(self, monkeypatch, bounded):
+    def test_batch_within_the_step_forks_nothing(self, monkeypatch,
+                                                 tmp_path, bounded):
         """Batches no larger than the depth step run whole, on the caller
-        alone, whatever the core count."""
+        alone, whatever the core count: train forks no step helper, only
+        the acc= passes fork."""
         from msconv import model
         monkeypatch.setattr(model, "_cores", lambda: 8)
-
-        def refuse(process):
-            raise AssertionError("train forked a helper")
-
-        monkeypatch.setattr(multiprocessing.context.ForkProcess, "start",
-                            refuse)
-        sizes = []
+        forked = spy_on_forks(monkeypatch)
+        steps = tmp_path / "steps"
 
         def spy(tape, x, params, cfg):
-            sizes.append(x.value.shape[0])
+            with open(steps, "a") as fh:
+                fh.write(f"{os.getpid()} {x.value.shape[0]}\n")
             return tinynet_forward(tape, x, params, cfg)
 
         monkeypatch.setattr(train_module, "tinynet_forward", spy)
         train(tiny_config())
         # two epochs of 18 images in batches of 6
-        assert sizes == [6] * 6
+        assert steps.read_text() == f"{os.getpid()} 6\n" * 6
+        # each epoch's acc= pass embeds 18 images in 3 chunks of the batch
+        # size, on 3 workers
+        assert len(forked) == 2 * 2
 
     @pytest.mark.parametrize("where", ["nowhere", "helper", "caller"])
     def test_no_helper_outlives_train(self, monkeypatch, bounded, where):
@@ -419,8 +410,9 @@ class TestMicroBatches:
                     (0, 0, list(idx))
             else:
                 assert where == "nowhere"
-        assert len(forked) == 1
-        assert not forked[0].is_alive()
+        # the step helper, and one embed helper per epoch's acc= pass
+        assert len(forked) == (3 if where == "nowhere" else 1)
+        assert not any(process.is_alive() for process in forked)
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -585,10 +577,10 @@ class TestEmbedDataset:
         got = embed_dataset(params, cfg, images, 1)
         assert got.tobytes() == one_shot_embed(images, params, cfg).tobytes()
 
-    def test_one_embed_call_per_set(self, monkeypatch):
-        """A set is one tinynet_embed call: its chunks run on tapes with one
-        workspace per worker, which stops growing after the worker's first
-        chunk."""
+    def test_one_embed_call_per_set(self, monkeypatch, tmp_path, bounded):
+        """A set is one tinynet_embed call: its chunks run on two workers,
+        each on tapes with one workspace, which stops growing after the
+        worker's first chunk."""
         from msconv import model
         calls = []
 
@@ -596,32 +588,21 @@ class TestEmbedDataset:
             calls.append((len(x), batch_size))
             return tinynet_embed(x, params, cfg, batch_size)
 
-        seen = []
-
-        class SpyTape(Tape):
-            def __init__(self, workspace=None):
-                super().__init__(workspace)
-                seen.append((threading.get_ident(), workspace, list(workspace)))
-
         monkeypatch.setattr(train_module, "tinynet_embed", spy)
-        monkeypatch.setattr(model, "Tape", SpyTape)
         monkeypatch.setattr(model, "_cores", lambda: 2)
+        forked = spy_on_forks(monkeypatch)
+        read = log_passes(monkeypatch, tmp_path / "passes")
         cfg = TinyNetConfig()
-        images = np.random.default_rng(3).uniform(-1.0, 1.0, (65, 32, 32, 3))
-        embed_dataset(init_params(cfg, seed=22), cfg, images, 32)
+        embed_dataset(init_params(cfg, seed=22), cfg, plan_images(65, 32), 32)
         assert calls == [(65, 32)]
+        assert len(forked) == 1
+        rows = read()
         # near-equal chunks at the 16-image depth step, largest first
-        assert len(seen) == len(T.even_chunks(65, 16)) == 5
-        workers = {}
-        for thread, workspace, _ in seen:
-            assert workers.setdefault(thread, workspace) is workspace
-        for workspace in workers.values():
-            # stem, both branches, the projection and the fused output
-            assert len(workspace) == 5
-            for _, ws, buffers in seen:
-                if ws is workspace and buffers:
-                    assert all(a is b for a, b in
-                               zip(buffers, workspace, strict=True))
+        assert [row["size"] for row in rows] == [13] * 5
+        assert len(rows) == len(T.even_chunks(65, 16))
+        assert_on_workers(rows, 2)
+        # stem, both branches, the projection and the fused output
+        assert_one_workspace_per_worker(rows, 5)
 
 
 class TestAblationHarness:
