@@ -22,7 +22,7 @@ def no_param_draws(monkeypatch):
 @pytest.fixture
 def bounded():
     """Fails the test with TimeoutError once it has run for 60 s: the alarm
-    also breaks a wait on a training helper's pipe."""
+    also breaks a wait on a helper's pipe."""
     def expire(signum, frame):
         raise TimeoutError("the test ran for more than 60 s")
 
