@@ -187,19 +187,24 @@ def depth_step(cfg: TinyNetConfig, size: tuple[int, int], dtype) -> int:
 
 # the caller's end of every open helper pipe in this process
 _CALLER_ENDS = set()
+# whether this process is running the chunks of a map
+_MAPPING = False
 
 
 class Workers:
     """The caller and ``count - 1`` helper processes, forked here once, that
     run ``work(chunk, *shared)``.  A helper inherits ``work`` and whatever it
-    reads through the fork; a caller that cannot fork (no "fork" start
-    method, or a daemonic process) runs every chunk itself."""
+    reads through the fork.  A caller that cannot fork (no "fork" start
+    method, or a daemonic process) runs every chunk itself, and so does a
+    process that opens its ``Workers`` while it runs the chunks of a map:
+    a nested map stays on the worker that runs the outer chunk, so maps
+    inside maps never oversubscribe the cores."""
 
     def __init__(self, count: int, work):
         self.work = work
         self.helpers = []
         if ("fork" not in multiprocessing.get_all_start_methods()
-                or multiprocessing.current_process().daemon):
+                or multiprocessing.current_process().daemon or _MAPPING):
             return
         ctx = multiprocessing.get_context("fork")
         for _ in range(count - 1):
@@ -214,19 +219,24 @@ class Workers:
     def _run(self, chunks: list, shared: tuple) -> list:
         """``work`` of each chunk in turn; the first to raise ends the list
         with its exception."""
-        out = []
-        for chunk in chunks:
-            try:
-                out.append(self.work(chunk, *shared))
-            except Exception as exc:
-                out.append(exc)
-                break
+        global _MAPPING
+        out, outer, _MAPPING = [], _MAPPING, True
+        try:
+            for chunk in chunks:
+                try:
+                    out.append(self.work(chunk, *shared))
+                except Exception as exc:
+                    out.append(exc)
+                    break
+        finally:
+            _MAPPING = outer
         return out
 
     def _serve(self, conn) -> None:
         """A helper: one reply to each message.  It first closes every
         caller's pipe end it inherited, of any ``Workers``, so a caller that
-        dies reaches every helper as end of file, and it returns then."""
+        dies reaches every helper as end of file, or as a broken pipe once
+        its chunks end, and it returns then."""
         for end in _CALLER_ENDS:
             end.close()
         try:

@@ -16,6 +16,11 @@ first step, which inherit the dataset and receive each step's parameters.
 The plan never depends on the core count and a chunk's bits depend only on
 its images and the parameters, so neither do the bits of a run.
 
+``ablation_run`` runs its fusion kinds as cells, one kind per worker, in
+whole rounds of ``min(cores, kinds)``; a cell's steps then run on its own
+worker, since a ``Workers`` opened within a map forks nothing.  The kinds
+left over run one after another, each on every core.
+
 Run configs serialize to flat ``key = value`` text (the same format the CLI
 reads), and checkpoints echo their config alongside the tensors so a saved
 model is self-describing.
@@ -362,6 +367,17 @@ def ablation_run(cfg: RunConfig, kinds=DEFAULT_ABLATION_KINDS, *,
     so the verification numbers measure the embedding space, not memorized
     training samples.  A kind listed twice (aliases included) and a FAR
     target outside (0, 1) are rejected before any training.
+
+    Each kind is one cell: its ``train`` and its held-out evaluation.  On
+    ``count = min(cores, kinds)`` workers of two or more, the whole rounds,
+    the first ``len(kinds) - len(kinds) % count`` cells, run on one
+    ``Workers``: cell k on worker k % count, the caller being worker 0,
+    each cell's steps and embedding on its own worker.  The data, the
+    held-out set and the pairs reach the helpers through the fork.  The
+    cells left over then run in turn on the caller, each kind's steps on
+    every core.  Rows come back in kind order and a kind's bits do not
+    depend on its worker count, so neither do the report's.  Raises the
+    earliest failed cell's error once every cell has ended.
     """
     check_far(far_target)
     if len(set(kinds)) != len(kinds):
@@ -373,20 +389,25 @@ def ablation_run(cfg: RunConfig, kinds=DEFAULT_ABLATION_KINDS, *,
     pairs = make_pairs(eval_ds.labels, genuine_pairs, impostor_pairs,
                        seed=eval_spec.seed)
 
-    rows, results = [], {}
-    for kind in kinds:
+    def cell(kind: FusionKind) -> tuple[AblationRow, TrainResult]:
         run_cfg = replace(cfg, fusion=kind)
         res = train(run_cfg, dataset=ds)
         ver = evaluate_verification(res.params, run_cfg.model, eval_ds,
                                     pairs, far_target, cfg.batch_size)
-        rows.append(AblationRow(
+        return AblationRow(
             kind=kind,
             final_loss=res.epoch_losses[-1] if res.epoch_losses else math.nan,
             train_acc=res.epoch_accs[-1] if res.epoch_accs else math.nan,
             pair_acc=ver["pair_acc"], tar=ver["tar"],
-            threshold=ver["threshold"]))
-        results[kind] = res
-    return AblationReport(far_target, rows, results)
+            threshold=ver["threshold"]), res
+
+    count = min(model._cores(), len(kinds))
+    whole = len(kinds) - len(kinds) % count if count > 1 else 0
+    with closing(Workers(count, cell)) as workers:
+        done = workers.map(kinds[:whole])
+    done += [cell(kind) for kind in kinds[whole:]]
+    return AblationReport(far_target, [row for row, _ in done],
+                          {row.kind: res for row, res in done})
 
 
 def format_ablation_report(report: AblationReport) -> str:

@@ -233,7 +233,7 @@ class TestAcceptance:
                 f"final_acc={final_acc:.3f}, upticks={upticks}, "
                 f"{elapsed:.1f}s")
 
-    def test_10_ablation_harness(self):
+    def test_10_ablation_harness(self, bounded):
         """Five fusion kinds run on one seed/data with bit-identical inits."""
         report = ablation_run(tiny_run_config(), DEFAULT_ABLATION_KINDS,
                               far_target=0.1, genuine_pairs=30,

@@ -109,6 +109,16 @@ TWO_WORKERS = ("from msconv import model, tensor\n"
                "tensor._DEPTH_BYTES = 2 * 8 * 8 * 4 * 8\n")
 
 
+def ablate_bytes(out, kinds):
+    """report.txt, and each kind's metrics.log and checkpoint files, of an
+    ablate run, by path."""
+    files = {"report.txt": (out / "report.txt").read_bytes()}
+    for kind in kinds:
+        for name in os.listdir(out / kind):
+            files[f"{kind}/{name}"] = (out / kind / name).read_bytes()
+    return files
+
+
 def spy_on_work(monkeypatch):
     """Replaces training and embedding with spies that record their calls
     and do nothing; returns the list they append to."""
@@ -904,7 +914,9 @@ class TestFlopsCommand:
 class TestAblateCommand:
     """Fusion-variant sweeps sharing one initialization."""
 
-    def test_two_kind_report(self, tmp_path, capsys):
+    KINDS = ("msconv", "no_so", "skconv")
+
+    def test_two_kind_report(self, tmp_path, capsys, bounded):
         """Both requested kinds train, report and leave checkpoints whose
         config reloads equal to the run's with the kind swapped in."""
         cfg_path = write_config(tmp_path / "run.cfg", epochs=1)
@@ -939,6 +951,131 @@ class TestAblateCommand:
         assert err.startswith("error: non-finite loss at epoch ")
         assert err.count("\n") == 1
         assert [str(w.message) for w in caught] == []
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="needs os.sched_setaffinity")
+    def test_bytes_independent_of_cores(self, tmp_path, monkeypatch, capsys,
+                                        bounded):
+        """Three kinds, each step in three chunks, write the same
+        report.txt, metrics.log and checkpoint bytes at 1, 2 and 3 cores
+        (no cells; two cells, then one kind on both cores; three cells) and
+        in a child pinned to one CPU."""
+        cfg_path = write_config(tmp_path / "run.cfg", epochs=1)
+        argv = ["ablate", "--config", cfg_path,
+                "--kinds", ",".join(self.KINDS), "--far", "0.1"]
+        outs = []
+        for cores in (1, 2, 3):
+            split_steps(monkeypatch, cores)
+            out = tmp_path / f"cores{cores}"
+            assert cli.main([*argv, "--out", str(out)]) == 0
+            outs.append(ablate_bytes(out, self.KINDS))
+        capsys.readouterr()
+        out = tmp_path / "pinned"
+        proc = child_msconv([*argv, "--out", str(out)],
+                            "os.sched_setaffinity(0, "
+                            "{min(os.sched_getaffinity(0))})\n"
+                            "from msconv import tensor\n"
+                            "tensor._DEPTH_BYTES = 2 * 8 * 8 * 4 * 8\n")
+        assert proc.returncode == 0, proc.stderr
+        outs.append(ablate_bytes(out, self.KINDS))
+        assert {"report.txt", *(f"{kind}/metrics.log" for kind in self.KINDS),
+                *(f"{kind}/config.txt" for kind in self.KINDS)} <= set(outs[0])
+        assert outs[0] == outs[1] == outs[2] == outs[3]
+
+    @pytest.mark.parametrize("failing", [("skconv",), ("msconv", "skconv")],
+                             ids=["helper", "caller_and_helper"])
+    def test_cell_failure_reported(self, tmp_path, monkeypatch, capsys,
+                                   bounded, failing):
+        """A divergence in the helper's cell ends the sweep in its one error
+        line and exit 2; when the caller's cell 0 fails too, later than the
+        helper's cell 1, cell 0's error is the one reported."""
+        from msconv import model
+        train_module = sys.modules["msconv.train"]
+        monkeypatch.setattr(model, "_cores", lambda: 2)
+        forked = spy_on_forks(monkeypatch)
+        real = train_module.train
+
+        def spy(cfg, dataset=None):
+            kind = cfg.fusion.value
+            if kind in failing:
+                time.sleep(0.5 if kind == "msconv" else 0)
+                raise train_module.TrainingDivergedError(
+                    1, ("msconv", "skconv").index(kind), [])
+            return real(cfg, dataset)
+
+        monkeypatch.setattr(train_module, "train", spy)
+        out = tmp_path / "o"
+        code = cli.main(["ablate", "--config",
+                         write_config(tmp_path / "run.cfg", epochs=1),
+                         "--out", str(out), "--kinds", "msconv,skconv"])
+        assert code == 2
+        step = 0 if "msconv" in failing else 1
+        assert capsys.readouterr().err == ("error: non-finite loss at epoch 1 "
+                                           f"step {step}; batch indices []\n")
+        assert len(forked) == 1
+        assert not out.exists()
+
+    def test_killed_cell_helper_reported(self, tmp_path):
+        """A cell helper killed by SIGKILL ends the sweep in one error line
+        naming it, with exit code 2 and no report."""
+        kill = ("from msconv import train\n"
+                "caller, run = os.getpid(), train.train\n"
+                "def kill(*args, **kw):\n"
+                "    if os.getpid() != caller:\n"
+                "        os.kill(os.getpid(), signal.SIGKILL)\n"
+                "    return run(*args, **kw)\n"
+                "train.train = kill\n")
+        out = tmp_path / "out"
+        proc = child_msconv(["ablate", "--config",
+                             write_config(tmp_path / "run.cfg", epochs=1),
+                             "--out", str(out), "--kinds", "msconv,skconv"],
+                            TWO_WORKERS + kill)
+        assert proc.returncode == 2
+        assert re.fullmatch(r"error: helper \d+ was killed by signal 9\n",
+                            proc.stderr)
+        assert proc.stdout == ""
+        assert not (out / "report.txt").exists()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+    def test_no_cell_helper_outlives_a_killed_caller(self, tmp_path):
+        """A sweep SIGKILLed in its cell 0, while the cell helper is in
+        cell 1, leaves no helper running: within 30 s it is gone or a
+        zombie."""
+        pids = tmp_path / "pids"
+        kill = ("from msconv import train\n"
+                f"pids = {str(pids)!r}\n"
+                "def record():\n"
+                "    with open(pids, 'a') as fh:\n"
+                "        fh.write(f'{os.getpid()}\\n')\n"
+                "os.register_at_fork(after_in_child=record)\n"
+                "caller, run = os.getpid(), train.train\n"
+                "def kill(*args, **kw):\n"
+                "    deadline = time.monotonic() + 30\n"
+                "    while os.getpid() == caller:\n"
+                "        if os.path.exists(pids):\n"
+                "            os.kill(caller, signal.SIGKILL)\n"
+                "        time.sleep(0.01)\n"
+                "    while os.getppid() == caller and \\\n"
+                "            time.monotonic() < deadline:\n"
+                "        time.sleep(0.01)\n"
+                "    return run(*args, **kw)\n"
+                "train.train = kill\n")
+        with open(tmp_path / "output", "w") as output:
+            proc = child_msconv(["ablate", "--config",
+                                 write_config(tmp_path / "run.cfg", epochs=1),
+                                 "--out", str(tmp_path / "out"),
+                                 "--kinds", "msconv,skconv"],
+                                TWO_WORKERS + kill, output)
+        assert proc.returncode == -signal.SIGKILL
+        helpers = [int(pid) for pid in pids.read_text().split()]
+        assert len(helpers) == 1
+        deadline = time.monotonic() + 30
+        while (alive := [pid for pid in helpers if running(pid)]) and \
+                time.monotonic() < deadline:
+            time.sleep(0.05)
+        for pid in alive:
+            os.kill(pid, signal.SIGKILL)
+        assert alive == []
 
     @pytest.mark.parametrize("kinds", ["msconv,msconv", "no_mo,msconv_sum"])
     def test_repeated_kind_rejected(self, tmp_path, capsys, kinds):

@@ -14,6 +14,7 @@ import os
 import signal
 import time
 import warnings
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from msconv import tensor as T
 from msconv.autograd import Tape, finite_diff_check
 from msconv.block import BLOCK_PARAM_NAMES, FusionKind, MSConvState
 from msconv.model import (COS_CLAMP, MarginKind, MarginLossConfig, StageSpec,
-                          TinyNetConfig, cost_rows, init_params,
+                          TinyNetConfig, Workers, cost_rows, init_params,
                           margin_ce_on_tape, margin_loss, normalize_rows,
                           param_shapes, tinynet_embed, tinynet_forward)
 from msconv.train import RunConfig, full_init
@@ -426,6 +427,29 @@ class TestWorkers:
         assert len(forked) == 1
         assert not forked[0].is_alive()
         assert multiprocessing.active_children() == []
+
+    def test_nested_map_forks_nothing(self, monkeypatch, tmp_path, bounded):
+        """A map's work that calls tinynet_embed, at two cores, runs each
+        call's chunks on the worker that runs its own chunk: only the outer
+        helper forks, and the bytes are those of the calls made outside any
+        map."""
+        from msconv import model
+        monkeypatch.setattr(model, "_cores", lambda: 2)
+        cfg = TinyNetConfig()
+        params = init_params(cfg, seed=13)
+        xs = [rand((33, 32, 32, 3), seed) for seed in (14, 15)]
+        want = [tinynet_embed(x, params, cfg).tobytes() for x in xs]
+        forked = spy_on_forks(monkeypatch)
+        read = log_passes(monkeypatch, tmp_path / "passes")
+        workers = Workers(2, lambda k: tinynet_embed(xs[k], params, cfg))
+        with closing(workers):
+            got = workers.map([0, 1])
+        assert len(forked) == 1
+        assert [emb.tobytes() for emb in got] == want
+        # three chunks of 11 images per call, each call on one worker
+        rows = read()
+        assert len(rows) == 6
+        assert {row["pid"] for row in rows} == {os.getpid(), forked[0].pid}
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_embeds(self, monkeypatch, bounded):

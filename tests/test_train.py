@@ -7,6 +7,7 @@ import pickle
 import re
 import sys
 import tracemalloc
+from contextlib import closing
 from dataclasses import replace
 from functools import partial
 
@@ -390,6 +391,24 @@ class TestMicroBatches:
         # size, on 3 workers
         assert len(forked) == 2 * 2
 
+    def test_train_in_a_map_forks_nothing(self, monkeypatch, bounded):
+        """train run as a map's work, at two cores with steps of three
+        chunks, runs its steps and acc= passes on the worker of its chunk:
+        only the outer helper forks, and each run's bits are those of train
+        called outside any map."""
+        split_steps(monkeypatch, 2)
+        cfgs = [tiny_config(seed=seed) for seed in (0, 1)]
+        want = [train(cfg) for cfg in cfgs]
+        forked = spy_on_forks(monkeypatch)
+        workers = Workers(2, lambda k: train(cfgs[k]))
+        with closing(workers):
+            got = workers.map([0, 1])
+        assert len(forked) == 1
+        for res, ref in zip(got, want):
+            assert res.log_lines == ref.log_lines
+            assert {k: v.tobytes() for k, v in res.params.items()} == \
+                {k: v.tobytes() for k, v in ref.params.items()}
+
     @pytest.mark.parametrize("where", ["nowhere", "helper", "caller"])
     def test_no_helper_outlives_train(self, monkeypatch, bounded, where):
         """No helper is alive once train has returned, or has raised the
@@ -613,7 +632,71 @@ class TestAblationHarness:
             ablation_run(tiny_config(epochs=1), kinds=self.KINDS,
                          genuine_pairs=-1, impostor_pairs=4)
 
-    def test_rows_and_shared_init(self):
+    def test_no_kinds(self, monkeypatch):
+        """No kinds make an empty report, at two cores too, and fork
+        nothing."""
+        from msconv import model
+        monkeypatch.setattr(model, "_cores", lambda: 2)
+        forked = spy_on_forks(monkeypatch)
+        report = ablation_run(tiny_config(epochs=1), ())
+        assert (report.rows, report.results) == ([], {})
+        assert forked == []
+
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    def test_cells_follow_the_plan(self, monkeypatch, tmp_path, bounded,
+                                   cores):
+        """Three kinds with steps of three chunks, at 1, 2 and 3 cores.  The
+        whole rounds' cell k trains on worker k % count, every step chunk on
+        that worker, and forks nothing; each kind left over trains on the
+        caller, its step chunks on workers of its own."""
+        kinds = (FusionKind.MSCONV, FusionKind.NO_SO,
+                 FusionKind.SKCONV_REFERENCE)
+        split_steps(monkeypatch, cores)
+        forked = spy_on_forks(monkeypatch)
+        log = tmp_path / "log"
+        log.write_text("")
+
+        def logged(fn, what):
+            def spy(*args, **kw):
+                cfg = next(a for a in args if isinstance(a, RunConfig))
+                with open(log, "a") as fh:
+                    fh.write(f"{what} {cfg.fusion.value} {os.getpid()}\n")
+                return fn(*args, **kw)
+            return spy
+
+        monkeypatch.setattr(train_module, "train",
+                            logged(train_module.train, "train"))
+        monkeypatch.setattr(train_module, "_micro_batch",
+                            logged(train_module._micro_batch, "chunk"))
+        report = ablation_run(tiny_config(epochs=1), kinds, far_target=0.1,
+                              genuine_pairs=20, impostor_pairs=40)
+        assert [row.kind for row in report.rows] == list(kinds)
+        runs, chunks = {}, {}
+        for line in log.read_text().splitlines():
+            what, kind, pid = line.split()
+            if what == "train":
+                runs[kind] = int(pid)
+            else:
+                chunks.setdefault(kind, set()).add(int(pid))
+        count = min(cores, len(kinds))
+        whole = len(kinds) - len(kinds) % count if count > 1 else 0
+        cell_helpers = [p.pid for p in forked[:count - 1]] if whole else []
+        workers = [os.getpid(), *cell_helpers]
+        for k, kind in enumerate(kind.value for kind in kinds):
+            if k < whole:
+                assert runs[kind] == workers[k % count]
+                assert chunks[kind] == {runs[kind]}
+            else:
+                assert runs[kind] == os.getpid()
+                assert os.getpid() in chunks[kind]
+                assert len(chunks[kind]) == cores
+                assert not chunks[kind] & set(cell_helpers)
+        # a kind left over forks cores - 1 helpers for its steps, for its
+        # acc= pass and for its held-out embedding (both in nine chunks)
+        assert len(forked) == len(cell_helpers) + \
+            (len(kinds) - whole) * 3 * (cores - 1)
+
+    def test_rows_and_shared_init(self, bounded):
         report = ablation_run(tiny_config(epochs=1), kinds=self.KINDS,
                               far_target=0.1, genuine_pairs=20,
                               impostor_pairs=40)
@@ -624,7 +707,7 @@ class TestAblationHarness:
         for k in init_a:
             assert init_a[k].tobytes() == init_b[k].tobytes()
 
-    def test_report_formatting(self):
+    def test_report_formatting(self, bounded):
         report = ablation_run(tiny_config(epochs=1), kinds=self.KINDS,
                               far_target=0.1, genuine_pairs=20,
                               impostor_pairs=40)
