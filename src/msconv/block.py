@@ -272,24 +272,6 @@ def equivalence_check(u1: T.Tensor4, u2: T.Tensor4,
     return float(np.max(np.abs(v_softmax - v_sigmoid)))
 
 
-def so_noise_test(sigma: float, trials: int, mu: float = 0.0,
-                  seed: int = 0) -> tuple[float, float]:
-    """Sample mean and variance of N1 - N2 for i.i.d. N ~ Normal(mu, sigma^2).
-
-    The difference cancels the common mean and doubles the variance, which is
-    the mechanism by which the subtractive branch suppresses shared noise.
-    """
-    if sigma < 0:
-        raise ValueError("sigma must be non-negative")
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    rng = np.random.default_rng(seed)
-    n1 = rng.normal(mu, sigma, trials)
-    n2 = rng.normal(mu, sigma, trials)
-    diff = n1 - n2
-    return float(diff.mean()), float(diff.var())
-
-
 def block_cost(shapes: dict[str, tuple[int, ...]], height: int, width: int,
                stride: int, kind: FusionKind) -> dict[str, int]:
     """Exact per-sample learnable-element and arithmetic-op counts by layer.

@@ -189,40 +189,51 @@ def depth_step(cfg: TinyNetConfig, size: tuple[int, int], dtype) -> int:
 _CALLER_ENDS = set()
 # whether this process is running the chunks of a map
 _MAPPING = False
+# in a helper, the pid of the caller that forked it; None in a caller
+_CALLER = None
 
 
 class Workers:
-    """The caller and ``count - 1`` helper processes, forked here once, that
-    run ``work(chunk, *shared)``.  A helper inherits ``work`` and whatever it
-    reads through the fork.  A caller that cannot fork (no "fork" start
-    method, or a daemonic process) runs every chunk itself, and so does a
-    process that opens its ``Workers`` while it runs the chunks of a map:
-    a nested map stays on the worker that runs the outer chunk, so maps
-    inside maps never oversubscribe the cores."""
+    """Up to ``most`` workers, and no more than ``_cores()``, that run
+    ``work(chunk, *shared)``: the caller and ``count - 1`` helper processes,
+    forked here once.  A helper inherits ``work`` and whatever it reads
+    through the fork.  A caller that cannot fork (no "fork" start method,
+    or a daemonic process) runs every chunk itself, ``count`` being 1, and
+    so does a process that opens its ``Workers`` while it runs the chunks
+    of a map: a nested map stays on the worker that runs the outer chunk,
+    so maps inside maps never oversubscribe the cores."""
 
-    def __init__(self, count: int, work):
+    def __init__(self, most: int, work):
         self.work = work
         self.helpers = []
         if ("fork" not in multiprocessing.get_all_start_methods()
                 or multiprocessing.current_process().daemon or _MAPPING):
             return
         ctx = multiprocessing.get_context("fork")
-        for _ in range(count - 1):
+        for _ in range(min(_cores(), most) - 1):
             conn, child = ctx.Pipe()
             _CALLER_ENDS.add(conn)
-            process = ctx.Process(target=self._serve, args=(child,),
-                                  daemon=True)
+            process = ctx.Process(target=self._serve,
+                                  args=(child, os.getpid()), daemon=True)
             process.start()
             child.close()
             self.helpers.append((conn, process))
 
+    @property
+    def count(self) -> int:
+        """The workers: the caller and its helpers."""
+        return len(self.helpers) + 1
+
     def _run(self, chunks: list, shared: tuple) -> list:
         """``work`` of each chunk in turn; the first to raise ends the list
-        with its exception."""
+        with its exception.  In a helper whose caller has died, and so is
+        no longer its parent, the next chunk raises SystemExit instead."""
         global _MAPPING
         out, outer, _MAPPING = [], _MAPPING, True
         try:
             for chunk in chunks:
+                if _CALLER is not None and os.getppid() != _CALLER:
+                    raise SystemExit(1)
                 try:
                     out.append(self.work(chunk, *shared))
                 except Exception as exc:
@@ -232,11 +243,14 @@ class Workers:
             _MAPPING = outer
         return out
 
-    def _serve(self, conn) -> None:
-        """A helper: one reply to each message.  It first closes every
-        caller's pipe end it inherited, of any ``Workers``, so a caller that
-        dies reaches every helper as end of file, or as a broken pipe once
-        its chunks end, and it returns then."""
+    def _serve(self, conn, caller: int) -> None:
+        """A helper of ``caller``: one reply to each message.  It first
+        closes every caller's pipe end it inherited, of any ``Workers``, so
+        a caller that dies reaches every helper as end of file, or as a
+        broken pipe once its chunks end, or, between two chunks of any map
+        it runs, as a parent that is no longer ``caller``; it ends then."""
+        global _CALLER
+        _CALLER = caller
         for end in _CALLER_ENDS:
             end.close()
         try:
@@ -250,7 +264,7 @@ class Workers:
         runs on worker k % count, the caller being worker 0.  Raises the
         earliest failed chunk's exception once every helper has answered; a
         helper that died answers ChildProcessError, naming how it ended."""
-        count = len(self.helpers) + 1
+        count = self.count
         for h, (conn, _) in enumerate(self.helpers, start=1):
             try:
                 conn.send((chunks[h::count], shared))
@@ -294,11 +308,11 @@ def tinynet_embed(x: T.Tensor4, params: dict[str, np.ndarray],
     ``x`` splits once, by ``T.even_chunks`` at the ``depth_step``, and at
     no more than ``batch_size`` when given, and the whole network runs on
     one chunk at a time, on a fresh constant tape that records nothing.
-    The chunks run on ``min(cores, chunks)`` ``Workers`` forked for the
-    call, with the caller's numpy error state, and closed within it.  Each
-    process's tapes share one workspace (see ``autograd.Tape``), the
-    buffers its first, largest chunk allocated, which the returned
-    embeddings never alias.
+    The chunks run on the ``Workers`` opened for the call, one per core up
+    to one per chunk, with the caller's numpy error state, and closed
+    within it.  Each process's tapes share one workspace (see
+    ``autograd.Tape``), the buffers its first, largest chunk allocated,
+    which the returned embeddings never alias.
 
     The plan never depends on the core count and each chunk's bits depend
     only on its images, so the bytes are the same on any number of cores:
@@ -318,7 +332,7 @@ def tinynet_embed(x: T.Tensor4, params: dict[str, np.ndarray],
         consts = {name: tape.constant(v) for name, v in params.items()}
         return tinynet_forward(tape, tape.constant(x[chunk]), consts, cfg).value
 
-    with closing(Workers(min(_cores(), len(chunks)), run)) as workers:
+    with closing(Workers(len(chunks), run)) as workers:
         return np.concatenate(workers.map(chunks))
 
 

@@ -2,17 +2,19 @@
 
 The recipe: SGD with momentum 0.9, coupled weight decay 5e-4 on weights (not
 biases), learning rate annealed from 0.02 to 5e-6 along a quarter cosine wave
-evaluated per step.  Everything is seeded and independent of the core count,
-so two runs of the same config produce byte-identical logs and checkpoints.
+evaluated per step (``lr_at``).  Everything is seeded and independent of the
+core count, so two runs of the same config produce byte-identical logs and
+checkpoints.
 
 Each step runs depth-first, like inference: its batch splits by
 ``T.even_chunks`` at ``model.depth_step`` into micro-batches, each run
 forward and backward on its own tape with its loss seeded at its share of
 the batch (m/n images).  Their losses and gradients are summed in plan
 order, then one ``sgd_step`` follows.  The micro-batches run on one
-``model.Workers`` per ``train`` call, of ``min(cores, chunks)`` workers:
-the caller, which takes chunk 0, and helper processes forked before the
-first step, which inherit the dataset and receive each step's parameters.
+``model.Workers`` per ``train`` call, one worker per core up to one per
+chunk: the caller, which takes chunk 0, and helper processes forked before
+the first step, which inherit the dataset and receive each step's
+parameters.
 The plan never depends on the core count and a chunk's bits depend only on
 its images and the parameters, so neither do the bits of a run.
 
@@ -39,7 +41,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from . import model, msct, tensor as T
+from . import msct, tensor as T
 from .block import FusionKind, param_rng
 from .data import LabeledImages, SyntheticSpec, gen_synthetic, make_pairs
 from .metrics import (VerificationSet, check_far, pair_accuracy, pair_scores,
@@ -68,35 +70,6 @@ class TrainingDivergedError(RuntimeError):
 
     def __reduce__(self):
         return type(self), (self.epoch, self.step, self.batch_indices)
-
-
-@dataclass(frozen=True)
-class LRSchedule:
-    """Quarter-wave cosine decay: lr(t) = lr_min + (lr_init-lr_min)*cos(pi*t/(2T))."""
-
-    total_steps: int
-    lr_init: float = 0.02
-    lr_min: float = 5e-6
-
-    def __post_init__(self):
-        if self.total_steps < 1:
-            raise ValueError("schedule needs at least one step")
-        if not 0.0 < self.lr_min < self.lr_init:
-            raise ValueError("require 0 < lr_min < lr_init")
-
-
-def lr_at(sched: LRSchedule, t: int) -> float:
-    """Learning rate at step t in [0, T].
-
-    Evaluated as the convex combination lr_min*(1-s) + lr_init*s with
-    s = sin(pi*(T-t)/(2T)), which equals the cosine rule exactly in real
-    arithmetic but hits both endpoints exactly in floating point (s is 0.0 at
-    t=T and rounds to 1.0 at t=0).
-    """
-    if not 0 <= t <= sched.total_steps:
-        raise ValueError(f"step {t} outside [0, {sched.total_steps}]")
-    s = math.sin(math.pi * (sched.total_steps - t) / (2.0 * sched.total_steps))
-    return sched.lr_min * (1.0 - s) + sched.lr_init * s
 
 
 @dataclass(frozen=True)
@@ -136,6 +109,24 @@ class RunConfig:
             raise ValueError("data channels must equal model in_channels")
         # the model carries the run's fusion kind
         object.__setattr__(self, "model", self.model.with_fusion(self.fusion))
+
+
+def lr_at(cfg: RunConfig, total_steps: int, t: int) -> float:
+    """Learning rate at step t in [0, T] of a run of T = ``total_steps``
+    steps: the quarter-wave cosine decay lr_min + (lr_init - lr_min) *
+    cos(pi*t/(2T)) of ``cfg.lr_init`` and ``cfg.lr_min``.
+
+    Evaluated as the convex combination lr_min*(1-s) + lr_init*s with
+    s = sin(pi*(T-t)/(2T)), which equals the cosine rule exactly in real
+    arithmetic but hits both endpoints exactly in floating point (s is 0.0 at
+    t=T and rounds to 1.0 at t=0).
+    """
+    if total_steps < 1:
+        raise ValueError("schedule needs at least one step")
+    if not 0 <= t <= total_steps:
+        raise ValueError(f"step {t} outside [0, {total_steps}]")
+    s = math.sin(math.pi * (total_steps - t) / (2.0 * total_steps))
+    return cfg.lr_min * (1.0 - s) + cfg.lr_init * s
 
 
 def _decayed(name: str) -> bool:
@@ -255,23 +246,21 @@ def train(cfg: RunConfig, dataset: LabeledImages | None = None) -> TrainResult:
     n = ds.images.shape[0]
     batches_per_epoch = -(-n // cfg.batch_size)
     total_steps = cfg.epochs * batches_per_epoch
-    sched = (LRSchedule(total_steps, cfg.lr_init, cfg.lr_min)
-             if total_steps else None)
     chunk_step = depth_step(cfg.model, ds.images.shape[1:3],
                             np.result_type(ds.images, params["stem"]))
-    most = len(T.even_chunks(min(n, cfg.batch_size), chunk_step))
-    count = min(model._cores(), most) if total_steps else 1
+    most = (len(T.even_chunks(min(n, cfg.batch_size), chunk_step))
+            if total_steps else 0)
 
     result = TrainResult(cfg, params, init_snapshot)
     step = 0
-    with closing(Workers(count, partial(_micro_batch, ds, cfg))) as workers:
+    with closing(Workers(most, partial(_micro_batch, ds, cfg))) as workers:
         for epoch in range(cfg.epochs):
             order = np.random.default_rng([cfg.seed, 3, epoch]).permutation(n)
             step_losses = []
             lr = cfg.lr_init
             for b in range(batches_per_epoch):
                 idx = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
-                lr = lr_at(sched, step)
+                lr = lr_at(cfg, total_steps, step)
                 loss, grads = _step(workers, params, idx,
                                     T.even_chunks(len(idx), chunk_step),
                                     epoch, step)
@@ -368,11 +357,12 @@ def ablation_run(cfg: RunConfig, kinds=DEFAULT_ABLATION_KINDS, *,
     training samples.  A kind listed twice (aliases included) and a FAR
     target outside (0, 1) are rejected before any training.
 
-    Each kind is one cell: its ``train`` and its held-out evaluation.  On
-    ``count = min(cores, kinds)`` workers of two or more, the whole rounds,
-    the first ``len(kinds) - len(kinds) % count`` cells, run on one
-    ``Workers``: cell k on worker k % count, the caller being worker 0,
-    each cell's steps and embedding on its own worker.  The data, the
+    Each kind is one cell: its ``train`` and its held-out evaluation.  On a
+    ``Workers`` of ``count`` workers, one per core up to one per kind, and
+    when count is two or more, the whole rounds, the first
+    ``len(kinds) - len(kinds) % count`` cells, run as its chunks: cell k on
+    worker k % count, the caller being worker 0, each cell's steps and
+    embedding on its own worker.  The data, the
     held-out set and the pairs reach the helpers through the fork.  The
     cells left over then run in turn on the caller, each kind's steps on
     every core.  Rows come back in kind order and a kind's bits do not
@@ -401,9 +391,9 @@ def ablation_run(cfg: RunConfig, kinds=DEFAULT_ABLATION_KINDS, *,
             pair_acc=ver["pair_acc"], tar=ver["tar"],
             threshold=ver["threshold"]), res
 
-    count = min(model._cores(), len(kinds))
-    whole = len(kinds) - len(kinds) % count if count > 1 else 0
-    with closing(Workers(count, cell)) as workers:
+    with closing(Workers(len(kinds), cell)) as workers:
+        count = workers.count
+        whole = len(kinds) - len(kinds) % count if count > 1 else 0
         done = workers.map(kinds[:whole])
     done += [cell(kind) for kind in kinds[whole:]]
     return AblationReport(far_target, [row for row, _ in done],

@@ -406,3 +406,20 @@ def one_shot_verification(embs, pairs):
     same = np.array([p[2] for p in pairs], dtype=bool)
     scores = pair_scores(embs[ii], embs[jj])
     return scores[same], scores[~same]
+
+
+def so_noise_test(sigma, trials, mu=0.0, seed=0):
+    """Sample mean and variance of N1 - N2 for i.i.d. N ~ Normal(mu, sigma^2).
+
+    The difference cancels the common mean and doubles the variance, which is
+    the mechanism by which the subtractive branch suppresses shared noise.
+    """
+    if sigma < 0:
+        raise ValueError("sigma must be non-negative")
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    rng = np.random.default_rng(seed)
+    n1 = rng.normal(mu, sigma, trials)
+    n2 = rng.normal(mu, sigma, trials)
+    diff = n1 - n2
+    return float(diff.mean()), float(diff.var())

@@ -16,16 +16,16 @@ from msconv import cli
 from msconv.autograd import Tape, finite_diff_check
 from msconv.block import (FusionKind, MSConvState, block_forward_on_tape,
                           equivalence_check, params_flops_breakdown,
-                          reduced_width, so_noise_test)
+                          reduced_width)
 from msconv.data import SyntheticSpec
 from msconv.metrics import VerificationSet, pair_accuracy, tar_at_far
 from msconv.model import (MarginKind, MarginLossConfig, StageSpec,
                           TinyNetConfig,
                           init_params, margin_ce_on_tape, tinynet_forward)
-from msconv.train import (DEFAULT_ABLATION_KINDS, LRSchedule, RunConfig,
-                          ablation_run, lr_at, train)
+from msconv.train import (DEFAULT_ABLATION_KINDS, RunConfig, ablation_run,
+                          lr_at, train)
 from oracles import (count_state_params, counting_block_forward,
-                     sweep_accuracy, sweep_tar)
+                     so_noise_test, sweep_accuracy, sweep_tar)
 
 
 def _report(num, name, ok, details=""):
@@ -166,11 +166,10 @@ class TestAcceptance:
 
     def test_06_lr_schedule_endpoints(self):
         """lr(0)=0.02 and lr(T)=5e-6 to 1 ulp; strictly decreasing."""
-        sched = LRSchedule(total_steps=10_000)
-        first = lr_at(sched, 0)
-        last = lr_at(sched, sched.total_steps)
-        curve = np.array([lr_at(sched, t)
-                          for t in range(sched.total_steps + 1)])
+        cfg, total = RunConfig(), 10_000
+        first = lr_at(cfg, total, 0)
+        last = lr_at(cfg, total, total)
+        curve = np.array([lr_at(cfg, total, t) for t in range(total + 1)])
         strict = bool(np.all(np.diff(curve) < 0.0))
         ok = (abs(first - 0.02) <= math.ulp(0.02)
               and abs(last - 5e-6) <= math.ulp(5e-6) and strict)

@@ -147,19 +147,22 @@ class TestGradcheckCommand:
                       r"threshold=(\S+) status=(pass|FAIL)")
 
     def test_ops_scope_passes(self, capsys):
-        """Every primitive op check prints a passing line, the fused op
-        once per distinct fusion kind with and without a shortcut."""
+        """Each op a network pass records prints one passing line, the
+        fused op once per distinct fusion kind with and without a
+        shortcut."""
         assert cli.main(["gradcheck", "--scope", "ops"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
-        assert len(lines) == 21
-        fused = [f"op:msconv_fuse/{kind.value}{shortcut}"
-                 for kind in FusionKind for shortcut in ("", "+shortcut")]
-        assert [self.LINE.fullmatch(line).group(1)
-                for line in lines[-10:]] == fused
-        for line in lines:
-            match = self.LINE.fullmatch(line)
-            assert match is not None
-            assert match.group(1).startswith("op:")
+        matches = [self.LINE.fullmatch(line) for line in lines]
+        assert None not in matches
+        assert [match.group(1) for match in matches] == [
+            "op:conv2d", "op:global_avg_pool", "op:fc", "op:l2_normalize_rows",
+            "op:msconv_fuse/msconv", "op:msconv_fuse/msconv+shortcut",
+            "op:msconv_fuse/msconv_sum", "op:msconv_fuse/msconv_sum+shortcut",
+            "op:msconv_fuse/no_so", "op:msconv_fuse/no_so+shortcut",
+            "op:msconv_fuse/no_mo_no_so",
+            "op:msconv_fuse/no_mo_no_so+shortcut",
+            "op:msconv_fuse/skconv", "op:msconv_fuse/skconv+shortcut"]
+        for match in matches:
             assert float(match.group(2)) < 1e-6
             assert match.group(3) == "1e-06"
             assert match.group(4) == "pass"
@@ -1038,12 +1041,13 @@ class TestAblateCommand:
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
     def test_no_cell_helper_outlives_a_killed_caller(self, tmp_path):
-        """A sweep SIGKILLed in its cell 0, while the cell helper is in
-        cell 1, leaves no helper running: within 30 s it is gone or a
-        zombie."""
-        pids = tmp_path / "pids"
-        kill = ("from msconv import train\n"
-                f"pids = {str(pids)!r}\n"
+        """A desk sweep of four epochs SIGKILLed in its cell 0, once the
+        cell helper has started cell 1, leaves no helper running: within
+        2 s it is gone or a zombie, long before cell 1 could end."""
+        pids, started = tmp_path / "pids", tmp_path / "started"
+        kill = ("from msconv import model, train\n"
+                "model._cores = lambda: 2\n"
+                f"pids, started = {str(pids)!r}, {str(started)!r}\n"
                 "def record():\n"
                 "    with open(pids, 'a') as fh:\n"
                 "        fh.write(f'{os.getpid()}\\n')\n"
@@ -1052,24 +1056,22 @@ class TestAblateCommand:
                 "def kill(*args, **kw):\n"
                 "    deadline = time.monotonic() + 30\n"
                 "    while os.getpid() == caller:\n"
-                "        if os.path.exists(pids):\n"
+                "        if os.path.exists(started) or \\\n"
+                "                time.monotonic() > deadline:\n"
                 "            os.kill(caller, signal.SIGKILL)\n"
                 "        time.sleep(0.01)\n"
-                "    while os.getppid() == caller and \\\n"
-                "            time.monotonic() < deadline:\n"
-                "        time.sleep(0.01)\n"
+                "    open(started, 'w').close()\n"
                 "    return run(*args, **kw)\n"
                 "train.train = kill\n")
         with open(tmp_path / "output", "w") as output:
-            proc = child_msconv(["ablate", "--config",
-                                 write_config(tmp_path / "run.cfg", epochs=1),
+            proc = child_msconv(["ablate", "--epochs", "4",
                                  "--out", str(tmp_path / "out"),
-                                 "--kinds", "msconv,skconv"],
-                                TWO_WORKERS + kill, output)
+                                 "--kinds", "msconv,skconv"], kill, output)
         assert proc.returncode == -signal.SIGKILL
+        assert started.exists()
         helpers = [int(pid) for pid in pids.read_text().split()]
         assert len(helpers) == 1
-        deadline = time.monotonic() + 30
+        deadline = time.monotonic() + 2
         while (alive := [pid for pid in helpers if running(pid)]) and \
                 time.monotonic() < deadline:
             time.sleep(0.05)
@@ -1160,3 +1162,21 @@ class TestVizCommand:
                          "--out", str(tmp_path / "maps"), "--layer", "7"])
         assert code == 2
         assert "out of range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_image_rejected(self, trained, tmp_path, capsys, bad):
+        """One NaN or inf pixel fails with one error line naming the image,
+        exit code 2 and nothing written, not all-zero maps."""
+        _, out = trained
+        image = np.random.default_rng(5).normal(size=(8, 8, 2))
+        image[3, 4, 1] = bad
+        img_path = tmp_path / "img.msct"
+        msct.write_tensor(img_path, image)
+        maps = tmp_path / "maps"
+        code = cli.main(["viz", "--checkpoint", str(out / "checkpoint"),
+                         "--image", str(img_path), "--out", str(maps)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {img_path}: non-finite pixel values\n"
+        assert captured.out == ""
+        assert not maps.exists()

@@ -98,7 +98,8 @@ def mutate(data, root):
         ("truncate", "flip", "delete", "repeat", "move", "remove", "add")))
     if how in ("truncate", "flip"):
         target = data.draw(st.sampled_from(tensors))
-        blob = bytearray(open(os.path.join(root, target), "rb").read())
+        with open(os.path.join(root, target), "rb") as fh:
+            blob = bytearray(fh.read())
         # header positions (magic, rank, dims) as often as payload ones
         pos = data.draw(st.one_of(st.integers(0, min(len(blob), 24) - 1),
                                   st.integers(0, len(blob) - 1)))

@@ -105,7 +105,8 @@ def corrupt_dataset(directory, defect):
     """Apply one of DATASET_DEFECTS to a saved dataset directory; returns
     the file the error must name and the message that follows it."""
     labels = os.path.join(directory, "labels.txt")
-    names = [line.split(",")[0] for line in open(labels).read().split()]
+    with open(labels) as fh:
+        names = [line.split(",")[0] for line in fh.read().split()]
     paths = [os.path.join(directory, name) for name in names]
     first = msct.read_tensor(paths[0])
     if defect == "no images":

@@ -428,6 +428,23 @@ class TestWorkers:
         assert not forked[0].is_alive()
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("most", [0, 1, 2, 5])
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    def test_sizes_itself(self, monkeypatch, bounded, cores, most):
+        """Workers(most, work) forks one helper fewer than the smaller of
+        the core count and ``most``, none below two, and counts the caller
+        as one more worker, on which a map of ``most`` chunks runs its
+        share."""
+        from msconv import model
+        monkeypatch.setattr(model, "_cores", lambda: cores)
+        forked = spy_on_forks(monkeypatch)
+        with closing(Workers(most, lambda k: (k, os.getpid()))) as workers:
+            assert len(forked) == max(0, min(cores, most) - 1)
+            assert workers.count == len(forked) + 1
+            got = workers.map(list(range(most)))
+        pids = [os.getpid(), *(process.pid for process in forked)]
+        assert got == [(k, pids[k % workers.count]) for k in range(most)]
+
     def test_nested_map_forks_nothing(self, monkeypatch, tmp_path, bounded):
         """A map's work that calls tinynet_embed, at two cores, runs each
         call's chunks on the worker that runs its own chunk: only the outer

@@ -23,8 +23,8 @@ from msconv.model import (MarginKind, MarginLossConfig, StageSpec,
                           TinyNetConfig, Workers, depth_step, init_params,
                           margin_ce_on_tape, param_shapes, tinynet_embed,
                           tinynet_forward)
-from msconv.train import (CONFIG_KEYS, PAIR_BLOCK, ConfigError, LRSchedule,
-                          RunConfig, TrainingDivergedError, ablation_run,
+from msconv.train import (CONFIG_KEYS, PAIR_BLOCK, ConfigError, RunConfig,
+                          TrainingDivergedError, ablation_run,
                           build_config, config_from_lines, config_to_lines,
                           embed_dataset, evaluate_verification,
                           format_ablation_report, full_init, load_checkpoint,
@@ -104,42 +104,48 @@ def run_configs(draw):
 
 
 class TestLRSchedule:
+    """lr_at(cfg, T, t) anneals cfg.lr_init to cfg.lr_min over T steps."""
+
     @pytest.mark.parametrize("total", [1, 10, 10_000, 12_345])
     def test_endpoints_exact(self, total):
-        sched = LRSchedule(total)
-        assert lr_at(sched, 0) == 0.02
-        assert lr_at(sched, total) == 5e-6
+        cfg = RunConfig()
+        assert lr_at(cfg, total, 0) == 0.02
+        assert lr_at(cfg, total, total) == 5e-6
 
     def test_matches_cosine_rule(self):
-        sched = LRSchedule(1000, lr_init=0.02, lr_min=5e-6)
+        cfg = RunConfig(lr_init=0.02, lr_min=5e-6)
         for t in (1, 250, 500, 750, 999):
             want = 5e-6 + (0.02 - 5e-6) * math.cos(math.pi * t / 2000.0)
-            np.testing.assert_allclose(lr_at(sched, t), want, rtol=1e-12)
+            np.testing.assert_allclose(lr_at(cfg, 1000, t), want, rtol=1e-12)
 
     def test_strictly_decreasing(self):
-        sched = LRSchedule(10_000)
-        values = [lr_at(sched, t) for t in range(10_001)]
+        cfg = RunConfig()
+        values = [lr_at(cfg, 10_000, t) for t in range(10_001)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_bounded(self):
-        sched = LRSchedule(777, lr_init=0.1, lr_min=1e-5)
+        cfg = RunConfig(lr_init=0.1, lr_min=1e-5)
         for t in range(0, 778, 7):
-            assert 1e-5 <= lr_at(sched, t) <= 0.1
+            assert 1e-5 <= lr_at(cfg, 777, t) <= 0.1
 
     def test_step_domain(self):
-        sched = LRSchedule(10)
-        with pytest.raises(ValueError):
-            lr_at(sched, -1)
-        with pytest.raises(ValueError):
-            lr_at(sched, 11)
+        cfg = RunConfig()
+        for t in (-1, 11):
+            with pytest.raises(ValueError, match=rf"^step {t} outside "
+                               r"\[0, 10\]$"):
+                lr_at(cfg, 10, t)
 
     def test_schedule_validation(self):
+        """A run of fewer than one step has no schedule; RunConfig rejects
+        an lr_min outside (0, lr_init)."""
+        for total in (0, -3):
+            with pytest.raises(ValueError,
+                               match="^schedule needs at least one step$"):
+                lr_at(RunConfig(), total, 0)
         with pytest.raises(ValueError):
-            LRSchedule(0)
+            RunConfig(lr_init=1e-6, lr_min=1e-5)
         with pytest.raises(ValueError):
-            LRSchedule(10, lr_init=1e-6, lr_min=1e-5)
-        with pytest.raises(ValueError):
-            LRSchedule(10, lr_init=0.02, lr_min=0.0)
+            RunConfig(lr_init=0.02, lr_min=0.0)
 
 
 class TestSGDStep:
