@@ -200,7 +200,7 @@ def _cmd_verify(args, _extra) -> int:
     stats = evaluate_verification(params, cfg.model, ds, pairs, args.far,
                                   cfg.batch_size)
     print(f"verification over {len(pairs)} pairs "
-          f"({int(sum(p[2] for p in pairs))} genuine)")
+          f"({np.count_nonzero(pairs[:, 2])} genuine)")
     print(f"  tar@far={stats['far_target']:g}: {stats['tar']:.4f} "
           f"at threshold {stats['threshold']:.6f}")
     print(f"  best pair accuracy: {stats['pair_acc']:.4f} "

@@ -163,67 +163,94 @@ def load_dataset(directory) -> LabeledImages:
                          tuple(names))
 
 
-def make_pairs(labels: np.ndarray, genuine_count: int, impostor_count: int,
-               seed: int) -> list[tuple[int, int, int]]:
-    """Sampled (index_a, index_b, same) triples, deterministic given seed.
+def _distinct_pairs(rng, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ordered pairs (a, b) of distinct values below ``k``, one per entry of
+    ``k`` (each at least 2): ``a`` uniform, then ``b`` uniform among the
+    ``k - 1`` others, so every ordered distinct pair is equally likely."""
+    a = rng.integers(k)
+    return a, (a + 1 + rng.integers(k - 1)) % k
 
-    Genuine pairs draw two distinct samples of one identity; impostor pairs
-    draw samples of two distinct identities.  Requires non-negative counts,
-    at least two samples for some identity and at least two identities.
+
+def make_pairs(labels: np.ndarray, genuine_count: int, impostor_count: int,
+               seed: int) -> np.ndarray:
+    """Sampled verification pairs: an ``(n, 3)`` int64 array of rows
+    ``[index_a, index_b, same]``, the ``genuine_count`` genuine pairs
+    (``same`` 1) first, then the ``impostor_count`` impostor pairs (0).
+
+    A genuine pair draws an identity uniformly among those with two or more
+    samples, then an ordered pair of two distinct samples of it.  An
+    impostor pair draws an ordered pair of distinct identities, then one
+    sample of each, uniformly.  Each stage is one vectorized draw over all
+    pairs from ``default_rng([seed, 2])``, so the array is a function of the
+    labels, the counts and the seed.  Requires non-negative counts, at least
+    two samples for some identity when genuine pairs are asked for, and at
+    least two identities when impostor pairs are.
     """
     if genuine_count < 0 or impostor_count < 0:
         raise ValueError(f"pair counts must be non-negative, got genuine="
                          f"{genuine_count} impostor={impostor_count}")
-    labels = np.asarray(labels)
-    rng = np.random.default_rng([seed, 2])
-    by_id: dict[int, np.ndarray] = {
-        int(v): np.flatnonzero(labels == v) for v in np.unique(labels)}
-    rich = [v for v, idx in by_id.items() if idx.size >= 2]
-    ids = sorted(by_id)
-    if genuine_count and not rich:
+    _, inverse, counts = np.unique(np.asarray(labels), return_inverse=True,
+                                   return_counts=True)
+    # rows of identity v are rows_by_id[start[v]:start[v] + counts[v]]
+    rows_by_id = np.argsort(inverse, kind="stable")
+    start = np.cumsum(counts) - counts
+    rich = np.flatnonzero(counts >= 2)
+    if genuine_count and not rich.size:
         raise ValueError("no identity has two samples; cannot form genuine pairs")
-    if impostor_count and len(ids) < 2:
+    if impostor_count and counts.size < 2:
         raise ValueError("need two identities for impostor pairs")
-    pairs = []
-    for _ in range(genuine_count):
-        ident = rich[int(rng.integers(len(rich)))]
-        i, j = rng.choice(by_id[ident], size=2, replace=False)
-        pairs.append((int(i), int(j), 1))
-    for _ in range(impostor_count):
-        a, b = rng.choice(len(ids), size=2, replace=False)
-        i = rng.choice(by_id[ids[int(a)]])
-        j = rng.choice(by_id[ids[int(b)]])
-        pairs.append((int(i), int(j), 0))
+    rng = np.random.default_rng([seed, 2])
+    ident = rich[rng.integers(rich.size, size=genuine_count)]
+    a, b = _distinct_pairs(rng, counts[ident])
+    gen_i, gen_j = start[ident] + a, start[ident] + b
+    a, b = _distinct_pairs(rng, np.full(impostor_count, counts.size))
+    imp_i = start[a] + rng.integers(counts[a])
+    imp_j = start[b] + rng.integers(counts[b])
+    pairs = np.zeros((genuine_count + impostor_count, 3), dtype=np.int64)
+    pairs[:, 0] = rows_by_id[np.concatenate([gen_i, imp_i])]
+    pairs[:, 1] = rows_by_id[np.concatenate([gen_j, imp_j])]
+    pairs[:genuine_count, 2] = 1
     return pairs
 
 
-def write_pairs(path, pairs: list[tuple[int, int, int]]) -> None:
-    """Pair list file: file_a,file_b,same{0|1} per line."""
+def write_pairs(path, pairs: np.ndarray) -> None:
+    """Pair list file: file_a,file_b,same{0|1} per line, one row of the
+    ``(n, 3)`` pairs array (as ``make_pairs`` returns) per line."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 3)
+    # each image's name formatted once, not once per pair naming it
+    name = {i: _image_name(i) for i in np.unique(pairs[:, :2]).tolist()}
+    text = "".join([f"{name[i]},{name[j]},{int(same != 0)}\n"
+                    for i, j, same in pairs.tolist()])
     with open(path, "w") as fh:
-        for i, j, same in pairs:
-            fh.write(f"{_image_name(i)},{_image_name(j)},{int(bool(same))}\n")
+        fh.write(text)
 
 
-def read_pairs(path, names) -> list[tuple[int, int, int]]:
-    """(row_a, row_b, same) triples of a pair list file.
+def read_pairs(path, names) -> np.ndarray:
+    """The ``(n, 3)`` int64 pairs array ``[row_a, row_b, same]`` of a pair
+    list file, one row per line in file order.
 
     ``names`` lists the image filenames in dataset row order, as
     ``load_dataset`` reads them from ``labels.txt``; each filename resolves
-    to its row, and one that is not listed raises FormatError.
+    to its row, and one that is not listed raises FormatError.  A line that
+    is not ``file_a,file_b,same{0|1}``, or that names one image twice (its
+    score would be exactly 1), raises FormatError naming ``path:line``.
     """
-    pairs = []
     rows = {name: i for i, name in enumerate(names)}
-
-    def row_of(name: str) -> int:
-        if name not in rows:
-            raise msct.FormatError(
-                f"pair {len(pairs) + 1} names {name!r}, which is not "
-                f"among the {len(names)} images in labels.txt")
-        return rows[name]
-
+    # row_a, row_b, same of each pair in turn: one flat list of ints
+    # converts to the array faster than a list of tuples
+    flat = []
     for lineno, line in msct.text_lines(path):
         parts = line.split(",")
         if len(parts) != 3 or parts[2] not in ("0", "1"):
             raise msct.FormatError(f"{path}:{lineno}: bad pairs line {line!r}")
-        pairs.append((row_of(parts[0]), row_of(parts[1]), int(parts[2])))
-    return pairs
+        i, j = rows.get(parts[0]), rows.get(parts[1])
+        if i is None or j is None:
+            raise msct.FormatError(
+                f"pair {len(flat) // 3 + 1} names "
+                f"{parts[0] if i is None else parts[1]!r}, which is not "
+                f"among the {len(names)} images in labels.txt")
+        if i == j:
+            raise msct.FormatError(f"{path}:{lineno}: pair names "
+                                   f"{parts[0]!r} twice")
+        flat += (i, j, parts[2] == "1")
+    return np.array(flat, dtype=np.int64).reshape(-1, 3)

@@ -287,7 +287,10 @@ PAIR_BLOCK = 1024
 
 
 def verification_set(embs: np.ndarray, pairs) -> VerificationSet:
-    """Cosine scores of (i, j, same) index pairs, split by same-flag.
+    """Cosine scores of ``[i, j, same]`` index pairs, split by same-flag.
+
+    ``pairs`` is the ``(n, 3)`` int64 array that ``make_pairs`` and
+    ``read_pairs`` return (a list of triples converts to it).
 
     Pairs are scored in blocks of PAIR_BLOCK, each one ``pair_scores`` call
     on the block's gathered rows, so scratch memory stays fixed as the pair
@@ -301,8 +304,8 @@ def verification_set(embs: np.ndarray, pairs) -> VerificationSet:
     bad = np.flatnonzero((ii < 0) | (ii >= n) | (jj < 0) | (jj >= n))
     if bad.size:
         k = int(bad[0])
-        raise ValueError(f"pair {k + 1} {tuple(pairs[k])} indexes an image "
-                         f"outside the {n} loaded")
+        raise ValueError(f"pair {k + 1} {tuple(index[k].tolist())} indexes "
+                         f"an image outside the {n} loaded")
     scores = np.empty(index.shape[0])
     for a in range(0, index.shape[0], PAIR_BLOCK):
         b = a + PAIR_BLOCK

@@ -4,6 +4,7 @@ Metric results are cross-checked against brute-force threshold sweeps in
 oracles.py that share no code with the implementation.
 """
 
+import hashlib
 import os
 import re
 import tracemalloc
@@ -42,6 +43,18 @@ class TestSyntheticData:
         b = gen_synthetic(small_spec())
         assert a.images.tobytes() == b.images.tobytes()
         assert a.labels.tobytes() == b.labels.tobytes()
+
+    def test_desk_bytes_pinned(self):
+        """sha256 of the desk ``SyntheticSpec()`` images and labels, taken
+        before the pair sampler was vectorized: its edits to ``data.py``
+        leave the training data alone."""
+        ds = gen_synthetic(SyntheticSpec())
+        assert (ds.images.shape, ds.images.dtype) == ((500, 32, 32, 3),
+                                                      np.float64)
+        assert hashlib.sha256(ds.images.tobytes()).hexdigest() == (
+            "2d0a9b61128bcf00d6d123afd54ed736f99ef274f3ec082848bd1ee2c8467099")
+        assert hashlib.sha256(ds.labels.tobytes()).hexdigest() == (
+            "ba00b684429f2175128ed64579f6d29618e7ac1b7c7f8ce8ce1189b38908a239")
 
     def test_values_clamped(self):
         ds = gen_synthetic(small_spec(noise_sigma=2.0))
@@ -292,7 +305,7 @@ def bad_pairs_line(draw) -> bytes:
     a = draw(st.sampled_from(_LABEL_NAMES))
     b = draw(st.sampled_from(_LABEL_NAMES))
     kind = draw(st.sampled_from(["missing", "extra", "flag", "ascii",
-                                 "unlisted"]))
+                                 "unlisted", "twice"]))
     if kind == "missing":
         line = draw(st.sampled_from([a, f"{a},{b}"]))
     elif kind == "extra":
@@ -302,6 +315,8 @@ def bad_pairs_line(draw) -> bytes:
         line = f"{a},{b},{flag}"
     elif kind == "ascii":
         return draw(_with_non_ascii(f"{a},{b},0"))
+    elif kind == "twice":
+        line = f"{a},{a},{draw(st.sampled_from('01'))}"
     else:
         other = draw(_FIELD.filter(lambda f: f.strip() not in _LABEL_NAMES))
         line = draw(st.sampled_from([f"{other},{b},1", f"{a},{other},0"]))
@@ -351,8 +366,37 @@ class TestPairs:
 
     def test_deterministic(self):
         a = make_pairs(self.LABELS, 5, 7, seed=3)
-        assert a == make_pairs(self.LABELS, 5, 7, seed=3)
-        assert a != make_pairs(self.LABELS, 5, 7, seed=4)
+        assert np.array_equal(a, make_pairs(self.LABELS, 5, 7, seed=3))
+        assert not np.array_equal(a, make_pairs(self.LABELS, 5, 7, seed=4))
+
+    @pytest.mark.parametrize("genuine,impostor", [(0, 0), (4, 0), (0, 6),
+                                                  (4, 6)])
+    def test_int64_array_genuine_first(self, genuine, impostor):
+        pairs = make_pairs(self.LABELS, genuine, impostor, seed=5)
+        assert pairs.dtype == np.int64
+        assert pairs.shape == (genuine + impostor, 3)
+        assert pairs[:genuine, 2].tolist() == [1] * genuine
+        assert pairs[genuine:, 2].tolist() == [0] * impostor
+
+    def test_zero_counts_need_no_identities(self):
+        """A count of zero asks nothing of the labels."""
+        assert make_pairs(np.array([0, 1, 2]), 0, 3, seed=0).shape == (3, 3)
+        assert make_pairs(np.array([0, 0]), 2, 0, seed=0).shape == (2, 3)
+        assert make_pairs(np.array([], dtype=np.int64), 0, 0,
+                          seed=0).shape == (0, 3)
+
+    def test_every_allowed_pair_drawn(self):
+        """3 identities x 3 samples, in no identity-major order: 20k draws
+        of each kind reach every ordered pair of distinct samples of one
+        identity and every ordered cross-identity pair, and nothing else."""
+        labels = np.array([2, 0, 1, 0, 2, 1, 1, 0, 2])
+        rows = range(labels.size)
+        same = {(i, j) for i in rows for j in rows
+                if i != j and labels[i] == labels[j]}
+        cross = {(i, j) for i in rows for j in rows if labels[i] != labels[j]}
+        pairs = make_pairs(labels, 20_000, 20_000, seed=7)
+        assert {(i, j) for i, j, _ in pairs[:20_000].tolist()} == same
+        assert {(i, j) for i, j, _ in pairs[20_000:].tolist()} == cross
 
     def test_pair_validity(self):
         pairs = make_pairs(self.LABELS, 10, 10, seed=1)
@@ -382,15 +426,35 @@ class TestPairs:
         path = tmp_path / "pairs.txt"
         write_pairs(path, pairs)
         names = [f"img{i:05d}.msct" for i in range(len(self.LABELS))]
-        assert read_pairs(path, names) == pairs
+        assert np.array_equal(read_pairs(path, names), pairs)
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rows=st.lists(st.tuples(st.integers(0, 19), st.integers(1, 19),
+                                   st.integers(0, 1)), max_size=40))
+    def test_write_read_round_trip(self, tmp_path, rows):
+        """Any pairs array survives write then read, and the file holds one
+        ``file_a,file_b,same`` line per row."""
+        pairs = np.array([(i, (i + d) % 20, s) for i, d, s in rows],
+                         dtype=np.int64).reshape(-1, 3)
+        path = tmp_path / "pairs.txt"
+        write_pairs(path, pairs)
+        assert path.read_text() == "".join(
+            f"img{i:05d}.msct,img{j:05d}.msct,{s}\n" for i, j, s in pairs)
+        back = read_pairs(path, [f"img{i:05d}.msct" for i in range(20)])
+        assert back.dtype == np.int64 and np.array_equal(back, pairs)
 
     def test_read_pairs_bad_lines(self, tmp_path):
         path = tmp_path / "pairs.txt"
-        for bad in ("img00000.msct,img00001.msct\n",
-                    "img00000.msct,img00001.msct,2\n",
-                    "a.msct,img00001.msct,1\n"):
-            path.write_text(bad)
-            with pytest.raises(msct.FormatError):
+        for bad, message in (
+                ("img00000.msct,img00001.msct\n", f"{path}:2: bad pairs line"),
+                ("img00000.msct,img00001.msct,2\n", f"{path}:2: bad pairs line"),
+                ("a.msct,img00001.msct,1\n",
+                 "pair 2 names 'a.msct', which is not among the 2 images"),
+                ("img00001.msct,img00001.msct,1\n",
+                 f"{path}:2: pair names 'img00001.msct' twice")):
+            path.write_text("img00000.msct,img00001.msct,1\n" + bad)
+            with pytest.raises(msct.FormatError, match=re.escape(message)):
                 read_pairs(path, ["img00000.msct", "img00001.msct"])
 
     def test_read_pairs_non_ascii_line(self, tmp_path):

@@ -489,10 +489,14 @@ class TestVerificationEvaluation:
         np.testing.assert_allclose(vs.impostor, [0.0, 0.0], atol=1e-15)
 
     def test_verification_set_rejects_out_of_range_pair(self):
-        """A pair indexing past the embeddings names itself in the error."""
-        with pytest.raises(ValueError, match=re.escape(
-                "pair 2 (99, 1, 0) indexes an image outside the 18 loaded")):
-            verification_set(np.ones((18, 4)), [(0, 1, 1), (99, 1, 0)])
+        """A pair indexing past the embeddings names itself in the error,
+        in plain ints whether the pairs come as a list or an array."""
+        pairs = [(0, 1, 1), (99, 1, 0)]
+        for given in (pairs, np.array(pairs, dtype=np.int64)):
+            with pytest.raises(ValueError) as info:
+                verification_set(np.ones((18, 4)), given)
+            assert str(info.value) == ("pair 2 (99, 1, 0) indexes an image "
+                                       "outside the 18 loaded")
 
     def test_evaluate_verification_keys(self):
         cfg = tiny_config(epochs=1)
