@@ -39,15 +39,9 @@ class FusionKind(Enum):
 
     MSCONV = "msconv"              # attention on U1*U2, reweights U1-U2
     MSCONV_SUM = "msconv_sum"      # attention on U1+U2, reweights U1-U2
-    NO_MO = "msconv_sum"           # multiplication removed: alias of MSCONV_SUM
     NO_SO = "no_so"                # attention on U1*U2, reweights U1+U2
     NO_MO_NO_SO = "no_mo_no_so"    # both replaced by sums
     SKCONV_REFERENCE = "skconv"    # softmax-weighted sum of U1, U2
-
-    @classmethod
-    def _missing_(cls, value):
-        # "no_mo" names the same dataflow as "msconv_sum"; accept the spelling
-        return cls.MSCONV_SUM if value == "no_mo" else None
 
 
 # fusion kinds whose attention input is the element-wise product

@@ -25,8 +25,8 @@ from .model import (MarginKind, MarginLossConfig, StageSpec, TinyNetConfig,
                     tinynet_forward)
 from .train import (ConfigError, DEFAULT_ABLATION_KINDS, TrainingDivergedError,
                     ablation_run, build_config, evaluate_verification,
-                    format_ablation_report, load_checkpoint, read_kv_file,
-                    save_checkpoint, train)
+                    format_ablation_report, load_checkpoint, parse_value,
+                    read_kv_file, save_checkpoint, train)
 from .viz import visualize_features
 
 OP_THRESHOLD = 1e-6
@@ -36,8 +36,7 @@ BACKBONE_THRESHOLD = 1e-5
 def _parse_overrides(tokens: list[str]) -> dict[str, str]:
     """Trailing `--key value` pairs, each key once, into a string mapping."""
     pairs: dict[str, str] = {}
-    i = 0
-    while i < len(tokens):
+    for i in range(0, len(tokens), 2):
         tok = tokens[i]
         if not tok.startswith("--"):
             raise ConfigError(f"expected --key, got {tok!r}")
@@ -47,7 +46,6 @@ def _parse_overrides(tokens: list[str]) -> dict[str, str]:
         if key in pairs:
             raise ConfigError(f"duplicate override --{key}")
         pairs[key] = tokens[i + 1]
-        i += 2
     return pairs
 
 
@@ -154,8 +152,7 @@ def _cmd_train(args, extra) -> int:
     os.makedirs(args.out, exist_ok=True)
     log_path = os.path.join(args.out, "metrics.log")
     with open(log_path, "w") as fh:
-        for line in result.log_lines:
-            fh.write(line + "\n")
+        fh.writelines(line + "\n" for line in result.log_lines)
     ckpt_dir = os.path.join(args.out, "checkpoint")
     save_checkpoint(ckpt_dir, result.params, cfg)
     for line in result.log_lines:
@@ -168,7 +165,8 @@ def _cmd_train(args, extra) -> int:
 def _cmd_ablate(args, extra) -> int:
     cfg = _load_config(args.config, extra)
     if args.kinds:
-        kinds = tuple(FusionKind(k.strip()) for k in args.kinds.split(","))
+        kinds = tuple(parse_value("fusion", k.strip())
+                      for k in args.kinds.split(","))
     else:
         kinds = DEFAULT_ABLATION_KINDS
     report = ablation_run(cfg, kinds, far_target=args.far)
@@ -180,8 +178,7 @@ def _cmd_ablate(args, extra) -> int:
         kind_dir = os.path.join(args.out, kind.value)
         save_checkpoint(kind_dir, result.params, result.config)
         with open(os.path.join(kind_dir, "metrics.log"), "w") as fh:
-            for line in result.log_lines:
-                fh.write(line + "\n")
+            fh.writelines(line + "\n" for line in result.log_lines)
     print(text, end="")
     print(f"report={os.path.join(args.out, 'report.txt')}")
     return 0

@@ -20,8 +20,9 @@ import numpy as np
 
 from . import tensor as T
 from .autograd import Tape, Var
-from .block import (BLOCK_PARAM_NAMES, FusionKind, block_cost,
-                    block_forward_on_tape, block_param_shapes, init_param)
+from .block import (BLOCK_PARAM_NAMES, DEFAULT_MIN_WIDTH, DEFAULT_REDUCTION,
+                    FusionKind, block_cost, block_forward_on_tape,
+                    block_param_shapes, init_param)
 
 
 @dataclass(frozen=True)
@@ -48,8 +49,8 @@ class TinyNetConfig:
     stages: tuple[StageSpec, ...] = (StageSpec(blocks=1, channels=32, stride=2),)
     embed_dim: int = 64
     dilations: tuple[int, int] = (1, 2)
-    reduction: int = 16
-    min_width: int = 32
+    reduction: int = DEFAULT_REDUCTION
+    min_width: int = DEFAULT_MIN_WIDTH
     fusion: FusionKind = FusionKind.MSCONV
 
     def __post_init__(self):
@@ -57,6 +58,8 @@ class TinyNetConfig:
             raise ValueError("channel and embedding widths must be positive")
         if not self.stages:
             raise ValueError("at least one stage required")
+        if len(self.dilations) != 2:
+            raise ValueError("dilations must be two comma-separated integers")
         if min(self.dilations) < 1:
             raise ValueError("dilations must be positive")
 

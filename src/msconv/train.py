@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 import os
 import shutil
+from collections import defaultdict
 from contextlib import closing
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -357,8 +358,8 @@ def ablation_run(cfg: RunConfig, kinds=DEFAULT_ABLATION_KINDS, *,
 
     Held-out evaluation uses a freshly generated identity set (data seed + 1)
     so the verification numbers measure the embedding space, not memorized
-    training samples.  A kind listed twice (aliases included) and a FAR
-    target outside (0, 1) are rejected before any training.
+    training samples.  A kind listed twice and a FAR target outside (0, 1)
+    are rejected before any training.
 
     Each kind is one cell: its ``train`` and its held-out evaluation.  On a
     ``Workers`` of ``count`` workers, one per core up to one per kind, and
@@ -444,120 +445,109 @@ def _choice(kind: type[Enum]):
     return parse
 
 
-def _stage_list(attr: str):
-    return lambda cfg: tuple(getattr(s, attr) for s in cfg.model.stages)
-
-
-# Every config key once: (key, parse text, read the value from a RunConfig).
-# Unset keys default to the value read from RunConfig(), except the margins,
-# which default per loss kind (model.MARGIN_DEFAULTS).
+# Every config key once: (key, parse text, the dotted RunConfig fields it
+# sets, the first of which reads it back; ``stages.<field>`` is one list item
+# per stage).  Unset keys default to the value read from RunConfig(), except
+# the margins, which default per loss kind (model.MARGIN_DEFAULTS).
 CONFIG_KEYS = (
-    ("identities", int, attrgetter("data.identity_count")),
-    ("samples_per_identity", int, attrgetter("data.samples_per_identity")),
-    ("image_size", int, attrgetter("data.height")),
-    ("channels", int, attrgetter("data.channels")),
-    ("noise_sigma", _finite, attrgetter("data.noise_sigma")),
-    ("shift_range", int, attrgetter("data.shift_range")),
-    ("data_seed", int, attrgetter("data.seed")),
-    ("stem_channels", int, attrgetter("model.stem_channels")),
-    ("stage_blocks", _int_list, _stage_list("blocks")),
-    ("stage_channels", _int_list, _stage_list("channels")),
-    ("stage_strides", _int_list, _stage_list("stride")),
-    ("embed_dim", int, attrgetter("model.embed_dim")),
-    ("dilations", _int_list, attrgetter("model.dilations")),
-    ("reduction", int, attrgetter("model.reduction")),
-    ("min_width", int, attrgetter("model.min_width")),
-    ("fusion", _choice(FusionKind), attrgetter("fusion")),
-    ("loss", _choice(MarginKind), attrgetter("loss.kind")),
-    ("scale", _finite, attrgetter("loss.scale")),
-    ("m1", _finite, attrgetter("loss.m1")),
-    ("m2", _finite, attrgetter("loss.m2")),
-    ("m3", _finite, attrgetter("loss.m3")),
-    ("lr_init", _finite, attrgetter("lr_init")),
-    ("lr_min", _finite, attrgetter("lr_min")),
-    ("momentum", _finite, attrgetter("momentum")),
-    ("weight_decay", _finite, attrgetter("weight_decay")),
-    ("batch_size", int, attrgetter("batch_size")),
-    ("epochs", int, attrgetter("epochs")),
-    ("seed", int, attrgetter("seed")),
+    ("identities", int, ("data.identity_count", "loss.class_count")),
+    ("samples_per_identity", int, ("data.samples_per_identity",)),
+    ("image_size", int, ("data.height", "data.width")),
+    ("channels", int, ("data.channels", "model.in_channels")),
+    ("noise_sigma", _finite, ("data.noise_sigma",)),
+    ("shift_range", int, ("data.shift_range",)),
+    ("data_seed", int, ("data.seed",)),
+    ("stem_channels", int, ("model.stem_channels",)),
+    ("stage_blocks", _int_list, ("stages.blocks",)),
+    ("stage_channels", _int_list, ("stages.channels",)),
+    ("stage_strides", _int_list, ("stages.stride",)),
+    ("embed_dim", int, ("model.embed_dim",)),
+    ("dilations", _int_list, ("model.dilations",)),
+    ("reduction", int, ("model.reduction",)),
+    ("min_width", int, ("model.min_width",)),
+    ("fusion", _choice(FusionKind), ("fusion",)),
+    ("loss", _choice(MarginKind), ("loss.kind",)),
+    ("scale", _finite, ("loss.scale",)),
+    ("m1", _finite, ("loss.m1",)),
+    ("m2", _finite, ("loss.m2",)),
+    ("m3", _finite, ("loss.m3",)),
+    ("lr_init", _finite, ("lr_init",)),
+    ("lr_min", _finite, ("lr_min",)),
+    ("momentum", _finite, ("momentum",)),
+    ("weight_decay", _finite, ("weight_decay",)),
+    ("batch_size", int, ("batch_size",)),
+    ("epochs", int, ("epochs",)),
+    ("seed", int, ("seed",)),
 )
 _PARSERS = {key: parse for key, parse, _ in CONFIG_KEYS}
 _MARGINS = ("m1", "m2", "m3")
 
 
-def parse_kv_lines(lines) -> dict[str, str]:
-    """`key = value` pairs; comments (#) and blanks skipped; unknown keys fail."""
-    return _kv_pairs(enumerate(lines, start=1), "line ")
+def _read_field(cfg: RunConfig, path: str):
+    """The value of one CONFIG_KEYS field path in ``cfg``."""
+    group, _, name = path.rpartition(".")
+    if group == "stages":
+        return tuple(getattr(s, name) for s in cfg.model.stages)
+    return attrgetter(path)(cfg)
 
 
 def read_kv_file(path) -> dict[str, str]:
-    """parse_kv_lines over an ASCII file; every error names ``path:line``."""
-    return _kv_pairs(msct.text_lines(path), f"{path}:")
-
-
-def _kv_pairs(numbered, where: str) -> dict[str, str]:
+    """`key = value` pairs of an ASCII file, comments (#) skipped; a line
+    without ``=`` or with an unknown or repeated key fails at ``path:line``."""
     pairs: dict[str, str] = {}
-    for lineno, raw in numbered:
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    for lineno, line in msct.text_lines(path):
+        if line.startswith("#"):
             continue
         key, sep, value = line.partition("=")
         if not sep:
-            raise ConfigError(f"{where}{lineno}: expected key = value, "
-                              f"got {raw!r}")
+            raise ConfigError(f"{path}:{lineno}: expected key = value, "
+                              f"got {line!r}")
         key, value = key.strip(), value.strip()
         if key not in _PARSERS:
-            raise ConfigError(f"{where}{lineno}: unknown config key {key!r}")
+            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         if key in pairs:
-            raise ConfigError(f"{where}{lineno}: duplicate config key {key!r}")
+            raise ConfigError(f"{path}:{lineno}: duplicate config key "
+                              f"{key!r}")
         pairs[key] = value
     return pairs
 
 
-def build_config(pairs: dict[str, str]) -> RunConfig:
-    """RunConfig from raw string pairs layered over desk defaults."""
-    vals: dict[str, object] = {}
-    for key, raw in pairs.items():
-        if key not in _PARSERS:
-            raise ConfigError(f"unknown config key {key!r}")
-        try:
-            vals[key] = _PARSERS[key](raw)
-        except ValueError as exc:
-            raise ConfigError(f"bad value for {key!r}: {exc}") from None
-    base = RunConfig()
-    merged = {**{key: get(base) for key, _, get in CONFIG_KEYS}, **vals}
-
-    blocks = merged["stage_blocks"]
-    chans = merged["stage_channels"]
-    strides = merged["stage_strides"]
-    if not (len(blocks) == len(chans) == len(strides)):
-        raise ConfigError("stage_blocks, stage_channels and stage_strides "
-                          "must have equal length")
-    if len(merged["dilations"]) != 2:
-        raise ConfigError("dilations must be two comma-separated integers")
+def parse_value(key: str, text: str):
+    """One config key's value from its text, or ConfigError."""
+    if key not in _PARSERS:
+        raise ConfigError(f"unknown config key {key!r}")
     try:
-        data = SyntheticSpec(
-            identity_count=merged["identities"],
-            samples_per_identity=merged["samples_per_identity"],
-            height=merged["image_size"], width=merged["image_size"],
-            channels=merged["channels"], noise_sigma=merged["noise_sigma"],
-            shift_range=merged["shift_range"], seed=merged["data_seed"])
-        net = TinyNetConfig(
-            in_channels=merged["channels"],
-            stem_channels=merged["stem_channels"],
-            stages=tuple(StageSpec(blocks=b, channels=c, stride=s)
-                         for b, c, s in zip(blocks, chans, strides)),
-            embed_dim=merged["embed_dim"], dilations=merged["dilations"],
-            reduction=merged["reduction"], min_width=merged["min_width"])
-        loss = MarginLossConfig.of_kind(
-            merged["loss"], merged["identities"], merged["scale"],
-            **{m: vals[m] for m in _MARGINS if m in vals})
-        return RunConfig(
-            data=data, model=net, loss=loss, fusion=merged["fusion"],
-            lr_init=merged["lr_init"], lr_min=merged["lr_min"],
-            momentum=merged["momentum"], weight_decay=merged["weight_decay"],
-            batch_size=merged["batch_size"], epochs=merged["epochs"],
-            seed=merged["seed"])
+        return _PARSERS[key](text)
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {key!r}: {exc}") from None
+
+
+def build_config(pairs: dict[str, str]) -> RunConfig:
+    """RunConfig from raw string pairs layered over desk defaults, each value
+    set in every field its CONFIG_KEYS row names."""
+    vals = {key: parse_value(key, raw) for key, raw in pairs.items()}
+    base = RunConfig()
+    fields: dict[str, dict] = defaultdict(dict)
+    for key, _, paths in CONFIG_KEYS:
+        if key in vals or key not in _MARGINS:
+            value = vals[key] if key in vals else _read_field(base, paths[0])
+            for path in paths:
+                group, _, name = path.rpartition(".")
+                fields[group][name] = value
+    stages = fields.pop("stages")
+    if len({len(v) for v in stages.values()}) != 1:
+        *most, last = [key for key, _, paths in CONFIG_KEYS
+                       if paths[0].startswith("stages.")]
+        raise ConfigError(f"{', '.join(most)} and {last} must have equal "
+                          "length")
+    try:
+        data = SyntheticSpec(**fields["data"])
+        model = TinyNetConfig(
+            stages=tuple(StageSpec(**dict(zip(stages, spec)))
+                         for spec in zip(*stages.values())), **fields["model"])
+        return RunConfig(data=data, model=model,
+                         loss=MarginLossConfig.of_kind(**fields["loss"]),
+                         **fields[""])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -567,18 +557,13 @@ def _format_value(v) -> str:
         return v.value
     if isinstance(v, tuple):
         return ",".join(str(x) for x in v)
-    if isinstance(v, float):
-        return repr(v)
     return str(v)
 
 
 def config_to_lines(cfg: RunConfig) -> list[str]:
-    """Flat echo of the config; feeding these lines back reproduces cfg."""
-    return [f"{key} = {_format_value(get(cfg))}" for key, _, get in CONFIG_KEYS]
-
-
-def config_from_lines(lines) -> RunConfig:
-    return build_config(parse_kv_lines(lines))
+    """Flat echo of the config; reading these lines back reproduces cfg."""
+    return [f"{key} = {_format_value(_read_field(cfg, paths[0]))}"
+            for key, _, paths in CONFIG_KEYS]
 
 
 # -- checkpoints ---------------------------------------------------------------

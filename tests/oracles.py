@@ -234,7 +234,7 @@ def counting_block_forward(params, x, dilations=(1, 2), stride=1,
             for j in range(ow):
                 for ch in range(c):
                     counter.bump("target_fuse")
-                    if kind in ("msconv", "msconv_sum", "no_mo"):
+                    if kind in ("msconv", "msconv_sum"):
                         u4[i, j, ch] = u1[i, j, ch] - u2[i, j, ch]
                     else:
                         u4[i, j, ch] = u1[i, j, ch] + u2[i, j, ch]

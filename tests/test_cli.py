@@ -22,7 +22,7 @@ from msconv import cli, msct
 from msconv.block import FusionKind
 from msconv.data import load_dataset, read_pairs
 from msconv.model import init_params
-from msconv.train import build_config, load_checkpoint, parse_kv_lines
+from msconv.train import build_config, load_checkpoint, read_kv_file
 from test_data_metrics import DATASET_DEFECTS, corrupt_dataset
 from test_model import spy_on_forks
 from test_train import split_steps
@@ -873,8 +873,7 @@ class TestFlopsCommand:
         cfg_path = write_config(tmp_path / "run.cfg")
         assert cli.main(["flops", "--config", cfg_path]) == 0
         stats = kv_lines(capsys.readouterr().out)
-        with open(cfg_path) as fh:
-            run_cfg = build_config(parse_kv_lines(fh.readlines()))
+        run_cfg = build_config(read_kv_file(cfg_path))
         params = init_params(run_cfg.model, seed=0)
         assert int(stats["total_params"]) == \
             sum(arr.size for arr in params.values())
@@ -923,8 +922,7 @@ class TestAblateCommand:
         """Both requested kinds train, report and leave checkpoints whose
         config reloads equal to the run's with the kind swapped in."""
         cfg_path = write_config(tmp_path / "run.cfg", epochs=1)
-        with open(cfg_path) as fh:
-            run_cfg = build_config(parse_kv_lines(fh.readlines()))
+        run_cfg = build_config(read_kv_file(cfg_path))
         out = tmp_path / "ablate"
         code = cli.main(["ablate", "--config", cfg_path, "--out", str(out),
                          "--kinds", "msconv,skconv", "--far", "0.1"])
@@ -1079,9 +1077,10 @@ class TestAblateCommand:
             os.kill(pid, signal.SIGKILL)
         assert alive == []
 
-    @pytest.mark.parametrize("kinds", ["msconv,msconv", "no_mo,msconv_sum"])
+    @pytest.mark.parametrize("kinds", ["msconv,msconv",
+                                       "msconv_sum,no_so,msconv_sum"])
     def test_repeated_kind_rejected(self, tmp_path, capsys, kinds):
-        """A kind listed twice, also through an alias, fails before training."""
+        """A kind listed twice, also apart, fails before training."""
         cfg_path = write_config(tmp_path / "run.cfg", epochs=1)
         out = tmp_path / "o"
         code = cli.main(["ablate", "--config", cfg_path, "--out", str(out),
@@ -1089,6 +1088,23 @@ class TestAblateCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith(
             "error: a fusion kind is listed more than once")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config,kinds", [({}, "msconv,no_mo"),
+                                              ({"fusion": "no_mo"}, None)],
+                             ids=["kinds", "fusion_key"])
+    def test_no_mo_spelling_rejected(self, tmp_path, capsys, config, kinds):
+        """One name per fusion dataflow: "no_mo", in --kinds or as the
+        fusion key, ends in one error line before training."""
+        cfg_path = write_config(tmp_path / "run.cfg", epochs=1, **config)
+        out = tmp_path / "o"
+        code = cli.main(["ablate", "--config", cfg_path, "--out", str(out),
+                         *(["--kinds", kinds] if kinds else [])])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: .*'no_mo' is not one of "
+                            + re.escape(f"{[k.value for k in FusionKind]}")
+                            + "\n", err)
         assert not out.exists()
 
     @pytest.mark.parametrize("far", BAD_FARS)

@@ -23,7 +23,7 @@ from msconv.model import (MarginKind, MarginLossConfig, StageSpec,
                           tinynet_forward)
 from oracles import unfused_block_on_tape, unfused_net_forward
 
-KINDS = list(FusionKind)  # the five distinct kinds; the no_mo alias is not listed
+KINDS = list(FusionKind)  # the five fusion kinds
 EPS = np.finfo(np.float64).eps
 
 

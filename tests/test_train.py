@@ -1,5 +1,6 @@
 """Schedule, optimizer, training-loop, config, and checkpoint tests."""
 
+import dataclasses
 import math
 import multiprocessing
 import os
@@ -25,10 +26,10 @@ from msconv.model import (MarginKind, MarginLossConfig, StageSpec,
                           tinynet_forward)
 from msconv.train import (CONFIG_KEYS, PAIR_BLOCK, ConfigError, RunConfig,
                           TrainingDivergedError, ablation_run,
-                          build_config, config_from_lines, config_to_lines,
+                          build_config, config_to_lines,
                           embed_dataset, evaluate_verification,
                           format_ablation_report, full_init, load_checkpoint,
-                          lr_at, parse_kv_lines, save_checkpoint, sgd_step,
+                          lr_at, read_kv_file, save_checkpoint, sgd_step,
                           train, verification_set)
 from oracles import one_shot_embed, one_shot_verification
 from test_model import (assert_on_workers, assert_one_workspace_per_worker,
@@ -731,70 +732,122 @@ class TestAblationHarness:
         assert float(row["final_loss"]) == report.rows[0].final_loss
 
 
-class TestConfigText:
-    def test_defaults_from_empty(self):
-        assert config_from_lines([]) == RunConfig()
+def read_config(directory, lines) -> RunConfig:
+    """build_config over read_kv_file of ``lines`` written to a file."""
+    path = directory / "run.cfg"
+    path.write_text("".join(line + "\n" for line in lines))
+    return build_config(read_kv_file(path))
 
-    def test_comments_and_blanks_skipped(self):
-        cfg = config_from_lines(["# comment", "", "epochs = 3", "  ",
-                                 "batch_size = 8"])
+
+def kv_error(path, lineno: int, message: str) -> str:
+    """The ``match`` pattern of read_kv_file's error at ``path:lineno``."""
+    return f"^{re.escape(f'{path}:{lineno}: {message}')}$"
+
+
+class TestConfigText:
+    def test_defaults_from_empty(self, tmp_path):
+        assert read_config(tmp_path, []) == RunConfig()
+
+    def test_comments_and_blanks_skipped(self, tmp_path):
+        cfg = read_config(tmp_path, ["# comment", "", "epochs = 3", "  ",
+                                     "batch_size = 8"])
         assert cfg.epochs == 3 and cfg.batch_size == 8
 
-    def test_round_trip(self):
+    def test_round_trip(self, tmp_path):
         cfg = tiny_config(fusion=FusionKind.NO_SO,
                           loss=MarginLossConfig.of_kind(
                               MarginKind.COMBINED, 3, scale=32.0),
                           momentum=0.8, epochs=7, seed=5)
-        assert config_from_lines(config_to_lines(cfg)) == cfg
+        assert read_config(tmp_path, config_to_lines(cfg)) == cfg
 
-    def test_multi_stage_round_trip(self):
+    def test_multi_stage_round_trip(self, tmp_path):
         cfg = tiny_config(model=TinyNetConfig(
             in_channels=2, stem_channels=4,
             stages=(StageSpec(2, 6, 2), StageSpec(1, 8, 2)),
             embed_dim=8, min_width=2, dilations=(2, 3)))
-        again = config_from_lines(config_to_lines(cfg))
+        again = read_config(tmp_path, config_to_lines(cfg))
         assert again.model.stages == cfg.model.stages
         assert again.model.dilations == (2, 3)
 
     @settings(max_examples=200, deadline=None)
-    @given(run_configs())
-    def test_round_trip_property(self, cfg):
-        assert config_from_lines(config_to_lines(cfg)) == cfg
+    @given(cfg=run_configs())
+    def test_round_trip_property(self, tmp_path_factory, cfg):
+        directory = tmp_path_factory.getbasetemp()
+        assert read_config(directory, config_to_lines(cfg)) == cfg
+
+    def test_every_field_set_by_one_key(self):
+        """Each leaf field of RunConfig is set by exactly one CONFIG_KEYS
+        path, so a field without a row cannot drop out of a checkpoint's
+        config.txt.  model.fusion is exempt: RunConfig copies it from
+        fusion."""
+        def names(cls, prefix, skip=()):
+            return [prefix + f.name for f in dataclasses.fields(cls)
+                    if f.name not in skip]
+
+        leaves = [*names(SyntheticSpec, "data."),
+                  *names(TinyNetConfig, "model.", ("stages", "fusion")),
+                  *names(StageSpec, "stages."),
+                  *names(MarginLossConfig, "loss."),
+                  *names(RunConfig, "", ("data", "model", "loss"))]
+        paths = [path for _, _, paths in CONFIG_KEYS for path in paths]
+        assert sorted(paths) == sorted(leaves)
 
     def test_readme_lists_every_key(self):
-        """The README's config-key table names exactly CONFIG_KEYS, in order."""
+        """The README's config-key table names exactly CONFIG_KEYS, in
+        order, and each default parses to the value RunConfig() echoes."""
         with open(README) as fh:
             text = fh.read()
         section = text.split("## Config keys", 1)[1].split("\n## ", 1)[0]
-        documented = [name for line in section.splitlines()
-                      if line.startswith("| `")
-                      for name in re.findall(r"`(\w+)`",
-                                             line.split("|")[1])]
+        rows = [(re.findall(r"`(\w+)`", line.split("|")[1]),
+                 line.split("|")[2].strip())
+                for line in section.splitlines() if line.startswith("| `")]
+        documented = [name for names, _ in rows for name in names]
         assert documented == [key for key, _, _ in CONFIG_KEYS]
+        parsers = {key: parse for key, parse, _ in CONFIG_KEYS}
+        echoed = dict(line.split(" = ", 1)
+                      for line in config_to_lines(RunConfig()))
+        for names, default in rows:
+            if default == "by kind":  # m1-m3 follow the loss kind
+                continue
+            (key,) = names
+            assert parsers[key](default) == parsers[key](echoed[key]), key
 
-    def test_alias_spelling_parses(self):
-        assert build_config({"fusion": "no_mo"}).fusion is \
-            FusionKind.MSCONV_SUM
+    def test_no_mo_spelling_rejected(self):
+        """One name per fusion dataflow: "no_mo" is not a spelling of
+        msconv_sum."""
+        with pytest.raises(ConfigError, match=re.escape(
+                "bad value for 'fusion': 'no_mo' is not one of "
+                f"{[k.value for k in FusionKind]}")):
+            build_config({"fusion": "no_mo"})
 
-    def test_margin_defaults_by_loss_kind(self):
-        arc = config_from_lines(["loss = arc"])
+    def test_margin_defaults_by_loss_kind(self, tmp_path):
+        arc = read_config(tmp_path, ["loss = arc"])
         assert (arc.loss.m1, arc.loss.m2, arc.loss.m3) == (1.0, 0.5, 0.0)
-        comb = config_from_lines(["loss = combined"])
+        comb = read_config(tmp_path, ["loss = combined"])
         assert (comb.loss.m2, comb.loss.m3) == (0.3, 0.2)
-        override = config_from_lines(["loss = cos", "m3 = 0.2"])
+        override = read_config(tmp_path, ["loss = cos", "m3 = 0.2"])
         assert override.loss.m3 == 0.2
 
-    def test_unknown_key(self):
-        with pytest.raises(ConfigError):
-            parse_kv_lines(["nonsense = 1"])
+    def test_unknown_key(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("nonsense = 1\n")
+        with pytest.raises(ConfigError, match=kv_error(
+                path, 1, "unknown config key 'nonsense'")):
+            read_kv_file(path)
 
-    def test_duplicate_key(self):
-        with pytest.raises(ConfigError):
-            parse_kv_lines(["epochs = 1", "epochs = 2"])
+    def test_duplicate_key(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("epochs = 1\nepochs = 2\n")
+        with pytest.raises(ConfigError, match=kv_error(
+                path, 2, "duplicate config key 'epochs'")):
+            read_kv_file(path)
 
-    def test_missing_separator(self):
-        with pytest.raises(ConfigError):
-            parse_kv_lines(["epochs 3"])
+    def test_missing_separator(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("epochs 3\n")
+        with pytest.raises(ConfigError, match=kv_error(
+                path, 1, "expected key = value, got 'epochs 3'")):
+            read_kv_file(path)
 
     def test_bad_value(self):
         with pytest.raises(ConfigError):
@@ -820,8 +873,8 @@ class TestConfigText:
         with pytest.raises(ConfigError):
             build_config({"momentum": "1.5"})
 
-    def test_identities_drive_class_count(self):
-        cfg = config_from_lines(["identities = 7"])
+    def test_identities_drive_class_count(self, tmp_path):
+        cfg = read_config(tmp_path, ["identities = 7"])
         assert cfg.loss.class_count == 7
 
 
