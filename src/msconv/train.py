@@ -446,9 +446,9 @@ def _choice(kind: type[Enum]):
 
 
 # Every config key once: (key, parse text, the dotted RunConfig fields it
-# sets, the first of which reads it back; ``stages.<field>`` is one list item
-# per stage).  Unset keys default to the value read from RunConfig(), except
-# the margins, which default per loss kind (model.MARGIN_DEFAULTS).
+# sets, the first of which reads it back; ``stages.<field>`` is that field of
+# every stage, one list item each).  Unset keys default to the value read from
+# RunConfig(), except the margins: the loss kind's model.MARGIN_DEFAULTS.
 CONFIG_KEYS = (
     ("identities", int, ("data.identity_count", "loss.class_count")),
     ("samples_per_identity", int, ("data.samples_per_identity",)),
