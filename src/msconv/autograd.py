@@ -11,25 +11,24 @@ needs a gradient (a parameter, or an input under test); ``Tape.constant``
 enters one that needs none (training images, or every value of an inference
 pass).  An op's output needs a gradient when any of its inputs does, and only
 such ops are recorded: a tape fed constants alone records nothing, keeps no
-vjp closure, and holds no value beyond the Vars its caller keeps, while
-running the same forward code as training.  Constants never receive a
-gradient.
+vjp closure, and holds no value beyond its workspace and the Vars its caller
+keeps, while running the same forward code as training.  Constants never
+receive a gradient.
 
 Values are plain numpy arrays and must not be mutated while the tape is
 alive; the optimizer produces fresh arrays instead of updating in place.  A
 tape is single-owner and is consumed by ``backward``.
 
 The convolution and the block's fused op take their output arrays from
-``Tape.empty``.  A tape built with a ``workspace`` (a list of arrays, empty
-at first) hands out the workspace's buffers in allocation order instead of
-fresh arrays, so a sequence of forward passes over batches no larger than
-the first, run through one fresh tape each, reuses the first pass's memory.
-A value taken from the workspace stays valid only until the next tape
-sharing the workspace allocates; callers keep only values computed outside
-it (the embedding head's outputs are fresh arrays).  A workspace serves one
-tape at a time: each ``model.tinynet_embed`` worker process has its own.
-Such a tape refuses leaves, so it never records an op that could save a
-buffer for a backward pass.
+``Tape.empty``, which hands out the buffers of the tape's workspace (a list
+of arrays, empty at first) in allocation order.  A plain ``Tape()`` has a
+private list; tapes given one list share it, so a sequence of passes over
+batches no larger than the first, run through one fresh tape each, reuses
+the first pass's memory.  A tape's values and saved buffers stay valid only
+until the next tape on its workspace allocates; callers keep only values
+computed outside it (the embedding head's outputs, a loss, parameter
+gradients).  A workspace serves one tape at a time: each worker process of
+``model.tinynet_embed`` and of ``train`` has its own.
 
 ``backward`` frees each recorded op's output gradient once the record that
 produced the value has used it, so only leaf gradients live to the end: the
@@ -116,12 +115,12 @@ class Gradients:
 class Tape:
     """One forward pass's values and the records backward walks.
 
-    ``workspace``, when given, is the list of buffers ``empty`` reuses in
-    allocation order; see the module docstring.
+    ``workspace`` is the list of buffers ``empty`` reuses in allocation
+    order, a private one when not given; see the module docstring.
     """
 
     def __init__(self, workspace: list[np.ndarray] | None = None):
-        self._workspace = workspace
+        self._workspace = [] if workspace is None else workspace
         self._allocated = 0
         self._count = 0
         # slot -> shape, for every value that needs a gradient
@@ -152,15 +151,11 @@ class Tape:
                 raise ValueError("Var belongs to a different tape")
 
     def empty(self, shape: tuple[int, ...], dtype) -> np.ndarray:
-        """An uninitialised array for an op's output.
-
-        On a plain tape this is ``np.empty``.  On a tape with a workspace it
-        is the leading ``shape[0]`` rows of the workspace's next buffer in
-        allocation order; a buffer too small, or of another row shape or
-        dtype, is replaced by a fresh one first.
+        """An uninitialised array for an op's output: the leading
+        ``shape[0]`` rows of the workspace's next buffer in allocation
+        order.  A buffer too small, or of another row shape or dtype, is
+        replaced by a fresh one first.
         """
-        if self._workspace is None:
-            return np.empty(shape, dtype=dtype)
         ws, k = self._workspace, self._allocated
         self._allocated += 1
         if k == len(ws):
@@ -172,15 +167,8 @@ class Tape:
         return buf[:shape[0]]
 
     def leaf(self, value: np.ndarray) -> Var:
-        """Enter a value that needs a gradient; leaves have no record.
-
-        Raises ValueError on a tape with a workspace, whose values are
-        overwritten by the next tape that shares it.
-        """
+        """Enter a value that needs a gradient; leaves have no record."""
         self._guard()
-        if self._workspace is not None:
-            raise ValueError("a tape with a workspace is forward-only and "
-                             "takes no leaves")
         return self._push(value, True)
 
     def constant(self, value: np.ndarray) -> Var:

@@ -34,16 +34,6 @@ class VerificationSet:
             object.__setattr__(self, tag, arr)
 
 
-def cosine_sim(e1: np.ndarray, e2: np.ndarray) -> float:
-    """Cosine of the angle between two nonzero vectors."""
-    a = np.asarray(e1, dtype=np.float64).ravel()
-    b = np.asarray(e2, dtype=np.float64).ravel()
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine similarity undefined for zero vectors")
-    return float((a / na) @ (b / nb))
-
-
 def pair_scores(emb_a: np.ndarray, emb_b: np.ndarray) -> np.ndarray:
     """Row-wise cosine similarity of two equally shaped embedding batches."""
     a = np.asarray(emb_a, dtype=np.float64)

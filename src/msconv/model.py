@@ -313,9 +313,10 @@ def tinynet_embed(x: T.Tensor4, params: dict[str, np.ndarray],
     one chunk at a time, on a fresh constant tape that records nothing.
     The chunks run on the ``Workers`` opened for the call, one per core up
     to one per chunk, with the caller's numpy error state, and closed
-    within it.  Each process's tapes share one workspace (see
-    ``autograd.Tape``), the buffers its first, largest chunk allocated,
-    which the returned embeddings never alias.
+    within it.  Each process's tapes share one workspace for the call
+    (see ``autograd.Tape``), the buffers its first, largest chunk
+    allocated, which the returned embeddings never alias; ``train``'s
+    micro-batches reuse theirs the same way, in a workspace of their own.
 
     The plan never depends on the core count and each chunk's bits depend
     only on its images, so the bytes are the same on any number of cores:

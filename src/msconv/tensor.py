@@ -58,26 +58,20 @@ class UnsupportedConfigError(ValueError):
 
 
 class NonFiniteError(FloatingPointError):
-    """An op produced inf/nan while debug checks were enabled."""
+    """A tape op produced inf/nan while debug checks were enabled."""
 
 
 _debug_checks = False
 
 
 def set_debug_checks(enabled: bool) -> None:
-    """Toggle post-op finiteness validation (off by default; costs a scan)."""
+    """Toggle the tape's finiteness check of op outputs (off by default)."""
     global _debug_checks
     _debug_checks = bool(enabled)
 
 
 def debug_checks_enabled() -> bool:
     return _debug_checks
-
-
-def _finite_guard(out: np.ndarray, op: str) -> np.ndarray:
-    if _debug_checks and not np.isfinite(out).all():
-        raise NonFiniteError(f"{op} produced non-finite values")
-    return out
 
 
 def check_tensor4(x: np.ndarray, name: str = "tensor") -> np.ndarray:
@@ -264,13 +258,13 @@ def conv2d_raw(
     if len(taps) == 1:
         ys, xs, mat = taps[0]
         np.matmul(x[:, ys, xs, :], mat, out=out)
-        return _finite_guard(out, "conv2d")
+        return out
     ph = same_pad(kh, dilation)
     pw = same_pad(kw, dilation)
     _chunked_tap_gemm(x, ((ph, ph), (pw, pw)),
                       _chunk_step(shape[0], out[0].nbytes),
                       [(slice(None), slice(None), taps)], out)
-    return _finite_guard(out, "conv2d")
+    return out
 
 
 def _check_same_shape(x: np.ndarray, y: np.ndarray, op: str) -> None:
@@ -282,26 +276,26 @@ def ew_mul(x: Tensor4, y: Tensor4) -> Tensor4:
     """Elementwise product.  Amplifies positions where both operands respond."""
     x, y = np.asarray(x), np.asarray(y)
     _check_same_shape(x, y, "ew_mul")
-    return _finite_guard(x * y, "ew_mul")
+    return x * y
 
 
 def ew_sub(x: Tensor4, y: Tensor4) -> Tensor4:
     """Elementwise difference x - y.  Cancels content shared by both operands."""
     x, y = np.asarray(x), np.asarray(y)
     _check_same_shape(x, y, "ew_sub")
-    return _finite_guard(x - y, "ew_sub")
+    return x - y
 
 
 def ew_add(x: Tensor4, y: Tensor4) -> Tensor4:
     x, y = np.asarray(x), np.asarray(y)
     _check_same_shape(x, y, "ew_add")
-    return _finite_guard(x + y, "ew_add")
+    return x + y
 
 
 def global_avg_pool(x: Tensor4) -> ChannelVec:
     """Mean over all spatial positions, per sample and channel: (n,h,w,c) -> (n,c)."""
     x = check_tensor4(x, "pool input")
-    return _finite_guard(x.mean(axis=(1, 2)), "global_avg_pool")
+    return x.mean(axis=(1, 2))
 
 
 def fc(x: ChannelVec, weights: np.ndarray, bias: np.ndarray) -> ChannelVec:
@@ -315,7 +309,7 @@ def fc(x: ChannelVec, weights: np.ndarray, bias: np.ndarray) -> ChannelVec:
         )
     if bias.shape != (weights.shape[1],):
         raise ShapeError(f"fc bias must be ({weights.shape[1]},), got {bias.shape}")
-    return _finite_guard(x @ weights + bias, "fc")
+    return x @ weights + bias
 
 
 def relu(x: np.ndarray) -> np.ndarray:

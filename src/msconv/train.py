@@ -14,7 +14,10 @@ order, then one ``sgd_step`` follows.  The micro-batches run on one
 ``model.Workers`` per ``train`` call, one worker per core up to one per
 chunk: the caller, which takes chunk 0, and helper processes forked before
 the first step, which inherit the dataset and receive each step's
-parameters.
+parameters.  Each worker's tapes share one workspace for the whole call
+(see ``autograd.Tape``), the forward buffers of its first, largest
+micro-batch, reused across steps and epochs; the per-epoch ``acc=`` pass
+keeps its own, as its allocation order differs.
 The plan never depends on the core count and a chunk's bits depend only on
 its images and the parameters, so neither do the bits of a run.
 
@@ -101,15 +104,15 @@ class RunConfig:
             raise ValueError("batch_size must be positive, epochs non-negative")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if self.loss.class_count != self.data.identity_count:
-            raise ValueError("loss class_count must equal identity_count")
-        # the flat config text carries one image_size and one channels key
-        if self.data.height != self.data.width:
-            raise ValueError("images must be square")
-        if self.data.channels != self.model.in_channels:
-            raise ValueError("data channels must equal model in_channels")
         # the model carries the run's fusion kind
         object.__setattr__(self, "model", self.model.with_fusion(self.fusion))
+        # a key that sets several fields sets them to one value, so the
+        # config text carries every RunConfig
+        for key, _, (first, *rest) in CONFIG_KEYS:
+            for path in rest:
+                if _read_field(self, path) != _read_field(self, first):
+                    raise ValueError(f"{path} must equal {first}: config key "
+                                     f"{key!r} sets both")
 
 
 def lr_at(cfg: RunConfig, total_steps: int, t: int) -> float:
@@ -193,18 +196,20 @@ def train_accuracy(params: dict[str, np.ndarray], model_cfg: TinyNetConfig,
     return float(np.mean(predicted == ds.labels))
 
 
-def _micro_batch(ds: LabeledImages, cfg: RunConfig, chunk: slice,
+def _micro_batch(ds: LabeledImages, cfg: RunConfig,
+                 workspace: list[np.ndarray], chunk: slice,
                  params: dict[str, np.ndarray], idx: np.ndarray, epoch: int,
                  step: int) -> tuple[float, dict[str, np.ndarray]]:
     """Loss and parameter gradients of images ``idx[chunk]``, both weighted
-    by the chunk's share m/n of the step's n images.
+    by the chunk's share m/n of the step's n images, from one tape on
+    ``workspace``; neither aliases it.
 
     Raises TrainingDivergedError, naming the whole step's batch, if the
     chunk's embeddings or loss are unusable.
     """
     part = idx[chunk]
     share = len(part) / len(idx)
-    tape = Tape()
+    tape = Tape(workspace)
     leaves = {k: tape.leaf(v) for k, v in params.items()}
     emb = tinynet_forward(tape, tape.constant(ds.images[part]), leaves,
                           cfg.model)
@@ -254,7 +259,8 @@ def train(cfg: RunConfig, dataset: LabeledImages | None = None) -> TrainResult:
 
     result = TrainResult(cfg, params, init_snapshot)
     step = 0
-    with closing(Workers(most, partial(_micro_batch, ds, cfg))) as workers:
+    work = partial(_micro_batch, ds, cfg, [])
+    with closing(Workers(most, work)) as workers:
         for epoch in range(cfg.epochs):
             order = np.random.default_rng([cfg.seed, 3, epoch]).permutation(n)
             step_losses = []

@@ -351,9 +351,25 @@ class TestConstants:
 
 
 class TestWorkspace:
-    def test_workspace_tape_refuses_leaves(self):
-        with pytest.raises(ValueError, match="workspace"):
-            Tape([]).leaf(rand((1, 2, 2, 1), 50))
+    def test_leaves_on_tapes_sharing_a_workspace(self):
+        """Two tapes with leaves share one workspace: the second, on a
+        smaller batch, writes its conv outputs into views of the first's
+        buffers, and its gradients have a plain tape's bits."""
+        def run(tape, seed, n):
+            w1, w2 = (tape.leaf(rand((3, 3, c, 3), seed + c)) for c in (2, 3))
+            x = tape.constant(rand((n, 6, 6, 2), seed))
+            h = tape.conv2d(x, w1)
+            y = tape.conv2d(h, w2, dilation=2)
+            grads = tape.backward(tape.sum(tape.mul(y, y)))
+            return (h.value, y.value), (grads[w1], grads[w2])
+
+        ws = []
+        run(Tape(ws), 53, 4)
+        values, got = run(Tape(ws), 57, 3)
+        assert len(ws) == 2
+        assert all(v.base is buf for v, buf in zip(values, ws))
+        _, want = run(Tape(), 57, 3)
+        assert [g.tobytes() for g in got] == [g.tobytes() for g in want]
 
     def test_buffers_reused_in_allocation_order(self):
         """The next tape gets the first tape's buffers, in order, as views

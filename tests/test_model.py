@@ -55,14 +55,15 @@ def spy_on_forks(monkeypatch):
     return forked
 
 
-def log_passes(monkeypatch, path):
-    """Every network pass of tinynet_embed appends one JSON line to
-    ``path``, from whichever process runs it, once the pass has returned or
-    raised: its pid, the first pixel of its first image, its image count,
-    the id of its tape's workspace, the ids of the workspace's buffers
-    before and after the pass, and the number of ops its tape recorded.
-    Returns a function that reads the lines back, sorted by first pixel:
-    in plan order for ``plan_images``."""
+def log_passes(monkeypatch, path, module=None):
+    """Every network pass that ``module`` (``msconv.model`` when None, so
+    tinynet_embed's) runs through its ``tinynet_forward`` appends one JSON
+    line to ``path``, from whichever process runs it, once the pass has
+    returned or raised: its pid, the first pixel of its first image, its
+    image count, the id of its tape's workspace, the ids of the workspace's
+    buffers before and after the pass, and the number of ops its tape
+    recorded.  Returns a function that reads the lines back, sorted by
+    first pixel: in plan order for ``plan_images``."""
     from msconv import model
     path.write_text("")
 
@@ -78,7 +79,8 @@ def log_passes(monkeypatch, path):
             with open(path, "a") as fh:
                 fh.write(json.dumps(row) + "\n")
 
-    monkeypatch.setattr(model, "tinynet_forward", spy)
+    monkeypatch.setattr(model if module is None else module,
+                        "tinynet_forward", spy)
 
     def read():
         rows = [json.loads(line) for line in path.read_text().splitlines()]
@@ -93,19 +95,20 @@ def plan_images(n, size, channels=3):
     return x.reshape(n, size, size, channels)
 
 
-def assert_one_workspace_per_worker(rows, buffers):
-    """Each process's passes ``rows`` share one workspace, which its first
-    pass fills with ``buffers`` buffers and no later pass grows or
-    replaces; no tape records an op."""
-    firsts = {}
-    for row in rows:
-        first = firsts.setdefault(row["pid"], row)
-        assert row["workspace"] == first["workspace"]
-        assert row["before"] == ([] if row is first else first["after"])
-        assert row["after"] == first["after"]
-        assert row["records"] == 0
-    assert [len(first["after"]) for first in firsts.values()] == \
-        [buffers] * len(firsts)
+def assert_one_workspace_per_worker(rows, buffers, recorded=False):
+    """Each process's passes ``rows``, in any order, share one workspace,
+    which its first pass, the one that found it empty, fills with
+    ``buffers`` buffers and no later pass grows or replaces.  Every tape
+    records ops when ``recorded`` and none otherwise."""
+    for pid in {row["pid"] for row in rows}:
+        passes = [row for row in rows if row["pid"] == pid]
+        [first] = [row for row in passes if not row["before"]]
+        assert len(first["after"]) == buffers
+        for row in passes:
+            assert row["workspace"] == first["workspace"]
+            assert row["before"] in ([], first["after"])
+            assert row["after"] == first["after"]
+            assert (row["records"] > 0) == recorded
 
 
 def assert_on_workers(rows, workers):
@@ -381,7 +384,7 @@ class TestWorkers:
         broken[20, 0, 0, 0] = np.nan
         T.set_debug_checks(True)
         with pytest.raises(T.NonFiniteError,
-                           match="^conv2d produced non-finite values$"):
+                           match="^non-finite output of conv2d$"):
             tinynet_embed(broken, params, cfg)
         # three chunks of 11: chunks 0 and 2 ran on the caller, chunk 1
         # (images 11-21) on the helper

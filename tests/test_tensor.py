@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msconv import tensor as T
+from msconv.autograd import Tape
 from oracles import conv2d_loops, elementwise_loops, fc_loops, gap_loops
 
 
@@ -265,14 +266,20 @@ class TestSoftmaxPair:
 
 class TestDebugChecks:
     def test_non_finite_raises_only_in_debug_mode(self):
-        big = np.full((1, 1, 1, 1), 1e308)
-        with np.errstate(over="ignore"):
-            assert np.isinf(T.ew_mul(big, big)).all()
-            T.set_debug_checks(True)
+        """A tape op's overflow passes unless debug checks are on, even on
+        a tape that records nothing."""
+        def square():
+            tape = Tape()
+            big = tape.constant(np.full((1, 1, 1, 1), 1e308))
+            with np.errstate(over="ignore"):
+                return tape.mul(big, big).value
+
+        assert np.isinf(square()).all()
+        T.set_debug_checks(True)
         try:
-            with pytest.raises(T.NonFiniteError):
-                with np.errstate(over="ignore"):
-                    T.ew_mul(big, big)
+            with pytest.raises(T.NonFiniteError,
+                               match="^non-finite output of ew_mul$"):
+                square()
         finally:
             T.set_debug_checks(False)
         assert not T.debug_checks_enabled()

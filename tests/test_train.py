@@ -211,15 +211,19 @@ class TestRunConfig:
             tiny_config(batch_size=0)
         with pytest.raises(ValueError):
             tiny_config(epochs=-1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^loss.class_count must equal "
+                           "data.identity_count: config key 'identities' "
+                           "sets both$"):
             tiny_config(loss=MarginLossConfig.of_kind(MarginKind.COS, 4,
                                                       scale=16.0))
 
     def test_shapes_the_config_text_cannot_carry(self):
-        with pytest.raises(ValueError, match="square"):
+        with pytest.raises(ValueError, match="^data.width must equal "
+                           "data.height: config key 'image_size' sets both$"):
             tiny_config(data=SyntheticSpec(identity_count=3, height=8,
                                            width=6, channels=2))
-        with pytest.raises(ValueError, match="channels"):
+        with pytest.raises(ValueError, match="^model.in_channels must equal "
+                           "data.channels: config key 'channels' sets both$"):
             tiny_config(data=SyntheticSpec(identity_count=3, height=8,
                                            width=8, channels=3))
 
@@ -360,7 +364,7 @@ class TestMicroBatches:
         chunks = T.even_chunks(len(idx), depth_step(cfg.model, (32, 32),
                                                     np.float64))
         assert chunks == [slice(0, 16), slice(16, 32)]
-        workers = Workers(1, partial(train_module._micro_batch, ds, cfg))
+        workers = Workers(1, partial(train_module._micro_batch, ds, cfg, []))
         loss, grads = train_module._step(workers, params, idx, chunks, 0, 0)
         tape = Tape()
         leaves = {k: tape.leaf(v) for k, v in params.items()}
@@ -374,6 +378,28 @@ class TestMicroBatches:
         for name, leaf in leaves.items():
             g = want[leaf]
             assert np.abs(grads[name] - g).max() <= 1e-14 * np.abs(g).max()
+
+    def test_one_workspace_per_worker(self, monkeypatch, tmp_path, bounded):
+        """At two cores, each worker's micro-batches share one workspace
+        across steps and epochs, which stops growing after the worker's
+        first, largest micro-batch, the last batch's smaller ones
+        included."""
+        from msconv import model
+        monkeypatch.setattr(model, "_cores", lambda: 2)
+        # four images' 8x8x4 float64 stem output
+        monkeypatch.setattr(T, "_DEPTH_BYTES", 4 * 8 * 8 * 4 * 8)
+        read = log_passes(monkeypatch, tmp_path / "passes", train_module)
+        cfg = tiny_config(data=replace(tiny_config().data,
+                                       samples_per_identity=7), batch_size=8)
+        train(cfg)
+        rows = read()
+        # two epochs of batches of 8, 8 and 5 images, in chunks of 4, 4
+        # and 3, 2: chunk 0 on the caller, chunk 1 on the helper
+        caller = sorted(r["size"] for r in rows if r["pid"] == os.getpid())
+        helper = sorted(r["size"] for r in rows if r["pid"] != os.getpid())
+        assert (caller, helper) == ([3, 3, 4, 4, 4, 4], [2, 2, 4, 4, 4, 4])
+        # stem, both branches, the projection and the fused output
+        assert_one_workspace_per_worker(rows, 5, recorded=True)
 
     def test_batch_within_the_step_forks_nothing(self, monkeypatch,
                                                  tmp_path, bounded):
