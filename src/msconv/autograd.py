@@ -4,7 +4,8 @@ A :class:`Tape` records one forward pass as a list of :class:`GradRecord`
 entries, each holding the saved inputs and a rule mapping the upstream
 gradient to gradients for every input.  ``Tape.backward`` walks the records
 in reverse, summing gradients where a value fans out, in a fixed traversal
-order so results are reproducible.
+order so results are reproducible.  It adds in place only into a buffer it
+owns: a sum it allocated, or a conv's fresh input gradient.
 
 Values enter the tape in one of two ways.  ``Tape.leaf`` enters a value that
 needs a gradient (a parameter, or an input under test); ``Tape.constant``
@@ -126,6 +127,7 @@ class Tape:
         # slot -> shape, for every value that needs a gradient
         self._grad_shapes: dict[int, tuple[int, ...]] = {}
         self._records: list[GradRecord] = []
+        self._owned: dict[int, list] = {}  # backward's; see _conv2d_vjp
         self._consumed = False
 
     # -- plumbing ----------------------------------------------------------
@@ -204,9 +206,11 @@ class Tape:
             T.conv2d_out_shape(xv, wv, dilation, stride),
             np.result_type(xv, wv)))
         need_x, need_w = self._needs_grad(x), self._needs_grad(w)
+        owned, slot = self._owned, x.index
 
         def vjp(g):
-            return _conv2d_vjp(g, xv, wv, dilation, stride, need_x, need_w)
+            acc = owned.setdefault(slot, [None, frozenset()])
+            return _conv2d_vjp(g, xv, wv, dilation, stride, need_x, need_w, acc)
 
         return self.emit("conv2d", (x, w), out, vjp)
 
@@ -321,6 +325,11 @@ class Tape:
         Consumes the tape: a second backward, or any further op, raises
         :class:`TapeReuseError`.  The result holds leaf gradients only; see
         :class:`Gradients`.
+
+        Later contributions add in place into a buffer the backward owns (a
+        sum it allocated, or a conv's fresh dx, which later convs add into
+        chunk by chunk), never into an array a vjp returned (``add`` returns
+        ``(g, g)``).  Each element keeps the sum order of fresh sums.
         """
         self._guard()
         if loss.tape is not self:
@@ -332,12 +341,14 @@ class Tape:
         grads: dict[int, np.ndarray] = {
             loss.index: np.full(loss.value.shape, seed, dtype=loss.value.dtype)
         }
+        owned = self._owned
         # popping each record frees the values its vjp saved once used, and
         # popping its output's gradient frees that once the vjp has read it
         freed: set[int] = set()
         while self._records:
             rec = self._records.pop()
             freed.add(rec.output)
+            owned.pop(rec.output, None)
             g = grads.pop(rec.output, None)
             if g is None:
                 continue
@@ -354,10 +365,15 @@ class Tape:
                         f"{rec.op_id} gradient shape {gi.shape} != value shape "
                         f"{shape}"
                     )
-                if idx in grads:
-                    grads[idx] = grads[idx] + gi
-                else:
+                have = grads.get(idx)
+                if have is None:
                     grads[idx] = gi
+                elif owned.get(idx, (None,))[0] is not have \
+                        or gi.dtype != have.dtype:
+                    grads[idx] = have + gi
+                    owned[idx] = [grads[idx], frozenset()]
+                elif gi is not have:  # else a conv added its dx in already
+                    have += gi
         return Gradients(self, grads, freed)
 
 
@@ -394,7 +410,8 @@ def _phase_taps(k: int, dilation: int, stride: int, size: int, out_len: int):
 
 def _conv2d_vjp(g: np.ndarray, x: np.ndarray, w: np.ndarray,
                 dilation: int, stride: int, need_x: bool = True,
-                need_w: bool = True) -> tuple[np.ndarray | None, np.ndarray | None]:
+                need_w: bool = True, acc: list | None = None,
+                ) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Gradients of conv2d_raw w.r.t. input and weights; None where unneeded.
 
     Both walk the batch in the forward's chunks (``T._chunk_step`` of one
@@ -405,6 +422,11 @@ def _conv2d_vjp(g: np.ndarray, x: np.ndarray, w: np.ndarray,
     phase that no tap reaches stays zero.  dW adds each tap's ``patch.T @ g``
     per x chunk, so its bits depend on the chunking: moving the backward to
     chunks changed its bits, while the forward's did not change.
+
+    ``acc``, the backward's [buffer, clean] entry for x, takes dx added in
+    chunk by chunk if of dx's dtype, else a fresh dx with clean its zeroed
+    phases (stride, ry, rx).  A tapless phase's +0.0, which only turns -0.0
+    to +0.0, is added where not clean: a sum is -0.0 only if all terms are.
     """
     n, h, wd, c_in = x.shape
     kh, kw, _, c_out = w.shape
@@ -418,10 +440,19 @@ def _conv2d_vjp(g: np.ndarray, x: np.ndarray, w: np.ndarray,
                    [(ys, xs, w[ky, kx].T) for ky, ys in ty for kx, xs in tx])
                   for ry, ty in enumerate(rows) for rx, tx in enumerate(cols)
                   if ty and tx]
-        # a phase no tap reaches is never written and must read zero
-        alloc = np.empty if len(phases) == stride * stride else np.zeros
-        dx = alloc((n, h, wd, c_in), dtype=np.result_type(g, w))
-        T._chunked_tap_gemm(g, ((top, bottom), (left, right)), step, phases, dx)
+        zero = frozenset((stride, ry, rx) for ry, ty in enumerate(rows)
+                         for rx, tx in enumerate(cols) if not (ty and tx))
+        dx, clean = acc or (None, None)
+        add = dx is not None and dx.dtype == np.result_type(g, w)
+        if add:
+            for _, ry, rx in zero - clean:
+                dx[:, ry::stride, rx::stride] += 0.0
+        else:  # a phase no tap reaches is never written and must read zero
+            dx = (np.zeros if zero else np.empty)(x.shape, np.result_type(g, w))
+            if acc is not None:
+                acc[:] = dx, zero
+        T._chunked_tap_gemm(g, ((top, bottom), (left, right)), step, phases,
+                            dx, add)
     if need_w:
         ph = T.same_pad(kh, dilation)
         pw = T.same_pad(kw, dilation)

@@ -314,7 +314,7 @@ def main(argv=None) -> int:
         with np.errstate(all="ignore"):
             return _HANDLERS[args.command](args, extra)
     except (ConfigError, msct.FormatError, OSError, ValueError,
-            TrainingDivergedError) as exc:
+            TrainingDivergedError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

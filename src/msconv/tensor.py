@@ -173,33 +173,37 @@ def _padded_chunks(x: Tensor4, pads, step: int):
         yield i, xp[:m]
 
 
-def _chunked_tap_gemm(src: Tensor4, pads, step: int, phases, out: Tensor4) -> None:
-    """Writes ``out[:, rows, cols] = sum of padded src[:, ys, xs, :] @ mat``.
+def _chunked_tap_gemm(src: Tensor4, pads, step: int, phases, out: Tensor4,
+                      add: bool = False) -> None:
+    """Writes (or with ``add`` adds) ``out[:, rows, cols] = sum of padded
+    src[:, ys, xs, :] @ mat``.
 
     ``phases`` lists (rows, cols, taps) with taps a list of (ys, xs, mat):
     slices of ``src`` padded by ``pads`` and a (c_src, c_out) matrix.  The
     batch is walked in chunks of ``step`` images; per chunk and phase the
     first tap's product is assigned and later ones are added from one
-    reused buffer, in list order.  A strided phase of ``out`` is summed in a
-    contiguous buffer and copied in once.  Every image row gets the same
-    GEMM per tap whatever the chunk size, so ``step`` never changes a bit.
+    reused buffer, in list order.  A strided phase, or any under ``add``, is
+    summed in a contiguous buffer and copied or added in once.  Every image
+    row gets the same GEMM per tap at any chunk size: ``step`` moves no bit.
     """
     size = max(out[0, rows, cols].size for rows, cols, _ in phases)
     tap_buf = np.empty(step * size, dtype=out.dtype)
-    strided = not all(out[:, rows, cols].flags.c_contiguous
-                      for rows, cols, _ in phases)
-    acc_buf = np.empty_like(tap_buf) if strided else None
+    buffered = add or not all(out[:, rows, cols].flags.c_contiguous
+                              for rows, cols, _ in phases)
+    acc_buf = np.empty_like(tap_buf) if buffered else None
     for i, chunk in _padded_chunks(src, pads, step):
         for rows, cols, taps in phases:
             dst = out[i:i + len(chunk), rows, cols]
-            acc = acc_buf[:dst.size].reshape(dst.shape) if strided else dst
+            acc = acc_buf[:dst.size].reshape(dst.shape) if buffered else dst
             tap = tap_buf[:dst.size].reshape(dst.shape)
             (ys, xs, mat), *rest = taps
             np.matmul(chunk[:, ys, xs, :], mat, out=acc)
             for ys, xs, mat in rest:
                 np.matmul(chunk[:, ys, xs, :], mat, out=tap)
                 acc += tap
-            if strided:
+            if add:
+                dst += acc
+            elif buffered:
                 dst[...] = acc
 
 

@@ -17,9 +17,9 @@ the first step, which inherit the dataset and receive each step's
 parameters.  Each worker's tapes share one workspace for the whole call
 (see ``autograd.Tape``), the forward buffers of its first, largest
 micro-batch, reused across steps and epochs; the per-epoch ``acc=`` pass
-keeps its own, as its allocation order differs.
-The plan never depends on the core count and a chunk's bits depend only on
-its images and the parameters, so neither do the bits of a run.
+keeps its own.  The plan never depends on the core count and a chunk's bits
+depend only on its images and the parameters, so neither do the bits of a
+run.
 
 ``ablation_run`` runs its fusion kinds as cells, one kind per worker, in
 whole rounds of ``min(cores, kinds)``; a cell's steps then run on its own

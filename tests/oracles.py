@@ -365,6 +365,30 @@ def unfused_net_forward(tape, x, params, cfg):
     return tape.l2_normalize_rows(emb)
 
 
+# -- the backward with a fresh array for every sum --------------------------------
+
+def fresh_sum_backward(tape, loss, seed=1.0):
+    """Gradients by the rule ``Tape.backward`` kept before it added in place.
+
+    Walks the tape's records in reverse without consuming them.  Every vjp
+    runs with no gradient buffer on offer to a conv (``_owned`` emptied),
+    so each conv returns a fresh dx, and every contribution after a value's
+    first is summed into a fresh array, in record order.  Returns
+    {slot: gradient}; run it on a tape of its own.
+    """
+    grads = {loss.index: np.full(loss.value.shape, seed,
+                                 dtype=loss.value.dtype)}
+    for rec in reversed(tape._records):
+        g = grads.pop(rec.output, None)
+        if g is None:
+            continue
+        tape._owned.clear()
+        for idx, gi in zip(rec.inputs, rec.vjp(g)):
+            if gi is not None and idx in tape._grad_shapes:
+                grads[idx] = grads[idx] + gi if idx in grads else gi
+    return grads
+
+
 # -- the embedding as one pass ----------------------------------------------------
 
 def one_shot_embed(x, params, cfg):

@@ -5,6 +5,8 @@ inputs, structural identities (fan-out accumulation, zero seeds), and central
 finite differences via finite_diff_check.
 """
 
+import functools
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -15,6 +17,11 @@ from hypothesis import strategies as st
 from msconv import tensor as T
 from msconv.autograd import (GradientCheckError, Gradients, Tape,
                              TapeReuseError, _conv2d_vjp, finite_diff_check)
+from msconv.data import gen_synthetic
+from msconv.model import (StageSpec, TinyNetConfig, depth_step, init_params,
+                          margin_ce_on_tape, tinynet_forward)
+from msconv.train import RunConfig, full_init
+from oracles import fresh_sum_backward
 
 
 def rand(shape, seed=0, scale=1.0):
@@ -543,3 +550,154 @@ class TestConvVjpKernels:
         assert dx is None and dw.tobytes() == full_dw.tobytes()
         dx, dw = _conv2d_vjp(g, x, w, 2, 1, need_w=False)
         assert dw is None and dx.tobytes() == full_dx.tobytes()
+
+
+# -- fan-out gradients added in place ---------------------------------------
+
+@functools.lru_cache(maxsize=1)
+def desk_data():
+    return gen_synthetic(RunConfig().data)
+
+
+def desk_micro_batch(tape):
+    """One desk micro-batch: the desk set's first ``depth_step`` images (16
+    of 32x32), the net's stem output fanning out to k3, k5 and the 1x1
+    stride-2 projection."""
+    cfg, ds = RunConfig(), desk_data()
+    m = depth_step(cfg.model, ds.images.shape[1:3], np.float64)
+    leaves = {k: tape.leaf(v) for k, v in full_init(cfg).items()}
+    emb = tinynet_forward(tape, tape.constant(ds.images[:m]), leaves,
+                          cfg.model)
+    centers = tape.l2_normalize_rows(leaves["centers"])
+    return leaves, margin_ce_on_tape(tape, emb, centers, ds.labels[:m],
+                                     cfg.loss)
+
+
+def tiny_net(stage):
+    """A one-stage net on 8x8 images behind a 4-channel stem."""
+    cfg = TinyNetConfig(in_channels=2, stem_channels=4, stages=(stage,),
+                        embed_dim=8, min_width=2)
+
+    def build(tape):
+        leaves = {k: tape.leaf(v) for k, v in init_params(cfg, 3).items()}
+        emb = tinynet_forward(tape, tape.constant(rand((3, 8, 8, 2), 70)),
+                              leaves, cfg)
+        return leaves, tape.sum(tape.mul(emb, tape.constant(rand((3, 8), 71))))
+    return build
+
+
+def shared_add_gradient(tape):
+    """``add``'s vjp hands its one upstream array to both inputs, and each
+    input has an earlier reader too (a conv, a product), whose contribution
+    must not be written into that shared array."""
+    x = tape.leaf(rand((2, 6, 6, 3), 72))
+    w1, w2 = tape.leaf(rand((3, 3, 3, 3), 73)), tape.leaf(rand((3, 3, 3, 3), 74))
+    a = tape.relu(x)
+    b = tape.conv2d(x, w1)
+    early = tape.add(tape.conv2d(a, w2, dilation=2), tape.mul(b, b))
+    loss = tape.sum(tape.mul(early, tape.add(a, b)))
+    return {"x": x, "w1": w1, "w2": w2}, loss
+
+
+class TestInPlaceFanOut:
+    """Tape.backward adds a value's gradient contributions into one buffer
+    it owns; the bits stay those of a fresh array per sum."""
+
+    @pytest.mark.parametrize("build", [
+        desk_micro_batch,
+        tiny_net(StageSpec(blocks=2, channels=6, stride=2)),
+        tiny_net(StageSpec(blocks=1, channels=6, stride=1)),
+        shared_add_gradient,
+    ], ids=["desk", "identity_shortcut", "stride1_projection", "shared_add"])
+    def test_leaf_gradients_match_fresh_sums(self, build):
+        tape, ref = Tape(), Tape()
+        leaves, loss = build(tape)
+        ref_leaves, ref_loss = build(ref)
+        got = tape.backward(loss, 0.5)
+        want = fresh_sum_backward(ref, ref_loss, 0.5)
+        for name, leaf in leaves.items():
+            expect = want.get(ref_leaves[name].index, np.zeros_like(leaf.value))
+            assert got[leaf].tobytes() == expect.tobytes(), name
+
+    def test_three_convs_on_one_leaf(self):
+        """One leaf read by 3x3 convs at dilations 1 and 2 and a 1x1
+        projection, all at stride 2, passes finite differences."""
+        k3, k5 = rand((3, 3, 2, 3), 75), rand((3, 3, 2, 3), 76)
+        proj, r = rand((1, 1, 2, 3), 77), rand((1, 3, 3, 3), 78)
+
+        def build(tape, lv):
+            x = lv["x"]
+            u1 = tape.conv2d(x, tape.constant(k3), dilation=1, stride=2)
+            u2 = tape.conv2d(x, tape.constant(k5), dilation=2, stride=2)
+            p = tape.conv2d(x, tape.constant(proj), stride=2)
+            v = tape.add(tape.mul(u1, u2), p)
+            return tape.sum(tape.mul(v, tape.constant(r)))
+
+        err = finite_diff_check(build, {"x": rand((1, 5, 5, 2), 79)})
+        assert err < TestFiniteDifferences.THRESHOLD
+
+    def test_unreached_phases_add_zero_unless_clean(self):
+        """A 1x1 stride-2 conv adding into a buffer of -0.0 gives the fresh
+        sum's bits, -0.0 + +0.0 = +0.0 where no tap reaches, unless the
+        entry names those phases clean; then they are left alone."""
+        x, w, g = rand((2, 5, 5, 3), 80), rand((1, 1, 3, 4), 81), \
+            rand((2, 3, 3, 4), 82)
+        fresh, _ = _conv2d_vjp(g, x, w, 1, 2, need_w=False)
+        neg = np.full(x.shape, -0.0)
+        acc = [neg.copy(), frozenset()]
+        dx, _ = _conv2d_vjp(g, x, w, 1, 2, need_w=False, acc=acc)
+        assert dx is acc[0] and dx.tobytes() == (neg + fresh).tobytes()
+        unreached = frozenset({(2, 0, 1), (2, 1, 0), (2, 1, 1)})
+        acc = [neg.copy(), unreached]
+        dx, _ = _conv2d_vjp(g, x, w, 1, 2, need_w=False, acc=acc)
+        reached = np.zeros(x.shape, dtype=bool)
+        reached[:, ::2, ::2] = True
+        assert dx[reached].tobytes() == (neg + fresh)[reached].tobytes()
+        assert np.signbit(dx[~reached]).all()
+
+    def test_fresh_dx_fills_the_entry(self):
+        """A conv with no buffer on offer returns a fresh dx and leaves it
+        in the entry, with its zero-filled phases as clean."""
+        x, w, g = rand((2, 5, 5, 3), 83), rand((3, 3, 3, 4), 84), \
+            rand((2, 3, 3, 4), 85)
+        acc = [None, frozenset()]
+        dx, _ = _conv2d_vjp(g, x, w, 2, 2, need_w=False, acc=acc)
+        want, _ = _conv2d_vjp(g, x, w, 2, 2, need_w=False)
+        assert acc[0] is dx and dx.tobytes() == want.tobytes()
+        assert acc[1] == {(2, 0, 1), (2, 1, 0), (2, 1, 1)}
+
+    def test_desk_backward_peak_holds_one_stem_gradient(self):
+        """The peak of one desk micro-batch's backward, above what it holds
+        when it starts, stays under a bound derived from the shapes.
+
+        S is the stem output's bytes (16 images x 32x32x16 float64, 2 MiB)
+        and B the block output's (16 x 16x16x32, S/2).  The peak falls in
+        k5's vjp, the first of the stem output's three readers: the fused
+        op's two branch gradients and the projection's gradient (3B) are
+        alive, with k5's fresh dx, the accumulator (S), and the chunk
+        buffers of its dW pass, one padded 4-image chunk of the stem output
+        and one patch (C).  k3 and the projection add into that one buffer,
+        so the bound is 3B + S + C plus 256 KiB for the small arrays.  When
+        each conv allocated its own dx, k3's vjp held dx5, dx3 and their sum
+        beside gu1 and the projection's gradient, 2B + 3S, over the bound.
+        """
+        model = RunConfig().model
+        m, size = 16, 32
+        stem, (stage,) = model.stem_channels, model.stages
+        s_bytes = m * size * size * stem * 8
+        b_bytes = m * (size // 2) ** 2 * stage.channels * 8
+        step = T._chunk_step(m, b_bytes // m)
+        # k5's dW pass pads x by 2 (3x3 at dilation 2)
+        c_bytes = step * stem * 8 * ((size + 4) ** 2 + (size // 2) ** 2)
+        tape = Tape()
+        _, loss = desk_micro_batch(tape)
+        stem_out = tape._records[0].output
+        assert tape._grad_shapes[stem_out] == (m, size, size, stem)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tape.backward(loss, 0.5)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * b_bytes + s_bytes + c_bytes + 256 * 1024

@@ -392,6 +392,25 @@ class TestTrainCommand:
         assert err.count("\n") == 1
         assert [str(w.message) for w in caught] == []
 
+    @pytest.mark.parametrize("command, module", [
+        ("train", sys.modules["msconv.train"]), ("gen-data", cli)])
+    def test_memory_error_reported(self, tmp_path, monkeypatch, capsys,
+                                   command, module):
+        """A dataset too large to allocate ends in one error line and exit
+        2, not a traceback (numpy's allocation error is a MemoryError)."""
+        message = ("Unable to allocate 384. GiB for an array with shape "
+                   "(1000, 4096, 4096, 3) and data type float64")
+
+        def refuse(spec):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(module, "gen_synthetic", refuse)
+        cfg_path = write_config(tmp_path / "run.cfg")
+        code = cli.main([command, "--config", cfg_path,
+                         "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_missing_config_file(self, tmp_path, capsys):
         """A nonexistent config path is reported, not raised."""
         code = cli.main(["train", "--config", str(tmp_path / "nope.cfg"),
