@@ -112,9 +112,6 @@ class MSConvState:
         return cls(params, dilations, stride)
 
 
-TRACE_FIELDS = ("u1", "u2", "s", "z", "a_hat", "b_hat", "c")
-
-
 def block_forward_on_tape(tape: Tape, x: Var, params: dict[str, Var], *,
                           dilations: tuple[int, int], stride: int = 1,
                           kind: FusionKind = FusionKind.MSCONV,
@@ -124,10 +121,10 @@ def block_forward_on_tape(tape: Tape, x: Var, params: dict[str, Var], *,
 
     Records the two branch convolutions and one ``msconv_fuse`` op, which
     also adds ``shortcut`` (the residual input, when given) to the fused
-    output.  Returns the output Var plus the named intermediates
-    (TRACE_FIELDS): ``u1`` and ``u2`` as Vars, ``s``, ``z``, ``a_hat``,
-    ``b_hat`` and ``c`` as arrays.  The fused op never builds U1*U2 or U1-U2
-    whole, so neither is traced.
+    output.  Returns the output Var plus the named intermediates: ``u1``
+    and ``u2`` as Vars, ``s``, ``z``, ``a_hat``, ``b_hat`` and ``c`` as
+    arrays.  The fused op never builds U1*U2 or U1-U2 whole, so neither is
+    traced.
     """
     if not isinstance(kind, FusionKind):
         raise ValueError(f"unknown fusion kind {kind!r}")
@@ -252,10 +249,10 @@ def equivalence_check(u1: T.Tensor4, u2: T.Tensor4,
     V_sigmoid is the block's (U1-U2)*sigmoid(a_hat-b_hat) + U2 form.  The two
     are algebraically identical, so this measures only floating-point drift.
     """
-    T.check_tensor4(u1, "u1")
-    T.check_tensor4(u2, "u2")
-    T.check_channel_vec(a_hat, "a_hat")
-    T.check_channel_vec(b_hat, "b_hat")
+    T.check_layout(u1, "nhwc", "u1")
+    T.check_layout(u2, "nhwc", "u2")
+    T.check_layout(a_hat, "nc", "a_hat")
+    T.check_layout(b_hat, "nc", "b_hat")
     m = np.maximum(a_hat, b_hat)
     ea = np.exp(a_hat - m)
     eb = np.exp(b_hat - m)

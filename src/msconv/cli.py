@@ -115,8 +115,7 @@ def _backbone_case(seed: int):
                                         scale=8.0)
 
     def build(tape, v):
-        net = {k: var for k, var in v.items() if k not in ("x", "centers")}
-        emb = tinynet_forward(tape, v["x"], net, cfg)
+        emb = tinynet_forward(tape, v["x"], v, cfg)
         centers = tape.l2_normalize_rows(v["centers"])
         return margin_ce_on_tape(tape, emb, centers, labels, loss_cfg)
 

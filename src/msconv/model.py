@@ -113,12 +113,11 @@ def tinynet_forward(tape: Tape, x: Var, params: dict[str, Var],
                     cfg: TinyNetConfig, traces: list | None = None) -> Var:
     """Record the backbone forward pass; returns the unit-norm embedding Var.
 
-    Pass a list as ``traces`` to collect (block name, intermediates) pairs
-    for visualization, each as ``block_forward_on_tape`` returns them.
+    Reads only the network's own names from ``params``.  Pass a list as
+    ``traces`` to collect (block name, intermediates) pairs for
+    visualization, each as ``block_forward_on_tape`` returns them.
     """
-    n, h, w, c = x.value.shape
-    if c != cfg.in_channels:
-        raise T.ShapeError(f"input has {c} channels, config expects {cfg.in_channels}")
+    _, h, w, _ = x.value.shape
     stride_all = cfg.total_stride()
     if h % stride_all or w % stride_all:
         raise ValueError(f"spatial dims {h}x{w} not divisible by total stride "
@@ -323,7 +322,7 @@ def tinynet_embed(x: T.Tensor4, params: dict[str, np.ndarray],
     those of one pass over each chunk in turn.  At the desk widths that is
     one pass over the whole of ``x``; see the ``tensor`` module docstring.
     """
-    x = T.check_tensor4(x, "input")
+    x = T.check_layout(x, "nhwc", "input")
     n = x.shape[0]
     dtype = np.result_type(x, params["stem"])
     step = min(depth_step(cfg, x.shape[1:3], dtype),
@@ -449,15 +448,6 @@ def _margin_forward(emb, labels, centers, cfg):
     dcos = cfg.scale * dlogits
     dcos[rows, labels] *= factor
     return loss, dcos @ centers, dcos.T @ emb
-
-
-def margin_loss(embeddings: np.ndarray, labels, centers: np.ndarray,
-                cfg: MarginLossConfig) -> float:
-    """Mean margin cross-entropy over the batch (value only)."""
-    loss, _, _ = _margin_forward(np.asarray(embeddings, dtype=np.float64),
-                                 labels, np.asarray(centers, dtype=np.float64),
-                                 cfg)
-    return loss
 
 
 def margin_ce_on_tape(tape: Tape, emb: Var, centers: Var, labels,

@@ -10,12 +10,13 @@ many images as fit ``_CHUNK_BYTES`` (256 KiB) of output, at least one, so a
 chunk's accumulator stays in cache while every tap adds into it.  Each image
 row still gets the same GEMM per tap, summed in the same row-major tap
 order, so the chunk size never changes a bit of the result.  The private
-kernel behind it, ``_chunked_tap_gemm``, also computes the conv's input
-gradient in ``autograd``: one stride-1 correlation of the output gradient
-per stride phase, in the same chunks.  The backward's bits changed when it
-moved to chunks (its weight gradient now sums per chunk); the forward's
-bits did not.  ``conv2d_raw`` writes into a caller's ``out`` buffer when
-given one, so an inference pass can reuse its activation memory.
+kernel behind it, ``_chunked_tap_gemm``, runs every conv GEMM, 1x1 kernels
+included: the forward's, and in ``autograd`` the conv's input gradient, one
+stride-1 correlation of the output gradient per stride phase, in the same
+chunks.  The backward's bits changed when it moved to chunks (its weight
+gradient now sums per chunk); the forward's bits did not.  ``conv2d_raw``
+writes into a caller's ``out`` buffer when given one, so an inference pass
+can reuse its activation memory.
 
 Inference runs depth-first on top of that: ``model.tinynet_embed`` splits
 an image set once, by ``even_chunks``, into chunks of ``model.depth_step``
@@ -74,19 +75,12 @@ def debug_checks_enabled() -> bool:
     return _debug_checks
 
 
-def check_tensor4(x: np.ndarray, name: str = "tensor") -> np.ndarray:
+def check_layout(x: np.ndarray, layout: str, name: str) -> np.ndarray:
+    """``x`` as an array with one non-empty axis per letter of ``layout``."""
     x = np.asarray(x)
-    if x.ndim != 4:
-        raise ShapeError(f"{name} must have rank 4 (n,h,w,c), got shape {x.shape}")
-    if min(x.shape) < 1:
-        raise ShapeError(f"{name} has an empty dimension: {x.shape}")
-    return x
-
-
-def check_channel_vec(x: np.ndarray, name: str = "vector") -> np.ndarray:
-    x = np.asarray(x)
-    if x.ndim != 2:
-        raise ShapeError(f"{name} must have rank 2 (n,c), got shape {x.shape}")
+    if x.ndim != len(layout):
+        raise ShapeError(f"{name} must have rank {len(layout)} "
+                         f"({','.join(layout)}), got shape {x.shape}")
     if min(x.shape) < 1:
         raise ShapeError(f"{name} has an empty dimension: {x.shape}")
     return x
@@ -214,7 +208,7 @@ def conv2d_out_shape(x: Tensor4, weights: np.ndarray, dilation: int = 1,
     Raises ShapeError or UnsupportedConfigError for operands the conv
     refuses.
     """
-    x = check_tensor4(x, "conv input")
+    x = check_layout(x, "nhwc", "conv input")
     weights = np.asarray(weights)
     if weights.ndim != 4:
         raise ShapeError(f"kernel weights must be (kh,kw,c_in,c_out), got {weights.shape}")
@@ -242,11 +236,11 @@ def conv2d_raw(
     when given (every element is overwritten; it must have the output's
     shape and dtype) and into a fresh array otherwise.
 
-    A kernel of several taps walks the batch through ``_chunked_tap_gemm``
-    in chunks of ``max(1, _CHUNK_BYTES // one image's output bytes)``
-    images, so a chunk's output and tap product stay in cache while all taps
-    add into it; the bits do not depend on the chunk size.  A one-tap kernel
-    has nothing to accumulate and stays one matmul over the whole batch.
+    Every kernel walks the batch through ``_chunked_tap_gemm`` in chunks of
+    ``max(1, _CHUNK_BYTES // one image's output bytes)`` images, so a
+    chunk's output and tap product stay in cache while all taps add into
+    it; the bits do not depend on the chunk size.  A 1x1 kernel has no
+    padding and reads views of ``x``.
     """
     shape = conv2d_out_shape(x, weights, dilation, stride)
     x, weights = np.asarray(x), np.asarray(weights)
@@ -259,10 +253,6 @@ def conv2d_raw(
     kh, kw = weights.shape[:2]
     taps = [(ys, xs, weights[ky, kx]) for ky, kx, ys, xs
             in _tap_slices(kh, kw, dilation, stride, shape[1], shape[2])]
-    if len(taps) == 1:
-        ys, xs, mat = taps[0]
-        np.matmul(x[:, ys, xs, :], mat, out=out)
-        return out
     ph = same_pad(kh, dilation)
     pw = same_pad(kw, dilation)
     _chunked_tap_gemm(x, ((ph, ph), (pw, pw)),
@@ -298,13 +288,13 @@ def ew_add(x: Tensor4, y: Tensor4) -> Tensor4:
 
 def global_avg_pool(x: Tensor4) -> ChannelVec:
     """Mean over all spatial positions, per sample and channel: (n,h,w,c) -> (n,c)."""
-    x = check_tensor4(x, "pool input")
+    x = check_layout(x, "nhwc", "pool input")
     return x.mean(axis=(1, 2))
 
 
 def fc(x: ChannelVec, weights: np.ndarray, bias: np.ndarray) -> ChannelVec:
     """Affine map per sample: x @ weights + bias, (n,c_in) -> (n,c_out)."""
-    x = check_channel_vec(x, "fc input")
+    x = check_layout(x, "nc", "fc input")
     weights = np.asarray(weights)
     bias = np.asarray(bias)
     if weights.ndim != 2 or x.shape[1] != weights.shape[0]:

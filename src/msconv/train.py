@@ -113,6 +113,10 @@ class RunConfig:
                 if _read_field(self, path) != _read_field(self, first):
                     raise ValueError(f"{path} must equal {first}: config key "
                                      f"{key!r} sets both")
+        h, stride = self.data.height, self.model.total_stride()
+        if h % stride:
+            raise ValueError(f"spatial dims {h}x{h} not divisible by total "
+                             f"stride {stride}")
 
 
 def lr_at(cfg: RunConfig, total_steps: int, t: int) -> float:
@@ -183,8 +187,7 @@ def embed_dataset(params: dict[str, np.ndarray], model_cfg: TinyNetConfig,
                   images: np.ndarray, batch_size: int) -> np.ndarray:
     """Embeddings for every image: one ``tinynet_embed`` pass over the set,
     no more than ``batch_size`` images through the network at once."""
-    net_params = {k: v for k, v in params.items() if k != "centers"}
-    return tinynet_embed(images, net_params, model_cfg, batch_size)
+    return tinynet_embed(images, params, model_cfg, batch_size)
 
 
 def train_accuracy(params: dict[str, np.ndarray], model_cfg: TinyNetConfig,

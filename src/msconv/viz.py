@@ -38,19 +38,6 @@ def write_pgm(path, gray: np.ndarray) -> None:
         fh.write(gray.tobytes())
 
 
-def read_pgm(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    parts = blob.split(b"\n", 3)
-    if len(parts) != 4 or parts[0] != b"P5" or parts[2] != b"255":
-        raise ValueError(f"{path}: not a maxval-255 binary PGM")
-    w, h = (int(tok) for tok in parts[1].split())
-    pixels = np.frombuffer(parts[3][:w * h], dtype=np.uint8)
-    if pixels.size != w * h:
-        raise ValueError(f"{path}: truncated pixel data")
-    return pixels.reshape(h, w)
-
-
 def top_channels(u1: np.ndarray, u2: np.ndarray, k: int) -> list[int]:
     """Channels ranked by total squared activation across both branches."""
     energy = np.sum(u1 * u1, axis=(0, 1)) + np.sum(u2 * u2, axis=(0, 1))
@@ -75,8 +62,7 @@ def visualize_features(params: dict[str, np.ndarray], cfg: TinyNetConfig,
         raise ValueError(f"expected one (h, w, c) image, got shape {image.shape}")
 
     tape = Tape()
-    consts = {k_: tape.constant(v) for k_, v in params.items()
-              if k_ != "centers"}
+    consts = {k_: tape.constant(v) for k_, v in params.items()}
     traces: list = []
     tinynet_forward(tape, tape.constant(image), consts, cfg, traces=traces)
     if not 0 <= layer < len(traces):

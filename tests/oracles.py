@@ -17,6 +17,24 @@ from msconv.metrics import pair_scores
 from msconv.model import tinynet_forward
 
 
+# the intermediates block_forward_on_tape returns, by name
+TRACE_FIELDS = ("u1", "u2", "s", "z", "a_hat", "b_hat", "c")
+
+
+def read_pgm(path) -> np.ndarray:
+    """A binary (P5) maxval-255 PGM file as a 2-D uint8 array."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    parts = blob.split(b"\n", 3)
+    if len(parts) != 4 or parts[0] != b"P5" or parts[2] != b"255":
+        raise ValueError(f"{path}: not a maxval-255 binary PGM")
+    w, h = (int(tok) for tok in parts[1].split())
+    pixels = np.frombuffer(parts[3][:w * h], dtype=np.uint8)
+    if pixels.size != w * h:
+        raise ValueError(f"{path}: truncated pixel data")
+    return pixels.reshape(h, w)
+
+
 def conv2d_loops(x, w, dilation=1, stride=1):
     """Direct convolution with explicit bounds checks, one tap at a time."""
     n, h, wd, cin = x.shape

@@ -16,11 +16,11 @@ import pytest
 from msconv import msct
 from msconv import tensor as T
 from msconv.autograd import Tape, Var
-from msconv.block import (BLOCK_PARAM_NAMES, TRACE_FIELDS, FusionKind,
-                          MSConvState, block_forward_on_tape,
-                          equivalence_check, param_rng,
+from msconv.block import (BLOCK_PARAM_NAMES, FusionKind, MSConvState,
+                          block_forward_on_tape, equivalence_check, param_rng,
                           params_flops_breakdown, reduced_width)
-from oracles import count_state_params, counting_block_forward, so_noise_test
+from oracles import (TRACE_FIELDS, count_state_params, counting_block_forward,
+                     so_noise_test)
 
 SIGMOID_ONE = 0.7310585786300049  # 1 / (1 + e^-1)
 

@@ -884,6 +884,26 @@ class TestVerifyCommand:
         assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", ["flops", "train", "ablate", "gen-data"])
+def test_indivisible_image_size_rejected_first(tmp_path, monkeypatch, capsys,
+                                               command):
+    """An image size that the stages' total stride does not divide is a
+    config error: one error line and exit 2 before the command generates,
+    prints or writes anything."""
+    for module in (cli, sys.modules["msconv.train"]):
+        monkeypatch.setattr(module, "gen_synthetic", None)  # a call raises
+    out = tmp_path / "o"
+    argv = [command, "--image_size", "31"]
+    if command != "flops":
+        argv += ["--out", str(out)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: spatial dims 31x31 not divisible by total "
+                            "stride 2\n")
+    assert not out.exists()
+
+
 class TestFlopsCommand:
     """Cost accounting table for a configured model."""
 

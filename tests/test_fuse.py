@@ -15,13 +15,12 @@ import pytest
 from msconv import tensor as T
 from msconv.autograd import Tape, finite_diff_check
 from msconv.autograd import Var
-from msconv.block import (TRACE_FIELDS, FusionKind, MSConvState,
-                          block_forward_on_tape)
+from msconv.block import FusionKind, MSConvState, block_forward_on_tape
 from msconv.model import (MarginKind, MarginLossConfig, StageSpec,
                           TinyNetConfig,
                           init_params, margin_ce_on_tape, tinynet_embed,
                           tinynet_forward)
-from oracles import unfused_block_on_tape, unfused_net_forward
+from oracles import TRACE_FIELDS, unfused_block_on_tape, unfused_net_forward
 
 KINDS = list(FusionKind)  # the five fusion kinds
 EPS = np.finfo(np.float64).eps

@@ -25,7 +25,7 @@ from msconv.autograd import Tape, finite_diff_check
 from msconv.block import BLOCK_PARAM_NAMES, FusionKind, MSConvState
 from msconv.model import (COS_CLAMP, MarginKind, MarginLossConfig, StageSpec,
                           TinyNetConfig, Workers, cost_rows, init_params,
-                          margin_ce_on_tape, margin_loss, normalize_rows,
+                          margin_ce_on_tape, normalize_rows,
                           param_shapes, tinynet_embed, tinynet_forward)
 from msconv.train import RunConfig, full_init
 from oracles import counting_net_forward, one_shot_embed, planned_embed
@@ -41,6 +41,14 @@ def rand(shape, seed=0, scale=1.0):
 
 def unit_rows(shape, seed=0):
     return normalize_rows(rand(shape, seed))
+
+
+def loss_value(emb, labels, centers, cfg):
+    """The margin loss as a float: ``margin_ce_on_tape`` on a tape of
+    constants, which records nothing."""
+    tape = Tape()
+    return float(margin_ce_on_tape(tape, tape.constant(emb),
+                                   tape.constant(centers), labels, cfg).value)
 
 
 def spy_on_forks(monkeypatch):
@@ -154,7 +162,8 @@ class TestBackboneStructure:
     def test_channel_mismatch(self):
         cfg = small_config()
         params = init_params(cfg, seed=5)
-        with pytest.raises(T.ShapeError):
+        with pytest.raises(T.ShapeError,
+                           match="^input has 3 channels but kernel expects 2$"):
             tinynet_embed(rand((1, 4, 4, 3)), params, cfg)
 
     def test_indivisible_spatial_dims(self):
@@ -707,8 +716,8 @@ class TestMarginLoss:
         emb = unit_rows((4, 5), 20)
         centers = unit_rows((3, 5), 21)
         labels = np.array([0, 2, 1, 1])
-        got = margin_loss(emb, labels, centers,
-                          of_kind(PLAIN, 3, scale=1.0))
+        got = loss_value(emb, labels, centers,
+                         of_kind(PLAIN, 3, scale=1.0))
         logits = emb @ centers.T
         want = np.mean([
             math.log(np.sum(np.exp(logits[i] - logits[i, labels[i]])))
@@ -721,8 +730,8 @@ class TestMarginLoss:
         emb = unit_rows((6, 4), 22)
         centers = unit_rows((3, 4), 23)
         labels = np.array([0, 1, 2, 0, 1, 2])
-        losses = [margin_loss(emb, labels, centers,
-                              of_kind(PLAIN, 3, scale=s))
+        losses = [loss_value(emb, labels, centers,
+                             of_kind(PLAIN, 3, scale=s))
                   for s in (1.0, 4.0, 16.0)]
         assert losses[0] != losses[1] != losses[2]
 
@@ -732,8 +741,8 @@ class TestMarginLoss:
         emb = np.array([[1.0, 0.0]])
         labels = np.array([0])
         s, m3 = 4.0, 0.35
-        got = margin_loss(emb, labels, centers,
-                          of_kind(COS, 2, scale=s, m3=m3))
+        got = loss_value(emb, labels, centers,
+                         of_kind(COS, 2, scale=s, m3=m3))
         target_logit = s * (1.0 - m3)
         other_logit = s * 0.0
         want = math.log(math.exp(target_logit) + math.exp(other_logit)) \
@@ -746,8 +755,8 @@ class TestMarginLoss:
         emb = np.array([[1.0, 0.0]])
         labels = np.array([0])
         s, m2 = 4.0, 0.5
-        got = margin_loss(emb, labels, centers,
-                          of_kind(ARC, 2, scale=s, m2=m2))
+        got = loss_value(emb, labels, centers,
+                         of_kind(ARC, 2, scale=s, m2=m2))
         theta = math.acos(COS_CLAMP)
         psi = math.cos(theta + m2)
         want = math.log(math.exp(s * psi) + 1.0) - s * psi
@@ -757,8 +766,8 @@ class TestMarginLoss:
         emb = unit_rows((5, 6), 24)
         centers = unit_rows((4, 6), 25)
         labels = np.array([0, 1, 2, 3, 0])
-        losses = [margin_loss(emb, labels, centers,
-                              of_kind(COS, 4, scale=8.0, m3=m3))
+        losses = [loss_value(emb, labels, centers,
+                             of_kind(COS, 4, scale=8.0, m3=m3))
                   for m3 in (0.0, 0.2, 0.35)]
         assert losses[0] < losses[1] < losses[2]
 
@@ -766,10 +775,10 @@ class TestMarginLoss:
         emb = unit_rows((4, 5), 26)
         centers = unit_rows((3, 5), 27)
         labels = np.array([2, 0, 1, 1])
-        cos0 = margin_loss(emb, labels, centers,
-                           MarginLossConfig(MarginKind.COS, 3, scale=7.0))
-        plain = margin_loss(emb, labels, centers,
-                            of_kind(PLAIN, 3, scale=7.0))
+        cos0 = loss_value(emb, labels, centers,
+                          MarginLossConfig(MarginKind.COS, 3, scale=7.0))
+        plain = loss_value(emb, labels, centers,
+                           of_kind(PLAIN, 3, scale=7.0))
         assert cos0 == plain
 
     def test_batch_permutation_invariance(self):
@@ -779,29 +788,29 @@ class TestMarginLoss:
         perm = np.array([4, 2, 0, 5, 1, 3])
         cfg = of_kind(COMBINED, 3, scale=8.0)
         np.testing.assert_allclose(
-            margin_loss(emb, labels, centers, cfg),
-            margin_loss(emb[perm], labels[perm], centers, cfg), rtol=1e-12)
+            loss_value(emb, labels, centers, cfg),
+            loss_value(emb[perm], labels[perm], centers, cfg), rtol=1e-12)
 
     def test_loss_positive(self):
         for seed in range(5):
             emb = unit_rows((4, 6), 30 + seed)
             centers = unit_rows((5, 6), 40 + seed)
             labels = np.array([0, 1, 2, 3])
-            assert margin_loss(emb, labels, centers,
-                               of_kind(COS, 5, scale=16.0)) > 0.0
+            assert loss_value(emb, labels, centers,
+                              of_kind(COS, 5, scale=16.0)) > 0.0
 
     def test_validation_errors(self):
         emb = unit_rows((2, 4), 50)
         centers = unit_rows((3, 4), 51)
         cfg = of_kind(COS, 3, scale=8.0)
         with pytest.raises(ValueError):
-            margin_loss(emb, np.array([0, 3]), centers, cfg)  # label range
+            loss_value(emb, np.array([0, 3]), centers, cfg)  # label range
         with pytest.raises(ValueError):
-            margin_loss(2.0 * emb, np.array([0, 1]), centers, cfg)  # norms
+            loss_value(2.0 * emb, np.array([0, 1]), centers, cfg)  # norms
         with pytest.raises(T.ShapeError):
-            margin_loss(emb, np.array([0, 1]), centers[:2], cfg)  # count
+            loss_value(emb, np.array([0, 1]), centers[:2], cfg)  # count
         with pytest.raises(T.ShapeError):
-            margin_loss(emb, np.array([0]), centers, cfg)  # labels shape
+            loss_value(emb, np.array([0]), centers, cfg)  # labels shape
         with pytest.raises(ValueError):
             MarginLossConfig(MarginKind.PLAIN, 3, m3=0.2)
         with pytest.raises(ValueError):

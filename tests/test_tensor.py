@@ -287,14 +287,22 @@ class TestDebugChecks:
 
 class TestValidators:
     def test_tensor4_validation(self):
-        with pytest.raises(T.ShapeError):
-            T.check_tensor4(np.zeros((2, 2)), "x")
-        T.check_tensor4(np.zeros((1, 1, 1, 1)), "x")
+        with pytest.raises(T.ShapeError) as err:
+            T.check_layout(np.zeros((2, 2)), "nhwc", "x")
+        assert str(err.value) == "x must have rank 4 (n,h,w,c), got shape (2, 2)"
+        with pytest.raises(T.ShapeError) as err:
+            T.check_layout(np.zeros((1, 0, 1, 1)), "nhwc", "x")
+        assert str(err.value) == "x has an empty dimension: (1, 0, 1, 1)"
+        T.check_layout(np.zeros((1, 1, 1, 1)), "nhwc", "x")
 
     def test_channel_vec_validation(self):
-        with pytest.raises(T.ShapeError):
-            T.check_channel_vec(np.zeros(3), "s")
-        T.check_channel_vec(np.zeros((2, 3)), "s")
+        with pytest.raises(T.ShapeError) as err:
+            T.check_layout(np.zeros(3), "nc", "s")
+        assert str(err.value) == "s must have rank 2 (n,c), got shape (3,)"
+        with pytest.raises(T.ShapeError) as err:
+            T.check_layout(np.zeros((2, 0)), "nc", "s")
+        assert str(err.value) == "s has an empty dimension: (2, 0)"
+        T.check_layout(np.zeros((2, 3)), "nc", "s")
 
     def test_same_pad_rules(self):
         assert T.same_pad(3, 1) == 1
@@ -319,6 +327,14 @@ def tap_loop_reference(x, w, dilation, stride):
     return ref
 
 
+# 1x1 kernels at the widths where an OpenBLAS row can depend on the row
+# count (c_out % 8 in {1, 2, 3}) and at the desk's, each walked in chunks
+ONE_BY_ONE = [(stride, n, 16 * stride, 16, c_out, chunks)
+              for stride in (1, 2)
+              for n, c_out, chunks in ((130, 1, 2), (130, 2, 3), (130, 3, 4),
+                                       (16, 17, 3), (16, 32, 4))]
+
+
 class TestConvKernelBytes:
     @pytest.mark.parametrize("k,dilation,stride,n,size,c_in,c_out,chunks", [
         (3, 1, 2, 3, 8, 16, 32, 1),
@@ -330,19 +346,25 @@ class TestConvKernelBytes:
         (3, 2, 2, 20, 32, 16, 32, 5),
         (3, 2, 2, 7, 32, 16, 32, 2),  # uneven last chunk: 4 + 3 images
         (3, 1, 1, 3, 64, 3, 16, 3),  # 64x64 stem: one image per chunk
+        *((1, 1, *case) for case in ONE_BY_ONE),
     ], ids=["3-1-2", "3-2-1", "1-1-1", "1-1-2", "desk-stem", "desk-k3",
-            "desk-k5", "uneven", "stem-64"])
+            "desk-k5", "uneven", "stem-64",
+            *(f"1x1-s{s}-c{c}" for s, _, _, _, c, _ in ONE_BY_ONE)])
     def test_bytes_match_zero_init_accumulation(self, k, dilation, stride, n,
                                                 size, c_in, c_out, chunks):
         """The first tap assigned, later ones added: bits of 0 + taps over
         the whole batch, however many chunks the batch is walked in, into a
-        fresh array or over every element of a given ``out``."""
+        fresh array or over every element of a given ``out``.  A 1x1 kernel
+        gives the bits of one product over the whole batch."""
         oh = T.conv_out_len(size, stride)
         step = max(1, T._CHUNK_BYTES // (oh * oh * c_out * 8))
-        assert k == 1 or -(-n // step) == chunks
+        assert -(-n // step) == chunks
         x = rand((n, size, size, c_in), 60)
         w = rand((k, k, c_in, c_out), 61)
-        ref = tap_loop_reference(x, w, dilation, stride)
+        if k == 1:
+            ref = np.matmul(x[:, ::stride, ::stride, :], w[0, 0])
+        else:
+            ref = tap_loop_reference(x, w, dilation, stride)
         assert T.conv2d_raw(x, w, dilation, stride).tobytes() == ref.tobytes()
         out = np.full(ref.shape, np.nan)
         assert T.conv2d_raw(x, w, dilation, stride, out=out) is out

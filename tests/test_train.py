@@ -60,7 +60,8 @@ README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 def run_configs(draw):
     """RunConfigs the constructor accepts, over every field of the config text.
 
-    Width and model in_channels are drawn apart from height and data channels
+    The image size is a multiple of the drawn stages' total stride.  Width
+    and model in_channels are drawn apart from height and data channels
     half the time, so configs the flat text cannot carry are generated too;
     RunConfig must reject those.
     """
@@ -73,7 +74,11 @@ def run_configs(draw):
     def either(same, lo, hi):
         return draw(st.one_of(st.just(same), st.integers(lo, hi)))
 
-    identities, size, channels = ints(2, 50), ints(1, 64), ints(1, 4)
+    identities, channels = ints(2, 50), ints(1, 4)
+    stages = tuple(StageSpec(ints(1, 3), ints(1, 64), ints(1, 3))
+                   for _ in range(ints(1, 3)))
+    stride = math.prod(stage.stride for stage in stages)
+    size = stride * ints(1, 64 // stride)
     data = SyntheticSpec(
         identity_count=identities, samples_per_identity=ints(1, 20),
         height=size, width=either(size, 1, 64), channels=channels,
@@ -81,8 +86,7 @@ def run_configs(draw):
         seed=ints(0, 2**32))
     model = TinyNetConfig(
         in_channels=either(channels, 1, 4), stem_channels=ints(1, 64),
-        stages=tuple(StageSpec(ints(1, 3), ints(1, 64), ints(1, 3))
-                     for _ in range(ints(1, 3))),
+        stages=stages,
         embed_dim=ints(1, 128), dilations=(ints(1, 4), ints(1, 4)),
         reduction=ints(1, 32), min_width=ints(1, 64))
     kind = draw(st.sampled_from(MarginKind))
