@@ -163,7 +163,7 @@ def _cmd_train(args, extra) -> int:
 
 def _cmd_ablate(args, extra) -> int:
     cfg = _load_config(args.config, extra)
-    if args.kinds:
+    if args.kinds is not None:
         kinds = tuple(parse_value("fusion", k.strip())
                       for k in args.kinds.split(","))
     else:

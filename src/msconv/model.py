@@ -178,7 +178,9 @@ def _cores() -> int:
 def depth_step(cfg: TinyNetConfig, size: tuple[int, int], dtype) -> int:
     """Images of ``size`` (height, width) whose largest activation in
     ``dtype`` fits ``T._DEPTH_BYTES``: the chunk size of every depth-first
-    pass, in inference and in training alike."""
+    pass, in inference and in training alike.  It is 0 when one image's
+    activation alone is larger, and ``T.even_chunks`` then runs one image
+    per chunk."""
     h, w = size
     elems = h * w * cfg.stem_channels
     for _, _, c_out, stride, _ in cfg.block_layout():
@@ -318,9 +320,8 @@ def tinynet_embed(x: T.Tensor4, params: dict[str, np.ndarray],
     micro-batches reuse theirs the same way, in a workspace of their own.
 
     The plan never depends on the core count and each chunk's bits depend
-    only on its images, so the bytes are the same on any number of cores:
-    those of one pass over each chunk in turn.  At the desk widths that is
-    one pass over the whole of ``x``; see the ``tensor`` module docstring.
+    only on its images, so the bytes are those of one pass over the whole
+    of ``x``, on any number of cores; see the ``tensor`` module docstring.
     """
     x = T.check_layout(x, "nhwc", "input")
     n = x.shape[0]

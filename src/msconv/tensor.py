@@ -24,16 +24,9 @@ images, as many as fit ``_DEPTH_BYTES`` (2 MiB, the L2 size) of one image's
 largest activation (fewer when its caller caps the batch size), and runs the
 whole network on one chunk at a time, one chunk per process and core at
 once (``model.Workers``).  Training splits each step's batch by the same
-rule into micro-batches, run forward and backward the same way.  The split
-never depends on the core count and a chunk's bits depend only on its
-images, so the split fixes the bits whatever the number of cores.  Split
-two or more images, no chunk holds one: a one-row GEMM takes OpenBLAS's
-gemv path, whose bits differ.  With more rows the bits equal one pass over
-the whole set at the desk widths, where every op here is row-independent.
-They need not at narrow FC widths: on OpenBLAS 0.3.31's Haswell kernels a
-row of ``(n, k) @ (k, m)`` depends on ``n`` when ``m % 8`` is 1, 2 or 3 and
-``k >= 16``, or ``m == 1`` and ``k >= 8``, which a small ``min_width`` or a
-large ``reduction`` reaches.
+rule into micro-batches, run forward and backward the same way.  Every
+forward op here is row-independent, so a chunk's bits depend only on its
+images: any split gives the bits of one pass over the whole set.
 
 Precision follows the inputs.  The library feeds float64 everywhere: the
 synthetic data and the parameter initialisation are float64, so training,
@@ -118,16 +111,13 @@ _DEPTH_BYTES = 2 * 1024 * 1024
 
 
 def even_chunks(n: int, step: int) -> list[slice]:
-    """Slices that split ``n`` images into near-equal chunks, largest first.
-
-    The images split into ``max(1, min(ceil(n / step), n // 2))`` chunks
-    for ``step`` at least two (a smaller step counts as two), so buffers
-    sized by the first chunk hold every later one.  No chunk has more than
-    ``step`` images (but three when ``step`` is two and ``n`` is odd), and
-    none has one image when ``n >= 2`` (see the module docstring).
+    """Slices that split ``n`` images into ``ceil(n / step)`` near-equal
+    chunks, largest first, so buffers sized by the first chunk hold every
+    later one.  No chunk has more than ``step`` images; a step below one
+    counts as one.
     """
-    step = max(2, step)
-    count = max(1, min(-(-n // step), n // 2))
+    step = max(1, step)
+    count = max(1, -(-n // step))
     size, extra = divmod(n, count)
     ends = [k * size + min(k, extra) for k in range(count + 1)]
     return [slice(a, b) for a, b in zip(ends, ends[1:])]
@@ -293,7 +283,14 @@ def global_avg_pool(x: Tensor4) -> ChannelVec:
 
 
 def fc(x: ChannelVec, weights: np.ndarray, bias: np.ndarray) -> ChannelVec:
-    """Affine map per sample: x @ weights + bias, (n,c_in) -> (n,c_out)."""
+    """Affine map per sample: x @ weights + bias, (n,c_in) -> (n,c_out).
+
+    Each row is its own vector-matrix product, so its bits depend only on
+    that row and the weights, never on how many rows share the call (a
+    BLAS GEMM may block rows differently as their count changes).  The
+    product re-reads the weights once per row, which costs little while
+    they stay in cache: the desk network's largest FC weight is 16 KiB.
+    """
     x = check_layout(x, "nc", "fc input")
     weights = np.asarray(weights)
     bias = np.asarray(bias)
@@ -303,7 +300,7 @@ def fc(x: ChannelVec, weights: np.ndarray, bias: np.ndarray) -> ChannelVec:
         )
     if bias.shape != (weights.shape[1],):
         raise ShapeError(f"fc bias must be ({weights.shape[1]},), got {bias.shape}")
-    return x @ weights + bias
+    return np.matmul(x[:, None, :], weights)[:, 0, :] + bias
 
 
 def relu(x: np.ndarray) -> np.ndarray:

@@ -11,7 +11,6 @@ import os
 import numpy as np
 
 from msconv import msct
-from msconv import tensor as T
 from msconv.autograd import Tape
 from msconv.metrics import pair_scores
 from msconv.model import tinynet_forward
@@ -415,13 +414,6 @@ def one_shot_embed(x, params, cfg):
     tape = Tape()
     consts = {k: tape.constant(v) for k, v in params.items()}
     return tinynet_forward(tape, tape.constant(x), consts, cfg).value
-
-
-def planned_embed(x, params, cfg, step):
-    """Embeddings of the chunks ``tensor.even_chunks(len(x), step)`` one
-    after another on one thread, each chunk in one ``one_shot_embed`` pass."""
-    return np.concatenate([one_shot_embed(x[rows], params, cfg)
-                           for rows in T.even_chunks(len(x), step)])
 
 
 # -- the verify data path in one piece -------------------------------------

@@ -1162,6 +1162,19 @@ class TestAblateCommand:
         assert calls == []
         assert not out.exists()
 
+    def test_empty_kinds_rejected(self, tmp_path, capsys):
+        """An explicit empty --kinds is an empty kind name, not the default
+        kinds: one error line before training."""
+        cfg_path = write_config(tmp_path / "run.cfg", epochs=1)
+        out = tmp_path / "o"
+        code = cli.main(["ablate", "--config", cfg_path, "--out", str(out),
+                         "--kinds", ""])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: bad value for 'fusion': '' is not one of "
+            f"{[k.value for k in FusionKind]}\n")
+        assert not out.exists()
+
     def test_bad_kind_rejected(self, tmp_path, capsys):
         """An unknown fusion kind fails before any training starts."""
         cfg_path = write_config(tmp_path / "run.cfg", epochs=1)

@@ -28,7 +28,7 @@ from msconv.model import (COS_CLAMP, MarginKind, MarginLossConfig, StageSpec,
                           margin_ce_on_tape, normalize_rows,
                           param_shapes, tinynet_embed, tinynet_forward)
 from msconv.train import RunConfig, full_init
-from oracles import counting_net_forward, one_shot_embed, planned_embed
+from oracles import counting_net_forward, one_shot_embed
 
 of_kind = MarginLossConfig.of_kind
 PLAIN, ARC, COS, COMBINED = (MarginKind.PLAIN, MarginKind.ARC, MarginKind.COS,
@@ -226,6 +226,18 @@ class TestDepthFirstEmbed:
         got = tinynet_embed(x, params, cfg)
         assert got.tobytes() == one_shot_embed(x, params, cfg).tobytes()
 
+    @pytest.mark.parametrize("kind", list(FusionKind), ids=lambda k: k.value)
+    def test_one_image_has_its_row_of_one_pass(self, kind):
+        """Each desk image in a pass of its own has the bits of its row in
+        one pass over the batch, so a one-image chunk is like any other."""
+        cfg = TinyNetConfig().with_fusion(kind)
+        params = init_params(cfg, seed=11)
+        x = rand((5, 32, 32, 3), 12)
+        whole = one_shot_embed(x, params, cfg)
+        for i in range(5):
+            assert one_shot_embed(x[i:i + 1], params, cfg).tobytes() == \
+                whole[i].tobytes()
+
     def test_embedding_survives_the_next_call(self):
         """A returned embedding holds no workspace memory."""
         cfg = TinyNetConfig()
@@ -296,17 +308,20 @@ class TestDepthFirstEmbed:
                 self.chunk_sizes(monkeypatch, tmp_path, n, size, batch_size, 2)
 
 
-# (config, images, image size, depth step): the desk model at both desk
-# sizes, and a narrow one (a gate of width 2) whose bits at 129 and 130
-# images need not equal one pass over the set (see the tensor module
-# docstring) but are fixed by the chunk plan
+# (config, images, image size): the desk model at both desk sizes, a narrow
+# one (a gate of width 2, whose rows a GEMM would block by row count) and a
+# wide one (FC inputs of 512 columns, past where a GEMM's rows also depend
+# on the row count); with the depth step (16, 4, 128 and 32) and the batch
+# sizes below, the chunks run from one image to the whole set
 NARROW = TinyNetConfig(in_channels=2, stem_channels=8,
                        stages=(StageSpec(2, 16, 2),), embed_dim=8, min_width=2)
-PLANS = {"desk-32": (TinyNetConfig(), 33, 32, 16),
-         "desk-64": (TinyNetConfig(), 18, 64, 4),
-         "narrow-70": (NARROW, 70, 16, 128),
-         "narrow-129": (NARROW, 129, 16, 128),
-         "narrow-130": (NARROW, 130, 16, 128)}
+WIDE = TinyNetConfig(stages=(StageSpec(1, 512, 2),), embed_dim=64)
+PLANS = {"desk-32": (TinyNetConfig(), 33, 32),
+         "desk-64": (TinyNetConfig(), 18, 64),
+         "narrow-70": (NARROW, 70, 16),
+         "narrow-129": (NARROW, 129, 16),
+         "narrow-130": (NARROW, 130, 16),
+         "wide-130": (WIDE, 130, 8)}
 
 
 class TestWorkers:
@@ -320,15 +335,18 @@ class TestWorkers:
     @pytest.mark.parametrize("cores", [1, 2, 3, 8])
     def test_bytes_follow_the_plan(self, monkeypatch, bounded, cores, kind,
                                    plan):
-        """The bits of the chunks run one after another in one process."""
+        """Every plan, one-image chunks included, on any number of workers:
+        the bits of one pass over the whole set."""
         from msconv import model
-        cfg, n, size, step = PLANS[plan]
+        cfg, n, size = PLANS[plan]
         cfg = cfg.with_fusion(kind)
         params = init_params(cfg, seed=3)
         x = rand((n, size, size, cfg.in_channels), 4)
         monkeypatch.setattr(model, "_cores", lambda: cores)
-        assert tinynet_embed(x, params, cfg).tobytes() == \
-            planned_embed(x, params, cfg, step).tobytes()
+        want = one_shot_embed(x, params, cfg).tobytes()
+        for batch_size in (None, 1, 5, 8):
+            assert tinynet_embed(x, params, cfg, batch_size).tobytes() == \
+                want, batch_size
 
     @pytest.mark.parametrize("cores", [1, 2, 3])
     def test_earliest_failed_chunk_raises(self, monkeypatch, tmp_path,
@@ -375,13 +393,13 @@ class TestWorkers:
         rows = read()
         assert [row["first"] for row in rows] == list(range(0, 200, 2))
         assert_on_workers(rows, 8)
-        assert got.tobytes() == planned_embed(x, params, cfg, 2).tobytes()
+        assert got.tobytes() == one_shot_embed(x, params, cfg).tobytes()
 
     def test_non_finite_reaches_the_caller(self, monkeypatch, tmp_path,
                                            bounded):
         """Under debug checks a NaN image in chunk 1 raises NonFiniteError
         on the helper, which the caller raises with its type and message,
-        and the next call gives the planned bytes."""
+        and the next call gives the bytes of one pass."""
         from msconv import model
         monkeypatch.setattr(T, "_debug_checks", False)
         monkeypatch.setattr(model, "_cores", lambda: 2)
@@ -400,7 +418,7 @@ class TestWorkers:
         assert sorted(row["pid"] != os.getpid() for row in read()) == \
             [False, False, True]
         assert tinynet_embed(x, params, cfg).tobytes() == \
-            planned_embed(x, params, cfg, 16).tobytes()
+            one_shot_embed(x, params, cfg).tobytes()
 
     def test_helpers_keep_the_caller_error_state(self, monkeypatch, tmp_path,
                                                  bounded):

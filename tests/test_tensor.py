@@ -9,7 +9,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from msconv import tensor as T
@@ -201,6 +201,23 @@ class TestFC:
         with pytest.raises(T.ShapeError):
             T.fc(rand((3, 4)), rand((5, 6)), rand((6,)))
 
+    @settings(max_examples=200, deadline=None)
+    @given(k=st.integers(1, 600), m=st.integers(1, 80), n=st.integers(2, 300),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           seed=st.integers(0, 2**16))
+    @example(k=392, m=64, n=64, dtype=np.float32, seed=0)
+    @example(k=32, m=2, n=7, dtype=np.float32, seed=0)
+    @example(k=16, m=1, n=3, dtype=np.float32, seed=0)
+    def test_rows_do_not_depend_on_row_count(self, k, m, n, dtype, seed):
+        """The first and last of ``n`` rows have the bytes of a one-row
+        call: wide inputs, narrow outputs and a single output included."""
+        rng = np.random.default_rng(seed)
+        x, w, b = (rng.normal(size=shape).astype(dtype)
+                   for shape in ((n, k), (k, m), (m,)))
+        rows = T.fc(x, w, b)
+        for i in (0, n - 1):
+            assert rows[i].tobytes() == T.fc(x[i:i + 1], w, b)[0].tobytes()
+
 
 class TestActivations:
     def test_sigmoid_origin(self):
@@ -381,17 +398,15 @@ class TestConvKernelBytes:
 class TestEvenChunks:
     @settings(max_examples=300, deadline=None)
     @given(n=st.integers(1, 2000), step=st.integers(0, 3000))
+    @example(n=3, step=1)
     def test_chunks_cover_in_order_largest_first(self, n, step):
         """Contiguous chunks over [0, n), sizes near-equal and falling, none
-        over the step and none of one image once there are two."""
+        over the step, as few as that allows."""
         chunks = T.even_chunks(n, step)
         assert chunks[0].start == 0 and chunks[-1].stop == n
         assert all(a.stop == b.start for a, b in zip(chunks, chunks[1:]))
         sizes = [c.stop - c.start for c in chunks]
         assert sizes == sorted(sizes, reverse=True)
         assert sizes[0] - sizes[-1] <= 1
-        assert n < 2 or min(sizes) >= 2
-        step = max(2, step)
-        assert len(chunks) == max(1, min(-(-n // step), n // 2))
-        # no chunk outgrows the step, but for odd n at step 2 one holds 3
-        assert sizes[0] <= step or (step == 2 and sizes[0] == 3)
+        assert sizes[0] <= max(1, step)
+        assert len(chunks) == max(1, -(-n // max(1, step)))

@@ -629,8 +629,7 @@ class TestEmbedDataset:
         assert got.tobytes() == one_shot_embed(images, params, cfg).tobytes()
 
     def test_batch_of_one_matches_one_pass(self):
-        """Batch size 1 still runs no one-image batch: batches of two, and
-        one of three for an odd count."""
+        """Batch size 1 runs one-image chunks, with the bits of one pass."""
         cfg = TinyNetConfig()
         params = init_params(cfg, seed=24)
         images = np.random.default_rng(7).uniform(-1.0, 1.0, (7, 32, 32, 3))
