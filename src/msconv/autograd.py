@@ -329,7 +329,9 @@ class Tape:
         Later contributions add in place into a buffer the backward owns (a
         sum it allocated, or a conv's fresh dx, which later convs add into
         chunk by chunk), never into an array a vjp returned (``add`` returns
-        ``(g, g)``).  Each element keeps the sum order of fresh sums.
+        ``(g, g)``).  A conv's fresh dx that arrives after such an array
+        takes it in place (``dx + g`` is ``g + dx`` bit for bit).  Each
+        element keeps the sum order of fresh sums.
         """
         self._guard()
         if loss.tape is not self:
@@ -365,15 +367,16 @@ class Tape:
                         f"{rec.op_id} gradient shape {gi.shape} != value shape "
                         f"{shape}"
                     )
-                have = grads.get(idx)
+                have, mine = grads.get(idx), owned.get(idx, (None,))[0]
                 if have is None:
                     grads[idx] = gi
-                elif owned.get(idx, (None,))[0] is not have \
-                        or gi.dtype != have.dtype:
+                elif gi.dtype != have.dtype or mine is not have \
+                        and mine is not gi:
                     grads[idx] = have + gi
                     owned[idx] = [grads[idx], frozenset()]
                 elif gi is not have:  # else a conv added its dx in already
-                    have += gi
+                    mine += gi if have is mine else have
+                    grads[idx] = mine
         return Gradients(self, grads, freed)
 
 
@@ -381,31 +384,25 @@ def _phase_taps(k: int, dilation: int, stride: int, size: int, out_len: int):
     """The taps that reach each input phase along one axis.
 
     The forward reads input row ``stride*o + dilation*t - pad`` through tap
-    t, so input row ``r + stride*j`` of phase r receives ``g[j - q]``
-    through each tap with ``dilation*t - r - pad == stride*q``: a stride-1
+    t, so input row ``r + stride*j`` of phase r receives ``g[j + off]``
+    through each tap with ``r + pad - dilation*t == stride*off``: a stride-1
     correlation of ``g`` per phase.  A tap whose shifted rows all fall
     outside ``g`` is left out, so a phase may have no tap.
 
-    Returns ((lo, hi), phases): the zero border ``g`` needs before and after
-    its rows, and per phase r a list of (t, rows of the padded g) in tap
-    order.
+    Returns per phase r (length, [(t, off), ...]) in tap order.
     """
     pad = T.same_pad(k, dilation)
-    shifts = []
+    phases = []
     for r in range(stride):
         length = len(range(r, size, stride))
         taps = []
         for t in range(k):
-            q, rem = divmod(dilation * t - r - pad, stride)
-            # kept when some row j in [0, length) has 0 <= j - q < out_len
-            if rem == 0 and max(0, q) < min(length, out_len + q):
-                taps.append((t, q))
-        shifts.append((length, taps))
-    lo = max([0] + [q for _, taps in shifts for _, q in taps])
-    hi = max([0] + [length - q - out_len for length, taps in shifts
-                    for _, q in taps])
-    return (lo, hi), [[(t, slice(lo - q, lo - q + length)) for t, q in taps]
-                      for length, taps in shifts]
+            off, rem = divmod(r + pad - dilation * t, stride)
+            # kept when some row j in [0, length) has 0 <= j + off < out_len
+            if rem == 0 and max(0, -off) < min(length, out_len - off):
+                taps.append((t, off))
+        phases.append((length, taps))
+    return phases
 
 
 def _conv2d_vjp(g: np.ndarray, x: np.ndarray, w: np.ndarray,
@@ -414,14 +411,18 @@ def _conv2d_vjp(g: np.ndarray, x: np.ndarray, w: np.ndarray,
                 ) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Gradients of conv2d_raw w.r.t. input and weights; None where unneeded.
 
-    Both walk the batch in the forward's chunks (``T._chunk_step`` of one
-    image of ``g``).  dx splits into the stride**2 phases dx[:, ry::s, rx::s],
-    each a stride-1 correlation of ``g`` with the taps that reach it
-    (``_phase_taps``) and w[ky, kx] transposed, run through the forward's
-    ``T._chunked_tap_gemm``; taps add in row-major (ky, kx) order, and a
-    phase that no tap reaches stays zero.  dW adds each tap's ``patch.T @ g``
-    per x chunk, so its bits depend on the chunking: moving the backward to
-    chunks changed its bits, while the forward's did not change.
+    Both run one GEMM per image and row fold, so an image's dx depends only
+    on that image and dW's bits not on the chunk size.  dx splits into the
+    stride**2 phases dx[:, ry::s, rx::s], each a stride-1 correlation of
+    ``g`` with the taps that reach it (``_phase_taps``).  ``g`` is folded
+    with the column offsets its column taps read side by side, then each
+    row tap, in ky order, is one GEMM with their w[ky, kx].T stacked
+    (``T._row_folded_gemm``, in blocks of rows, in chunks of one image of
+    dx).  When every column phase is reached, one GEMM fills all of a dx
+    row's phases (N = s*c_in, zero blocks where a tap skips a phase, the
+    output rows contiguous); otherwise each reached phase is a GEMM of its
+    own.  A phase no tap reaches stays zero.  dW adds ``fold.T @ g`` per
+    kernel row and image, in image order, on the forward's folds of ``x``.
 
     ``acc``, the backward's [buffer, clean] entry for x, takes dx added in
     chunk by chunk if of dx's dtype, else a fresh dx with clean its zeroed
@@ -431,17 +432,33 @@ def _conv2d_vjp(g: np.ndarray, x: np.ndarray, w: np.ndarray,
     n, h, wd, c_in = x.shape
     kh, kw, _, c_out = w.shape
     oh, ow = g.shape[1], g.shape[2]
-    step = T._chunk_step(n, g[0].nbytes)
     dx = dw = None
     if need_x:
-        (top, bottom), rows = _phase_taps(kh, dilation, stride, h, oh)
-        (left, right), cols = _phase_taps(kw, dilation, stride, wd, ow)
-        phases = [(slice(ry, None, stride), slice(rx, None, stride),
-                   [(ys, xs, w[ky, kx].T) for ky, ys in ty for kx, xs in tx])
-                  for ry, ty in enumerate(rows) for rx, tx in enumerate(cols)
-                  if ty and tx]
-        zero = frozenset((stride, ry, rx) for ry, ty in enumerate(rows)
-                         for rx, tx in enumerate(cols) if not (ty and tx))
+        rows = _phase_taps(kh, dilation, stride, h, oh)
+        cols = _phase_taps(kw, dilation, stride, wd, ow)
+        lo = min(off for _, ty in rows for _, off in ty)
+        count = max(off + length for length, ty in rows for _, off in ty) - lo
+        # every column phase in one GEMM when each is reached, else apart
+        reached = [rx for rx, (_, tx) in enumerate(cols) if tx]
+        folds, targets = [], []
+        for f, gr in enumerate([reached] if len(reached) == stride
+                               else [[rx] for rx in reached]):
+            offs = sorted({off for rx in gr for _, off in cols[rx][1]})
+            folds.append(((lo, 1, count), [(off, 1) for off in offs],
+                          len(range(gr[0], wd, stride))))
+            # w[:, kx].T at each column tap's (offset of g, phase of dx)
+            mats = np.zeros((kh, len(offs), c_out, len(gr), c_in), w.dtype)
+            for p, rx in enumerate(gr):
+                for kx, off in cols[rx][1]:
+                    mats[:, offs.index(off), :, p] = w[:, kx].transpose(0, 2, 1)
+            mats = mats.reshape(kh, -1, len(gr) * c_in)
+            targets += [(slice(ry, None, stride),
+                         slice(gr[0], None, stride if len(gr) == 1 else 1),
+                         [(f, off - lo, mats[ky]) for ky, off in ty])
+                        for ry, (_, ty) in enumerate(rows) if ty]
+        zero = frozenset((stride, ry, rx) for ry, (_, ty) in enumerate(rows)
+                         for rx, (_, tx) in enumerate(cols)
+                         if not (ty and tx))
         dx, clean = acc or (None, None)
         add = dx is not None and dx.dtype == np.result_type(g, w)
         if add:
@@ -451,22 +468,18 @@ def _conv2d_vjp(g: np.ndarray, x: np.ndarray, w: np.ndarray,
             dx = (np.zeros if zero else np.empty)(x.shape, np.result_type(g, w))
             if acc is not None:
                 acc[:] = dx, zero
-        T._chunked_tap_gemm(g, ((top, bottom), (left, right)), step, phases,
-                            dx, add)
+        T._row_folded_gemm(g, T._chunk_step(n, dx[0].nbytes), folds,
+                           targets, dx, add)
     if need_w:
-        ph = T.same_pad(kh, dilation)
-        pw = T.same_pad(kw, dilation)
-        taps = list(T._tap_slices(kh, kw, dilation, stride, oh, ow))
-        dw = np.zeros_like(w)
-        patch = np.empty((step, oh, ow, c_in), dtype=x.dtype)
-        part = np.empty((c_in, c_out), dtype=dw.dtype)
-        for i, xpc in T._padded_chunks(x, ((ph, ph), (pw, pw)), step):
-            m = len(xpc)
-            p, g_rows = patch[:m], g[i:i + m].reshape(-1, c_out)
-            for ky, kx, ys, xs in taps:
-                np.copyto(p, xpc[:, ys, xs, :])
-                np.matmul(p.reshape(-1, c_in).T, g_rows, out=part)
-                dw[ky, kx] += part
+        folds, reads = T._conv_folds(kh, kw, dilation, stride, oh, ow)
+        dw = np.zeros(w.shape, dtype=w.dtype)
+        rows_w = dw.reshape(kh, kw * c_in, c_out)
+        for i, bufs in T._row_folds(x, T._chunk_step(n, g[0].nbytes), folds):
+            g_rows = g[i:i + len(bufs[0])].reshape(len(bufs[0]), -1, c_out)
+            for ky, (f, j0) in enumerate(reads):
+                fold = bufs[f][:, j0:j0 + oh].reshape(*g_rows.shape[:2], -1)
+                for part in np.matmul(fold.transpose(0, 2, 1), g_rows):
+                    rows_w[ky] += part
     return dx, dw
 
 

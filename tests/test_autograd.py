@@ -20,7 +20,7 @@ from msconv.autograd import (GradientCheckError, Gradients, Tape,
 from msconv.data import gen_synthetic
 from msconv.model import (StageSpec, TinyNetConfig, depth_step, init_params,
                           margin_ce_on_tape, tinynet_forward)
-from msconv.train import RunConfig, full_init
+from msconv.train import RunConfig, build_config, full_init
 from oracles import fresh_sum_backward
 
 
@@ -429,6 +429,91 @@ def _vjp_reference(g, x, w, dilation, stride):
     return dxp[:, ph:ph + x.shape[1], pw:pw + x.shape[2], :], dw
 
 
+def _reaching_taps(k, dilation, stride, phase, size, out_len):
+    """(t, off) for each tap t of a k-tap axis through which input rows
+    ``phase + stride*j`` receive ``g[j + off]`` for some j, found by trying
+    every input row against every output row."""
+    pad = T.same_pad(k, dilation)
+    taps = []
+    for t in range(k):
+        offs = {o - j for j in range(len(range(phase, size, stride)))
+                for o in range(out_len)
+                if stride * o + dilation * t - pad == phase + stride * j}
+        taps += [(t, off) for off in offs]
+    return taps
+
+
+def _vjp_folded_reference(g, x, w, dilation, stride):
+    """The vjp in the row-folded kernel's order, by plain loops.
+
+    dW: per image in order and kernel row, the row's kw taps of the
+    zero-padded x side by side (K = kw*c_in), np.tensordot with the image's
+    g.  dx: per column group (every column phase at once when each is
+    reached, else each reached phase alone), row phase, image and block of
+    at most ``T._BLOCK_BYTES`` of fold, per reaching row tap in ky order,
+    the zero-padded g at every column offset the group's taps read, side by
+    side in offset order, times a matrix holding w[ky, kx].T at each column
+    tap's (offset, phase) and zeros elsewhere; the first row tap assigned,
+    later ones added.
+    """
+    n, h, wd, c_in = x.shape
+    kh, kw, _, c_out = w.shape
+    oh, ow = g.shape[1:3]
+    ph, pw = T.same_pad(kh, dilation), T.same_pad(kw, dilation)
+    xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
+    dw = np.zeros_like(w)
+    for i in range(n):
+        for ky in range(kh):
+            rows = xp[i, ky * dilation:ky * dilation + (oh - 1) * stride + 1:
+                      stride]
+            fold = np.concatenate(
+                [rows[:, kx * dilation:kx * dilation + (ow - 1) * stride + 1:
+                      stride] for kx in range(kw)], axis=-1)
+            dw[ky] += np.tensordot(fold, g[i], axes=([0, 1], [0, 1])
+                                   ).reshape(kw, c_in, c_out)
+    pad = max(kh, kw) * dilation
+    gp = np.pad(g, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    cols = [_reaching_taps(kw, dilation, stride, rx, wd, ow)
+            for rx in range(stride)]
+    reached = [rx for rx in range(stride) if cols[rx]]
+    groups = [reached] if len(reached) == stride else [[rx] for rx in reached]
+    dx = np.zeros_like(x)
+    for group in groups:
+        offs = sorted({off for rx in group for _, off in cols[rx]})
+        width = len(range(group[0], wd, stride))
+        fold_row = width * len(offs) * c_out * g.itemsize
+        block = max(1, T._BLOCK_BYTES // fold_row)
+        for ry in range(stride):
+            ty = _reaching_taps(kh, dilation, stride, ry, h, oh)
+            mats = []
+            for ky, _ in ty:
+                mat = np.zeros((len(offs), c_out, len(group), c_in))
+                for p, rx in enumerate(group):
+                    for kx, off in cols[rx]:
+                        mat[offs.index(off), :, p] = w[ky, kx].T
+                mats.append(mat.reshape(-1, len(group) * c_in))
+            height = len(range(ry, h, stride)) if ty else 0
+            for i in range(n):
+                for a in range(0, height, block):
+                    b = min(height, a + block)
+                    acc = None
+                    for (_, dy), mat in zip(ty, mats):
+                        fold = np.concatenate(
+                            [gp[i, pad + dy + a:pad + dy + b,
+                                pad + off:pad + off + width] for off in offs],
+                            axis=-1)
+                        prod = fold.reshape(-1, fold.shape[-1]) @ mat
+                        acc = prod if acc is None else acc + prod
+                    rows = slice(ry + stride * a, ry + stride * b, stride)
+                    if len(group) > 1:  # every phase: a dx row, cut to w
+                        dx[i, rows] = acc.reshape(b - a, -1)[
+                            :, :wd * c_in].reshape(b - a, wd, c_in)
+                    else:
+                        dx[i, rows, group[0]::stride] = acc.reshape(
+                            b - a, width, c_in)
+    return dx, dw
+
+
 def _gamma(terms):
     """Higham's gamma_N = N u / (1 - N u), u = eps / 2, for float64."""
     u = np.finfo(np.float64).eps / 2
@@ -477,16 +562,17 @@ class TestConvVjpKernels:
     @pytest.mark.parametrize("k,dilation,stride", [
         (3, 1, 2), (3, 2, 1), (3, 2, 2), (1, 1, 1), (1, 1, 2)])
     def test_bytes_match_tensordot_reference(self, k, dilation, stride):
-        """At these shapes the batch of 3 fits one chunk, so dW is one GEMM
-        over the whole batch and dx adds the same per-row products in the
-        same tap order: both keep every bit of the tensordot tap loop.  A
-        batch of several chunks sums dW per chunk and changes its bits
-        (see the bound tests below)."""
+        """Both keep every bit of the folded loop: dW one GEMM per image and
+        kernel row (the tensordot of its folded taps), added in image order,
+        and dx per row phase, image and row block one GEMM per reaching row
+        tap in ky order, over all of a dx row's column phases when each is
+        reached.  The bound tests below hold the kernel to the plain tap
+        loop within rounding."""
         x = rand((3, 8, 8, 16), 50)
         w = rand((k, k, 16, 32), 51)
         oh = T.conv_out_len(8, stride)
         g = rand((3, oh, oh, 32), 52)
-        ref_dx, ref_dw = _vjp_reference(g, x, w, dilation, stride)
+        ref_dx, ref_dw = _vjp_folded_reference(g, x, w, dilation, stride)
         dx, dw = _conv2d_vjp(g, x, w, dilation, stride)
         assert dw.tobytes() == ref_dw.tobytes()
         assert dx.tobytes() == ref_dx.tobytes()
@@ -512,6 +598,33 @@ class TestConvVjpKernels:
                              T.conv_out_len(wd, stride), c_out))
         with mock.patch.object(T, "_CHUNK_BYTES", chunk_bytes):
             assert_vjp_matches_reference(g, x, w, dilation, stride, *need)
+
+    @settings(max_examples=300, deadline=None)
+    @given(kh=st.sampled_from([1, 3, 5]), kw=st.sampled_from([1, 3, 5]),
+           dilation=st.integers(1, 3), stride=st.integers(1, 3),
+           h=st.integers(1, 40), wd=st.integers(1, 40), n=st.integers(1, 5),
+           c_in=st.integers(1, 3), c_out=st.sampled_from([1, 2, 3, 17, 32]),
+           chunk_bytes=st.sampled_from([1, 300, T._CHUNK_BYTES]),
+           block_bytes=st.sampled_from([1, 2000, T._BLOCK_BYTES]),
+           seed=st.integers(0, 2**16))
+    def test_image_dx_depends_only_on_the_image(self, kh, kw, dilation, stride,
+                                                h, wd, n, c_in, c_out,
+                                                chunk_bytes, block_bytes, seed):
+        """A batch's dx equals each image's own call byte for byte, at the
+        OpenBLAS narrow widths, sizes the stride does not divide, and one
+        row block or several, in chunks of any size."""
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, h, wd, c_in))
+        w = rng.normal(size=(kh, kw, c_in, c_out))
+        g = rng.normal(size=(n, T.conv_out_len(h, stride),
+                             T.conv_out_len(wd, stride), c_out))
+        with mock.patch.multiple(T, _CHUNK_BYTES=chunk_bytes,
+                                 _BLOCK_BYTES=block_bytes):
+            dx, _ = _conv2d_vjp(g, x, w, dilation, stride, need_w=False)
+            for i in range(n):
+                one, _ = _conv2d_vjp(g[i:i + 1], x[i:i + 1], w, dilation,
+                                     stride, need_w=False)
+                assert one.tobytes() == dx[i:i + 1].tobytes(), i
 
     @pytest.mark.parametrize("c_in,k,dilation,stride,need_x", [
         (3, 3, 1, 1, False),
@@ -559,11 +672,11 @@ def desk_data():
     return gen_synthetic(RunConfig().data)
 
 
-def desk_micro_batch(tape):
+def desk_micro_batch(tape, cfg=None):
     """One desk micro-batch: the desk set's first ``depth_step`` images (16
     of 32x32), the net's stem output fanning out to k3, k5 and the 1x1
-    stride-2 projection."""
-    cfg, ds = RunConfig(), desk_data()
+    stride-2 projection.  ``cfg`` defaults to the desk config."""
+    cfg, ds = cfg or RunConfig(), desk_data()
     m = depth_step(cfg.model, ds.images.shape[1:3], np.float64)
     leaves = {k: tape.leaf(v) for k, v in full_init(cfg).items()}
     emb = tinynet_forward(tape, tape.constant(ds.images[:m]), leaves,
@@ -571,6 +684,10 @@ def desk_micro_batch(tape):
     centers = tape.l2_normalize_rows(leaves["centers"])
     return leaves, margin_ce_on_tape(tape, emb, centers, ds.labels[:m],
                                      cfg.loss)
+
+
+# the desk config with a second, identity-shortcut block in its stage
+TWO_BLOCKS = build_config({"stage_blocks": "2"})
 
 
 def tiny_net(stage):
@@ -608,7 +725,9 @@ class TestInPlaceFanOut:
         tiny_net(StageSpec(blocks=2, channels=6, stride=2)),
         tiny_net(StageSpec(blocks=1, channels=6, stride=1)),
         shared_add_gradient,
-    ], ids=["desk", "identity_shortcut", "stride1_projection", "shared_add"])
+        functools.partial(desk_micro_batch, cfg=TWO_BLOCKS),
+    ], ids=["desk", "identity_shortcut", "stride1_projection", "shared_add",
+            "desk_two_blocks"])
     def test_leaf_gradients_match_fresh_sums(self, build):
         tape, ref = Tape(), Tape()
         leaves, loss = build(tape)
@@ -674,10 +793,12 @@ class TestInPlaceFanOut:
         and B the block output's (16 x 16x16x32, S/2).  The peak falls in
         k5's vjp, the first of the stem output's three readers: the fused
         op's two branch gradients and the projection's gradient (3B) are
-        alive, with k5's fresh dx, the accumulator (S), and the chunk
-        buffers of its dW pass, one padded 4-image chunk of the stem output
-        and one patch (C).  k3 and the projection add into that one buffer,
-        so the bound is 3B + S + C plus 256 KiB for the small arrays.  When
+        alive, with k5's fresh dx, the accumulator (S), and the buffers of
+        its dx pass (C): one 2-image row fold of the output gradient (18
+        rows of 16 columns, 3 taps of 32 channels; 2 images of dx fill
+        _CHUNK_BYTES) and the two block buffers of its even phase (2 images
+        of 16x16x16).  k3 and the projection add into that one buffer, so
+        the bound is 3B + S + C plus 256 KiB for the small arrays.  When
         each conv allocated its own dx, k3's vjp held dx5, dx3 and their sum
         beside gu1 and the projection's gradient, 2B + 3S, over the bound.
         """
@@ -686,9 +807,11 @@ class TestInPlaceFanOut:
         stem, (stage,) = model.stem_channels, model.stages
         s_bytes = m * size * size * stem * 8
         b_bytes = m * (size // 2) ** 2 * stage.channels * 8
-        step = T._chunk_step(m, b_bytes // m)
-        # k5's dW pass pads x by 2 (3x3 at dilation 2)
-        c_bytes = step * stem * 8 * ((size + 4) ** 2 + (size // 2) ** 2)
+        step = T._chunk_step(m, s_bytes // m)
+        # k5 (3x3, dilation 2, stride 2) reads g rows -1..16 into its fold
+        half = size // 2
+        c_bytes = step * 8 * ((half + 2) * half * 3 * stage.channels
+                              + 2 * half * half * stem)
         tape = Tape()
         _, loss = desk_micro_batch(tape)
         stem_out = tape._records[0].output
@@ -701,3 +824,34 @@ class TestInPlaceFanOut:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * b_bytes + s_bytes + c_bytes + 256 * 1024
+
+    def test_identity_shortcut_input_holds_one_gradient(self):
+        """At two blocks per stage, the second block's input gets the fused
+        op's shortcut gradient g first; k5's fresh dx then takes g in place
+        instead of a fresh sum.  Up to the first block's fused vjp the peak
+        stays under 4B + C plus 256 KiB, B the block input's bytes (16 x
+        16x16x32): g and the two branch gradients, k5's dx, and with
+        one-image chunks the buffers of k5's dx pass, one row fold of g (20
+        rows of 16 columns, 3 taps of 32 channels) and two blocks of one
+        image of dx (C).  A fresh sum g + dx5 held 5B beside them."""
+        m, size, ch = 16, 16, TWO_BLOCKS.model.stages[0].channels
+        b_bytes = m * size * size * ch * 8
+        c_bytes = 8 * ((size + 4) * size * 3 * ch + 2 * size * size * ch)
+        with mock.patch.object(T, "_CHUNK_BYTES", 1):
+            tape = Tape()
+            _, loss = desk_micro_batch(tape, TWO_BLOCKS)
+            first = next(r for r in tape._records if r.op_id == "msconv_fuse")
+            vjp, peaks = first.vjp, []
+
+            def traced(g):
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                return vjp(g)
+
+            first.vjp = traced
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                tape.backward(loss, 0.5)
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] - start <= 4 * b_bytes + c_bytes + 256 * 1024

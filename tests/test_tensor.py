@@ -5,6 +5,7 @@ share no code with the implementation.
 """
 
 import math
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -329,18 +330,33 @@ class TestValidators:
             T.same_pad(4, 1)
 
 
-def tap_loop_reference(x, w, dilation, stride):
-    """Whole-batch conv: zero-initialised output plus every tap's product."""
-    k = w.shape[0]
+def row_fold_reference(x, w, dilation, stride):
+    """The conv in the row-folded kernel's order, by plain loops: per image
+    and block of output rows of at most ``T._BLOCK_BYTES`` of fold, each
+    kernel row's kw taps of the zero-padded input side by side (K = kw*c),
+    times w[ky]; the first kernel row assigned, later ones added."""
+    k, _, c_in, c_out = w.shape
     pad = T.same_pad(k, dilation)
     xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
     oh = T.conv_out_len(x.shape[1], stride)
-    ref = np.zeros((x.shape[0], oh, oh, w.shape[3]))
-    for ky in range(k):
-        for kx in range(k):
-            ref += xp[:, ky * dilation:ky * dilation + (oh - 1) * stride + 1:stride,
-                      kx * dilation:kx * dilation + (oh - 1) * stride + 1:stride,
-                      :] @ w[ky, kx]
+    block = max(1, T._BLOCK_BYTES // (oh * k * c_in * x.itemsize))
+    span = (oh - 1) * stride + 1
+    ref = np.empty((x.shape[0], oh, oh, c_out))
+    for i in range(x.shape[0]):
+        for a in range(0, oh, block):
+            b = min(oh, a + block)
+            for ky in range(k):
+                y0 = ky * dilation + a * stride
+                rows = xp[i, y0:y0 + (b - a - 1) * stride + 1:stride]
+                fold = np.concatenate(
+                    [rows[:, kx * dilation:kx * dilation + span:stride]
+                     for kx in range(k)], axis=-1)
+                prod = (fold.reshape(-1, k * c_in) @ w[ky].reshape(-1, c_out)
+                        ).reshape(b - a, oh, c_out)
+                if ky:
+                    ref[i, a:b] += prod
+                else:
+                    ref[i, a:b] = prod
     return ref
 
 
@@ -369,10 +385,11 @@ class TestConvKernelBytes:
             *(f"1x1-s{s}-c{c}" for s, _, _, _, c, _ in ONE_BY_ONE)])
     def test_bytes_match_zero_init_accumulation(self, k, dilation, stride, n,
                                                 size, c_in, c_out, chunks):
-        """The first tap assigned, later ones added: bits of 0 + taps over
-        the whole batch, however many chunks the batch is walked in, into a
-        fresh array or over every element of a given ``out``.  A 1x1 kernel
-        gives the bits of one product over the whole batch."""
+        """The row-folded order: per image and row block, the first kernel
+        row's GEMM assigned and later ones added, however many chunks the
+        batch is walked in, into a fresh array or over every element of a
+        given ``out``.  A 1x1 kernel gives the bits of one product over the
+        whole batch."""
         oh = T.conv_out_len(size, stride)
         step = max(1, T._CHUNK_BYTES // (oh * oh * c_out * 8))
         assert -(-n // step) == chunks
@@ -381,11 +398,36 @@ class TestConvKernelBytes:
         if k == 1:
             ref = np.matmul(x[:, ::stride, ::stride, :], w[0, 0])
         else:
-            ref = tap_loop_reference(x, w, dilation, stride)
+            ref = row_fold_reference(x, w, dilation, stride)
         assert T.conv2d_raw(x, w, dilation, stride).tobytes() == ref.tobytes()
         out = np.full(ref.shape, np.nan)
         assert T.conv2d_raw(x, w, dilation, stride, out=out) is out
         assert out.tobytes() == ref.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(k=st.sampled_from([1, 3, 5]), dilation=st.integers(1, 3),
+           stride=st.integers(1, 3), h=st.integers(1, 40),
+           wd=st.integers(1, 40), n=st.integers(1, 5), c_in=st.integers(1, 3),
+           c_out=st.sampled_from([1, 2, 3, 17, 32]),
+           chunk_bytes=st.sampled_from([1, 300, T._CHUNK_BYTES]),
+           block_bytes=st.sampled_from([1, 2000, T._BLOCK_BYTES]),
+           seed=st.integers(0, 2**16))
+    def test_image_bits_depend_only_on_the_image(self, k, dilation, stride, h,
+                                                 wd, n, c_in, c_out,
+                                                 chunk_bytes, block_bytes,
+                                                 seed):
+        """A batch's outputs equal each image's own call byte for byte, at
+        the OpenBLAS narrow widths, sizes the stride does not divide, and
+        one row block or several, in chunks of any size."""
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, h, wd, c_in))
+        w = rng.normal(size=(k, k, c_in, c_out))
+        with mock.patch.multiple(T, _CHUNK_BYTES=chunk_bytes,
+                                 _BLOCK_BYTES=block_bytes):
+            batch = T.conv2d_raw(x, w, dilation, stride)
+            for i in range(n):
+                one = T.conv2d_raw(x[i:i + 1], w, dilation, stride)
+                assert one.tobytes() == batch[i:i + 1].tobytes(), i
 
     def test_out_of_another_shape_or_dtype_rejected(self):
         x = rand((2, 8, 8, 3), 62)
