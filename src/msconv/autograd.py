@@ -417,9 +417,9 @@ def _conv2d_vjp(g: np.ndarray, x: np.ndarray, w: np.ndarray,
     ``g`` with the taps that reach it (``_phase_taps``).  ``g`` is folded
     with the column offsets its column taps read side by side, then each
     row tap, in ky order, is one GEMM with their w[ky, kx].T stacked
-    (``T._row_folded_gemm``, in blocks of rows, in chunks of one image of
-    dx).  When every column phase is reached, one GEMM fills all of a dx
-    row's phases (N = s*c_in, zero blocks where a tap skips a phase, the
+    (``T._row_folded_gemm``, in blocks of rows, in chunks of dx's images).
+    When every column phase is reached, one GEMM fills all of a dx row's
+    phases (N = s*c_in, zero blocks where a tap skips a phase, the
     output rows contiguous); otherwise each reached phase is a GEMM of its
     own.  A phase no tap reaches stays zero.  dW adds ``fold.T @ g`` per
     kernel row and image, in image order, on the forward's folds of ``x``.
@@ -468,14 +468,14 @@ def _conv2d_vjp(g: np.ndarray, x: np.ndarray, w: np.ndarray,
             dx = (np.zeros if zero else np.empty)(x.shape, np.result_type(g, w))
             if acc is not None:
                 acc[:] = dx, zero
-        T._row_folded_gemm(g, T._chunk_step(n, dx[0].nbytes), folds,
-                           targets, dx, add)
+        T._row_folded_gemm(g, folds, targets, dx, add)
     if need_w:
         folds, reads = T._conv_folds(kh, kw, dilation, stride, oh, ow)
         dw = np.zeros(w.shape, dtype=w.dtype)
         rows_w = dw.reshape(kh, kw * c_in, c_out)
-        for i, bufs in T._row_folds(x, T._chunk_step(n, g[0].nbytes), folds):
-            g_rows = g[i:i + len(bufs[0])].reshape(len(bufs[0]), -1, c_out)
+        chunks = T.even_chunks(n, T._CHUNK_BYTES // g[0].nbytes)
+        for images, bufs in T._row_folds(x, chunks, folds):
+            g_rows = g[images].reshape(len(bufs[0]), -1, c_out)
             for ky, (f, j0) in enumerate(reads):
                 fold = bufs[f][:, j0:j0 + oh].reshape(*g_rows.shape[:2], -1)
                 for part in np.matmul(fold.transpose(0, 2, 1), g_rows):

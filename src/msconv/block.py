@@ -143,15 +143,15 @@ def fuse_on_tape(tape: Tape, u1: Var, u2: Var, params: dict[str, Var],
                  ) -> tuple[Var, dict[str, np.ndarray]]:
     """Everything after the branch convs as one tape op with analytic vjp.
 
-    Per chunk of ``T._chunk_step`` images (one image of ``u1``) the forward
-    forms U3 in one reused buffer and pools it into ``s``; the gate runs on
-    the whole batch; a second walk writes each chunk of the output in place.
-    Each value keeps the expression and operand order of the Tape ops that
-    would compute it one by one (mul or add, gap, fc, relu, sigmoid,
-    scale_channels, add), so its bits equal theirs.  The vjp saves ``u1``,
-    ``u2``, ``s``, ``z`` and ``c``, recomputes U4 per chunk, and allocates
-    only the two branch gradients; the shortcut's gradient is the upstream
-    gradient itself.
+    Per chunk of ``u1``'s images (``T.even_chunks``, as many as fit
+    ``T._CHUNK_BYTES``) the forward forms U3 in one reused buffer and pools
+    it into ``s``; the gate runs on the whole batch; a second walk writes
+    each chunk of the output in place.  Each value keeps the expression and
+    operand order of the Tape ops that would compute it one by one (mul or
+    add, gap, fc, relu, sigmoid, scale_channels, add), so its bits equal
+    theirs.  The vjp saves ``u1``, ``u2``, ``s``, ``z`` and ``c``,
+    recomputes U4 per chunk, and allocates only the two branch gradients;
+    the shortcut's gradient is the upstream gradient itself.
     """
     u1v, u2v = u1.value, u2.value
     wr, br, we, be = (params[p].value for p in _GATE_PARAMS)
@@ -168,16 +168,12 @@ def fuse_on_tape(tape: Tape, u1: Var, u2: Var, params: dict[str, Var],
     skconv = kind is FusionKind.SKCONV_REFERENCE
     # skconv's gradient is msconv_sum's: the two are one function
     differ = np.subtract if skconv or kind in _SUB_TARGET else np.add
-    step = T._chunk_step(n, u1v[0].nbytes)
+    chunks = T.even_chunks(n, T._CHUNK_BYTES // u1v[0].nbytes)
+    step = chunks[0].stop
     dtype = np.result_type(u1v, u2v)
-
-    def chunks():
-        for i in range(0, n, step):
-            yield slice(i, min(i + step, n))
-
     buf = np.empty((step, h, w, ch), dtype=dtype)
     s = np.empty((n, ch), dtype=dtype)
-    for rows in chunks():
+    for rows in chunks:
         u3 = buf[:rows.stop - rows.start]
         attend(u1v[rows], u2v[rows], out=u3)
         s[rows] = u3.mean(axis=(1, 2))
@@ -189,7 +185,7 @@ def fuse_on_tape(tape: Tape, u1: Var, u2: Var, params: dict[str, Var],
     out = tape.empty(u1v.shape, np.result_type(dtype, c))
     if skconv:
         bb = (1.0 - c)[:, None, None, :]
-    for rows in chunks():
+    for rows in chunks:
         o = out[rows]
         if skconv:
             t = buf[:rows.stop - rows.start]
@@ -206,7 +202,7 @@ def fuse_on_tape(tape: Tape, u1: Var, u2: Var, params: dict[str, Var],
     def vjp(g):
         gbuf = np.empty((step, h, w, ch), dtype=np.result_type(g, dtype))
         gc = np.empty_like(c)
-        for rows in chunks():
+        for rows in chunks:
             u4 = gbuf[:rows.stop - rows.start]
             differ(u1v[rows], u2v[rows], out=u4)
             u4 *= g[rows]
@@ -217,7 +213,7 @@ def fuse_on_tape(tape: Tape, u1: Var, u2: Var, params: dict[str, Var],
         gs = (gz @ wr.T)[:, None, None, :] / (h * w)
         gu1 = np.empty_like(u1v, dtype=gbuf.dtype)
         gu2 = np.empty_like(gu1)
-        for rows in chunks():
+        for rows in chunks:
             d1, d2, gk = gu1[rows], gu2[rows], g[rows]
             t = gbuf[:rows.stop - rows.start]
             np.multiply(gk, cb[rows], out=t)

@@ -231,9 +231,9 @@ def read_pairs(path, names) -> np.ndarray:
 
     ``names`` lists the image filenames in dataset row order, as
     ``load_dataset`` reads them from ``labels.txt``; each filename resolves
-    to its row, and one that is not listed raises FormatError.  A line that
-    is not ``file_a,file_b,same{0|1}``, or that names one image twice (its
-    score would be exactly 1), raises FormatError naming ``path:line``.
+    to its row.  A line that is not ``file_a,file_b,same{0|1}``, that names
+    a file not listed, or that names one image twice (its score would be
+    exactly 1), raises FormatError naming ``path:line``.
     """
     rows = {name: i for i, name in enumerate(names)}
     # row_a, row_b, same of each pair in turn: one flat list of ints
@@ -246,7 +246,7 @@ def read_pairs(path, names) -> np.ndarray:
         i, j = rows.get(parts[0]), rows.get(parts[1])
         if i is None or j is None:
             raise msct.FormatError(
-                f"pair {len(flat) // 3 + 1} names "
+                f"{path}:{lineno}: pair names "
                 f"{parts[0] if i is None else parts[1]!r}, which is not "
                 f"among the {len(names)} images in labels.txt")
         if i == j:

@@ -1,10 +1,11 @@
-"""MSCT tensor files and name=filename manifests.
+"""MSCT tensor files, and the ASCII text lists that name them.
 
 Binary layout: magic ``MSCT``, little-endian u32 rank, u32 per dimension,
 then the values as little-endian IEEE-754 float32, row-major.  Readers
 reject anything with the wrong magic or whose byte length disagrees with
-the header.  Manifests, like the dataset's ``labels.txt`` and ``pairs.txt``,
-are ASCII text read through ``text_lines``.
+the header.  A named tensor set is one file per tensor, named by
+``tensor_filename``.  The dataset's ``labels.txt`` and ``pairs.txt`` are
+ASCII text read through ``text_lines``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ MAGIC = b"MSCT"
 
 
 class FormatError(ValueError):
-    """Corrupt or mismatched MSCT file or manifest."""
+    """Corrupt or mismatched MSCT file or text list."""
 
 
 def tensor_bytes(arr: np.ndarray) -> bytes:
@@ -73,12 +74,6 @@ def read_tensor(path: str | os.PathLike) -> np.ndarray:
             raise FormatError(f"{path}: {exc}") from None
 
 
-def write_manifest(path: str | os.PathLike, entries: dict[str, str]) -> None:
-    with open(path, "w", encoding="ascii") as f:
-        for name, filename in entries.items():
-            f.write(f"{name}={filename}\n")
-
-
 def text_lines(path: str | os.PathLike):
     """Yields (line number, stripped line) of an ASCII text file's non-blank
     lines; a non-ASCII byte raises FormatError naming ``path:line``."""
@@ -103,32 +98,20 @@ def check_plain_name(filename: str, where: str) -> str:
     return filename
 
 
-def read_manifest(path: str | os.PathLike) -> dict[str, str]:
-    """name -> filename per line; a bad line or a name listed twice raises
-    FormatError naming ``path:line`` (and the earlier line)."""
-    entries: dict[str, str] = {}
-    line_of: dict[str, int] = {}
-    for lineno, line in text_lines(path):
-        if "=" not in line:
-            raise FormatError(f"{path}:{lineno}: expected name=filename")
-        name, filename = line.split("=", 1)
-        if name in line_of:
-            raise FormatError(f"{path}:{lineno}: {name!r} is already listed "
-                              f"on line {line_of[name]}")
-        line_of[name] = lineno
-        entries[name] = check_plain_name(filename, f"{path}:{lineno}")
-    return entries
+def tensor_filename(name: str) -> str:
+    """The file of tensor ``name`` in a named set: ``"s0b0/k3"`` is
+    ``s0b0_k3.msct``."""
+    return name.replace("/", "_").replace(".", "_") + ".msct"
 
 
 def save_tensors(directory: str | os.PathLike,
                  tensors: dict[str, np.ndarray]) -> None:
-    """Write one .msct per tensor plus a manifest, names sorted for stable bytes.
+    """Write one ``tensor_filename`` file per tensor, names sorted.
 
     Raises ValueError, before writing anything, when two names map to the
     same file.
     """
-    entries = {name: name.replace("/", "_").replace(".", "_") + ".msct"
-               for name in sorted(tensors)}
+    entries = {name: tensor_filename(name) for name in sorted(tensors)}
     owner: dict[str, str] = {}
     for name, filename in entries.items():
         first = owner.setdefault(filename, name)
@@ -138,9 +121,3 @@ def save_tensors(directory: str | os.PathLike,
     os.makedirs(directory, exist_ok=True)
     for name, filename in entries.items():
         write_tensor(os.path.join(directory, filename), tensors[name])
-    write_manifest(os.path.join(directory, "manifest.txt"), entries)
-
-
-def load_tensors(directory: str | os.PathLike) -> dict[str, np.ndarray]:
-    entries = read_manifest(os.path.join(directory, "manifest.txt"))
-    return {name: read_tensor(os.path.join(directory, fn)) for name, fn in entries.items()}

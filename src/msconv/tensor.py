@@ -6,14 +6,15 @@ Activations live in numpy arrays laid out channel-last, shape ``(n, h, w, c)``
 same inputs produce bit-identical outputs (accumulation order is fixed).
 
 ``conv2d_raw`` runs through ``_row_folded_gemm``, which also runs the
-conv's input gradient in ``autograd``.  Per chunk of images (as many as fit
-``_CHUNK_BYTES`` of output) it copies the input once into one zero-bordered
-buffer per row stride phase, whose last axis holds one kernel row's kw taps
-side by side (K = kw*c).  Each kernel row is then one GEMM per image and
-block of output rows, the block's fold at most ``_BLOCK_BYTES`` (192 KiB)
-unless one row is larger, later kernel rows added, so an image's bits
-depend only on that image.  ``conv2d_raw`` writes into a caller's
-``out`` buffer when given one, so inference can reuse its activation memory.
+conv's input gradient in ``autograd``.  Per chunk of images (``even_chunks``
+of as many as fit ``_CHUNK_BYTES`` of output) it copies the input once into
+one zero-bordered buffer per row stride phase, whose last axis holds one
+kernel row's kw taps side by side (K = kw*c).  Each kernel row is then one
+GEMM per image and block of output rows, the block's fold at most
+``_BLOCK_BYTES`` (192 KiB) unless one row is larger, later kernel rows
+added, so an image's bits depend only on that image.  ``conv2d_raw``
+writes into a caller's ``out`` buffer when given one, so inference can
+reuse its activation memory.
 
 Inference runs depth-first on top of that: ``model.tinynet_embed`` splits
 an image set once, by ``even_chunks``, into chunks of ``model.depth_step``
@@ -102,11 +103,6 @@ _CHUNK_BYTES = 256 * 1024
 _BLOCK_BYTES = 192 * 1024
 
 
-def _chunk_step(n: int, image_bytes: int) -> int:
-    """Images per chunk: as many as fit _CHUNK_BYTES of output, at least one."""
-    return min(n, max(1, _CHUNK_BYTES // image_bytes))
-
-
 # Bytes of one depth-first inference chunk's largest activation: 2 MiB, the
 # L2 size, holds 4 stem outputs of 64x64 images or 16 of 32x32.
 _DEPTH_BYTES = 2 * 1024 * 1024
@@ -133,15 +129,16 @@ def _clip(start: int, stride: int, count: int, size: int):
     return slice(lo, hi), slice(src.start, src.stop, stride)
 
 
-def _row_folds(src: Tensor4, step: int, folds):
-    """Yields (i, bufs): ``src[i:i+step]`` folded once per fold.
+def _row_folds(src: Tensor4, chunks: list[slice], folds):
+    """Yields (images, bufs): ``src[images]`` folded once per fold, for each
+    slice of ``chunks`` (``even_chunks``, so the first is the largest).
 
     A fold (rows, taps, width) names rows (start, stride, count) and column
     taps (start, stride) of ``src``, out of range reading zero; its buffer
     (m, count, width, taps*c), zeroed once and reused, holds the taps'
     pixels side by side.  A one-tap fold that clips nothing is a view.
     """
-    n, h, w, c = src.shape
+    _, h, w, c = src.shape
     # one c-channel pixel per item: 1.1-2.2x faster than a loop over floats
     pixel = np.dtype((np.void, c * src.itemsize))
     pixels = np.ascontiguousarray(src).view(pixel)[..., 0]
@@ -152,45 +149,48 @@ def _row_folds(src: Tensor4, step: int, folds):
         (dr, _), (dc, _) = copies[0]
         view = len(taps) == 1 and (dr, dc) == (slice(0, count), slice(0, width))
         plans.append((None if view else np.zeros(
-            (step, count, width, len(taps) * c), src.dtype), copies))
-    for i in range(0, n, step):
-        m, bufs = min(step, n - i), []
+            (chunks[0].stop, count, width, len(taps) * c), src.dtype), copies))
+    for images in chunks:
+        m, bufs = images.stop - images.start, []
         for buf, copies in plans:
             if buf is None:  # a view of src
                 (_, sr), (_, sc) = copies[0]
-                bufs.append(src[i:i + m, sr, sc])
+                bufs.append(src[images, sr, sc])
                 continue
             for t, ((dr, sr), (dc, sc)) in enumerate(copies):
-                buf.view(pixel)[:m, dr, dc, t] = pixels[i:i + m, sr, sc]
+                buf.view(pixel)[:m, dr, dc, t] = pixels[images, sr, sc]
             bufs.append(buf[:m])
-        yield i, bufs
+        yield images, bufs
 
 
-def _row_folded_gemm(src: Tensor4, step: int, folds, targets, out: Tensor4,
+def _row_folded_gemm(src: Tensor4, folds, targets, out: Tensor4,
                      add: bool = False) -> None:
     """Writes (or with ``add`` adds) ``out[:, rows, cols] = sum of
     fold[:, j0:] @ mat`` over each target's (rows, cols, [(fold, j0, mat)]).
 
-    A fold (``_row_folds``, in chunks of ``step`` images) row of ``width``
-    pixels gives ``width * N`` products, the first of which fill a row of
-    ``out[:, rows, cols]``.  Rows go in blocks of at most ``_BLOCK_BYTES``
-    of fold (at least one row), one GEMM per image and block (per row on a
-    strided view), the first assigned and later ones added, in a buffer
-    unless the rows are whole and contiguous.  Every GEMM's shape depends
-    only on one image's geometry: ``step`` and the batch move no bit.
+    A fold (``_row_folds``, in ``even_chunks`` of as many images as fit
+    ``_CHUNK_BYTES`` of ``out``) row of ``width`` pixels gives ``width * N``
+    products, the first of which fill a row of ``out[:, rows, cols]``.
+    Rows go in blocks of at most ``_BLOCK_BYTES`` of fold (at least one
+    row), one GEMM per image and block (per row on a strided view), the
+    first assigned and later ones added, in a buffer unless the rows are
+    whole and contiguous.  Every GEMM's shape depends
+    only on one image's geometry: the chunks and the batch move no bit.
     """
+    chunks = even_chunks(len(out), _CHUNK_BYTES // out[0].nbytes)
     plans = []
     for rows, cols, gemms in targets:
         width, (k, n_out) = folds[gemms[0][0]][2], gemms[0][2].shape
         block = max(1, _BLOCK_BYTES // (width * k * src.itemsize))
         plans.append((rows, cols, gemms, width, n_out, block))
-    size = step * max(min(block, len(out[0, rows, cols])) * width * n_out
-                      for rows, cols, _, width, n_out, block in plans)
+    size = chunks[0].stop * max(
+        min(block, len(out[0, rows, cols])) * width * n_out
+        for rows, cols, _, width, n_out, block in plans)
     tap_buf, acc_buf = np.empty(size, out.dtype), np.empty(size, out.dtype)
-    for i, bufs in _row_folds(src, step, folds):
+    for images, bufs in _row_folds(src, chunks, folds):
         m = len(bufs[0])
         for rows, cols, gemms, width, n_out, block in plans:
-            target = out[i:i + m, rows, cols]
+            target = out[images, rows, cols]
             for a in range(0, target.shape[1], block):
                 dst = target[:, a:a + block]
                 b, length = dst.shape[1], dst[0, 0].size
@@ -281,8 +281,7 @@ def conv2d_raw(
     folds, reads = _conv_folds(kh, kw, dilation, stride, shape[1], shape[2])
     gemms = [(f, j0, weights[ky].reshape(-1, c_out))
              for ky, (f, j0) in enumerate(reads)]
-    _row_folded_gemm(x, _chunk_step(shape[0], out[0].nbytes), folds,
-                     [(slice(None), slice(None), gemms)], out)
+    _row_folded_gemm(x, folds, [(slice(None), slice(None), gemms)], out)
     return out
 
 

@@ -579,7 +579,8 @@ def config_to_lines(cfg: RunConfig) -> list[str]:
 
 def save_checkpoint(directory, params: dict[str, np.ndarray],
                     cfg: RunConfig) -> None:
-    """Tensor files + manifest + a config echo; fully self-describing.
+    """A config echo (``config.txt``) and one ``msct.tensor_filename`` file
+    per tensor; the config alone names every tensor the model needs.
 
     Everything is written into a sibling directory ``.<name>.new-<pid>``,
     removed again if a write fails, which then takes the place of
@@ -613,20 +614,30 @@ def save_checkpoint(directory, params: dict[str, np.ndarray],
 def load_checkpoint(directory) -> tuple[dict[str, np.ndarray], RunConfig]:
     """Tensors and config of a checkpoint directory.
 
-    Raises msct.FormatError naming the first parameter that is missing,
-    extra, misshapen or non-finite for the config's model.
+    The config names the tensors: each parameter of ``param_shapes`` and
+    ``centers`` is read from its ``msct.tensor_filename`` file.  Raises
+    msct.FormatError naming the first, in init order, that is missing,
+    misshapen or non-finite, and then a ``.msct`` file no parameter names;
+    other files (an old ``manifest.txt``) are ignored.
     """
-    params = msct.load_tensors(directory)
     cfg = build_config(read_kv_file(os.path.join(directory, "config.txt")))
     expected = {**param_shapes(cfg.model),
                 "centers": (cfg.loss.class_count, cfg.model.embed_dim)}
-    for name in [*expected, *params]:
+    params = {}
+    for name, want in expected.items():
+        path = os.path.join(directory, msct.tensor_filename(name))
+        if os.path.exists(path):
+            params[name] = msct.read_tensor(path)
         got = params[name].shape if name in params else "nothing"
-        want = expected.get(name, "nothing")
         if got != want:
             raise msct.FormatError(f"checkpoint parameter {name!r}: the files "
                                    f"hold {got}, the config needs {want}")
         if not np.isfinite(params[name]).all():
             raise msct.FormatError(f"checkpoint parameter {name!r} holds "
                                    "non-finite values")
+    named = {msct.tensor_filename(name) for name in expected}
+    for filename in sorted(os.listdir(directory)):
+        if filename.endswith(".msct") and filename not in named:
+            raise msct.FormatError(f"{os.path.join(directory, filename)}: no "
+                                   "parameter of the config names this file")
     return params, cfg

@@ -641,7 +641,7 @@ class TestConvVjpKernels:
         w = rand((k, k, c_in, c_out), 57)
         oh = T.conv_out_len(32, stride)
         g = rand((32, oh, oh, c_out), 58)
-        assert T._chunk_step(32, g[0].nbytes) < 32
+        assert len(T.even_chunks(32, T._CHUNK_BYTES // g[0].nbytes)) > 1
         assert_vjp_matches_reference(g, x, w, dilation, stride, need_x)
 
     @pytest.mark.parametrize("k,dilation", [(3, 2), (1, 1)])
@@ -807,7 +807,7 @@ class TestInPlaceFanOut:
         stem, (stage,) = model.stem_channels, model.stages
         s_bytes = m * size * size * stem * 8
         b_bytes = m * (size // 2) ** 2 * stage.channels * 8
-        step = T._chunk_step(m, s_bytes // m)
+        step = T.even_chunks(m, T._CHUNK_BYTES // (s_bytes // m))[0].stop
         # k5 (3x3, dilation 2, stride 2) reads g rows -1..16 into its fold
         half = size // 2
         c_bytes = step * 8 * ((half + 2) * half * 3 * stage.channels

@@ -482,7 +482,9 @@ class TestStateAndSerialization:
         """A block's six arrays round-trip through MSCT files as float32."""
         st = make_state(c_in=2, c_out=4, seed=48)
         msct.save_tensors(tmp_path, st.params)
-        loaded = msct.load_tensors(tmp_path)
-        assert set(loaded) == set(BLOCK_PARAM_NAMES)
+        assert set(st.params) == set(BLOCK_PARAM_NAMES)
+        assert {p.name for p in tmp_path.iterdir()} == {
+            msct.tensor_filename(k) for k in BLOCK_PARAM_NAMES}
         for k, arr in st.params.items():
-            np.testing.assert_array_equal(loaded[k], arr.astype(np.float32))
+            loaded = msct.read_tensor(tmp_path / msct.tensor_filename(k))
+            np.testing.assert_array_equal(loaded, arr.astype(np.float32))

@@ -597,8 +597,9 @@ class TestVerifyCommand:
                          "--data", str(data_dir)])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: pair 2 names 'img00099.msct', which is "
-                              "not among the 18 images in labels.txt")
+        assert err.startswith(f"error: {data_dir / 'pairs.txt'}:2: pair names "
+                              "'img00099.msct', which is not among the 18 "
+                              "images in labels.txt")
 
     def test_reordered_labels_score_the_same_pairs(self, trained, tmp_path,
                                                    capsys):
@@ -640,8 +641,8 @@ class TestVerifyCommand:
                          "--data", str(data_dir)])
         assert code == 2
         assert capsys.readouterr().err.startswith(
-            "error: pair 2 names 'img00000.msct', which is not among the 17 "
-            "images in labels.txt")
+            f"error: {data_dir / 'pairs.txt'}:2: pair names 'img00000.msct', "
+            "which is not among the 17 images in labels.txt")
 
     def test_negative_pair_count_rejected(self, trained, capsys):
         _, out = trained
@@ -666,15 +667,12 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("command", ["verify", "viz"])
     def test_checkpoint_missing_parameter_rejected(self, trained, tmp_path,
                                                    capsys, command):
-        """A manifest without the w_embed line ends in exit 2, not a
+        """A checkpoint without the w_embed file ends in exit 2, not a
         KeyError traceback."""
         _, out = trained
         ckpt = tmp_path / "checkpoint"
         shutil.copytree(out / "checkpoint", ckpt)
-        manifest = ckpt / "manifest.txt"
-        manifest.write_text("".join(
-            line for line in manifest.read_text().splitlines(keepends=True)
-            if not line.startswith("w_embed=")))
+        os.remove(ckpt / "w_embed.msct")
         img_path = tmp_path / "img.msct"
         msct.write_tensor(img_path, np.zeros((8, 8, 2)))
         argv = {"verify": ["verify", "--checkpoint", str(ckpt)],
@@ -689,7 +687,7 @@ class TestVerifyCommand:
         _, out = trained
         ckpt = tmp_path / "checkpoint"
         shutil.copytree(out / "checkpoint", ckpt)
-        filename = msct.read_manifest(ckpt / "manifest.txt")["stem"]
+        filename = "stem.msct"
         msct.write_tensor(ckpt / filename, np.zeros((3, 3, 2, 5)))
         assert cli.main(["verify", "--checkpoint", str(ckpt)]) == 2
         err = capsys.readouterr().err
@@ -703,7 +701,7 @@ class TestVerifyCommand:
         _, out = trained
         ckpt = tmp_path / "checkpoint"
         shutil.copytree(out / "checkpoint", ckpt)
-        filename = msct.read_manifest(ckpt / "manifest.txt")["stem"]
+        filename = "stem.msct"
         (ckpt / filename).write_bytes(
             b"MSCT" + struct.pack("<4I", 3, 0, 2**32 - 1, 2**32 - 1))
         assert cli.main(["verify", "--checkpoint", str(ckpt)]) == 2
@@ -719,7 +717,7 @@ class TestVerifyCommand:
         _, out = trained
         ckpt = tmp_path / "checkpoint"
         shutil.copytree(out / "checkpoint", ckpt)
-        filename = msct.read_manifest(ckpt / "manifest.txt")["stem"]
+        filename = "stem.msct"
         stem = msct.read_tensor(ckpt / filename)
         stem[1, 1, 0, 0] = np.nan
         msct.write_tensor(ckpt / filename, stem)
@@ -734,17 +732,6 @@ class TestVerifyCommand:
                                 "non-finite values\n")
         assert captured.out == ""
         assert not (tmp_path / "maps").exists()
-
-    def test_non_ascii_manifest_rejected(self, trained, tmp_path, capsys):
-        _, out = trained
-        ckpt = tmp_path / "checkpoint"
-        shutil.copytree(out / "checkpoint", ckpt)
-        manifest = ckpt / "manifest.txt"
-        manifest.write_bytes(manifest.read_bytes() + b"\xe9=x.msct\n")
-        lineno = manifest.read_bytes().count(b"\n")
-        assert cli.main(["verify", "--checkpoint", str(ckpt)]) == 2
-        assert capsys.readouterr().err.startswith(
-            f"error: {manifest}:{lineno}: non-ASCII byte 0xe9")
 
     @pytest.mark.parametrize("name", ["labels.txt", "pairs.txt"])
     def test_non_ascii_dataset_text_rejected(self, trained, tmp_path, capsys,
@@ -859,21 +846,30 @@ class TestVerifyCommand:
         assert capsys.readouterr().err.startswith(
             f"error: {config}:{lineno}: non-ASCII byte 0xe9")
 
-    def test_repeated_manifest_name_rejected(self, trained, tmp_path, capsys):
-        """A manifest naming a parameter twice ends in exit 2 naming both
-        lines, not a load of the later file in the earlier one's place."""
+    def test_renamed_parameter_file_rejected(self, trained, tmp_path, capsys):
+        """A parameter file under another name is a missing parameter, named
+        before the stray file."""
         _, out = trained
         ckpt = tmp_path / "checkpoint"
         shutil.copytree(out / "checkpoint", ckpt)
-        manifest = ckpt / "manifest.txt"
-        first = manifest.read_text().splitlines().index("s0b0/k3=s0b0_k3.msct")
-        with open(manifest, "a") as fh:
-            fh.write("s0b0/k3=s0b0_k5.msct\n")
-        lineno = manifest.read_text().count("\n")
+        os.rename(ckpt / "s0b0_k3.msct", ckpt / "s0b0_k3_old.msct")
         assert cli.main(["verify", "--checkpoint", str(ckpt)]) == 2
         assert capsys.readouterr().err == (
-            f"error: {manifest}:{lineno}: 's0b0/k3' is already listed on line "
-            f"{first + 1}\n")
+            "error: checkpoint parameter 's0b0/k3': the files hold nothing, "
+            "the config needs (3, 3, 4, 6)\n")
+
+    def test_stray_tensor_file_rejected(self, trained, tmp_path, capsys):
+        """A .msct file no parameter of the config names ends in exit 2
+        naming the file; other files are ignored."""
+        _, out = trained
+        ckpt = tmp_path / "checkpoint"
+        shutil.copytree(out / "checkpoint", ckpt)
+        (ckpt / "notes.txt").write_text("not a tensor\n")
+        msct.write_tensor(ckpt / "s0b1_k3.msct", np.zeros((3, 3, 6, 6)))
+        assert cli.main(["verify", "--checkpoint", str(ckpt)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {ckpt / 's0b1_k3.msct'}: no parameter of the config "
+            "names this file\n")
 
     def test_extra_arguments_rejected(self, trained, capsys):
         """verify takes no config overrides."""

@@ -4,9 +4,10 @@ Three seed inputs are built once: a small ``gen-data`` directory, a 1-epoch
 checkpoint trained on the same synthetic spec, and the config file both
 came from.  Each example copies them, damages one file (truncation or a bit
 flip of an MSCT file; a text line deleted, repeated or moved; a file removed
-or added) and runs a command that reads it, in process.  The command must
-end in exit 0, or in exit 2 with exactly one ``error:`` line on stderr; an
-exception out of ``cli.main`` fails the example.
+or added; an MSCT file renamed, or swapped with another beside it) and runs
+a command that reads it, in process.  The command must end in exit 0, or in
+exit 2 with exactly one ``error:`` line on stderr; an exception out of
+``cli.main`` fails the example.
 
 The default profile runs 100 examples; ``pytest --hypothesis-profile=deep``
 (see ``conftest.py``) runs many more.
@@ -38,8 +39,8 @@ batch_size = 4
 epochs = 1
 """
 
-TEXT_FILES = ("data/labels.txt", "data/pairs.txt", "ckpt/manifest.txt",
-              "ckpt/config.txt", "run.cfg")
+TEXT_FILES = ("data/labels.txt", "data/pairs.txt", "ckpt/config.txt",
+              "run.cfg")
 
 
 def command(root, name):
@@ -95,7 +96,8 @@ def mutate(data, root):
                    for d, _, names in os.walk(root) for f in names)
     tensors = [f for f in files if f.endswith(".msct")]
     how = data.draw(st.sampled_from(
-        ("truncate", "flip", "delete", "repeat", "move", "remove", "add")))
+        ("truncate", "flip", "delete", "repeat", "move", "remove", "add",
+         "rename")))
     if how in ("truncate", "flip"):
         target = data.draw(st.sampled_from(tensors))
         with open(os.path.join(root, target), "rb") as fh:
@@ -125,6 +127,21 @@ def mutate(data, root):
             lines.insert(data.draw(st.integers(0, len(lines))), line)
         with open(path, "w") as fh:
             fh.writelines(lines)
+    elif how == "rename":
+        target = data.draw(st.sampled_from(tensors))
+        folder = os.path.dirname(target)
+        # a sibling to swap with, or a name no reader looks for
+        other = data.draw(st.sampled_from(
+            [f for f in tensors
+             if f != target and os.path.dirname(f) == folder]
+            + [os.path.join(folder, "renamed.msct")]))
+        a, b = os.path.join(root, target), os.path.join(root, other)
+        if os.path.exists(b):
+            os.replace(b, a + ".swap")
+            os.replace(a, b)
+            os.replace(a + ".swap", a)
+        else:
+            os.replace(a, b)
     elif how == "remove":
         target = data.draw(st.sampled_from(files))
         os.remove(os.path.join(root, target))

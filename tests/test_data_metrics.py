@@ -450,7 +450,11 @@ class TestPairs:
                 ("img00000.msct,img00001.msct\n", f"{path}:2: bad pairs line"),
                 ("img00000.msct,img00001.msct,2\n", f"{path}:2: bad pairs line"),
                 ("a.msct,img00001.msct,1\n",
-                 "pair 2 names 'a.msct', which is not among the 2 images"),
+                 f"{path}:2: pair names 'a.msct', which is not among the 2 "
+                 "images"),
+                ("\nimg00000.msct,b.msct,1\n",
+                 f"{path}:3: pair names 'b.msct', which is not among the 2 "
+                 "images"),
                 ("img00001.msct,img00001.msct,1\n",
                  f"{path}:2: pair names 'img00001.msct' twice")):
             path.write_text("img00000.msct,img00001.msct,1\n" + bad)

@@ -1,10 +1,8 @@
 """Tensor container format tests: header layout, round trips, validation."""
 
 import math
-import os
 import re
 import struct
-import tempfile
 
 import numpy as np
 import pytest
@@ -12,7 +10,7 @@ from hypothesis import given, strategies as st
 
 from msconv import msct
 
-# file names a manifest or labels.txt may not use: each leaves the directory
+# file names labels.txt may not use: each leaves the directory
 # of the list naming it, or names no file
 NOT_PLAIN_NAMES = ("../outside.msct", "sub/w.msct", "/abs/w.msct", "..", ".")
 
@@ -148,59 +146,21 @@ class TestFiles:
             msct.read_tensor(p)
 
     def test_save_load_named_set(self, tmp_path):
+        """One file per tensor, named by ``tensor_filename``, and nothing
+        else."""
         tensors = {"stem/w": rand((3, 3, 2, 4), 2), "fc.b": rand((5,), 3)}
         msct.save_tensors(tmp_path, tensors)
-        manifest = (tmp_path / "manifest.txt").read_text()
-        assert "stem/w=stem_w.msct" in manifest
-        got = msct.load_tensors(tmp_path)
-        assert set(got) == set(tensors)
+        assert msct.tensor_filename("stem/w") == "stem_w.msct"
+        assert {p.name for p in tmp_path.iterdir()} == {"stem_w.msct",
+                                                        "fc_b.msct"}
         for name, x in tensors.items():
-            np.testing.assert_array_equal(got[name], x.astype(np.float32))
+            got = msct.read_tensor(tmp_path / msct.tensor_filename(name))
+            np.testing.assert_array_equal(got, x.astype(np.float32))
 
     def test_separators_sanitized_in_filenames(self, tmp_path):
         msct.save_tensors(tmp_path, {"a/b.c": np.ones(1)})
         files = {p.name for p in tmp_path.iterdir()}
         assert "a_b_c.msct" in files
-
-    def test_manifest_round_trip(self, tmp_path):
-        entries = {"x": "x.msct", "y/z": "y_z.msct"}
-        p = tmp_path / "manifest.txt"
-        msct.write_manifest(p, entries)
-        assert msct.read_manifest(p) == entries
-
-    def test_manifest_bad_line(self, tmp_path):
-        p = tmp_path / "manifest.txt"
-        p.write_text("no separator here\n")
-        with pytest.raises(msct.FormatError):
-            msct.read_manifest(p)
-
-    def test_manifest_repeated_name(self, tmp_path):
-        """A name listed twice is a FormatError naming both lines, not a
-        silent load of the later file."""
-        p = tmp_path / "manifest.txt"
-        p.write_text("a=a.msct\nb=b.msct\n\na=b.msct\n")
-        with pytest.raises(msct.FormatError, match=re.escape(
-                f"{p}:4: 'a' is already listed on line 1")):
-            msct.read_manifest(p)
-
-    def test_manifest_non_ascii_byte(self, tmp_path):
-        """A byte outside ASCII is a FormatError naming path:line, not a
-        UnicodeDecodeError."""
-        p = tmp_path / "manifest.txt"
-        p.write_bytes(b"a=a.msct\nst\xe9m=stem.msct\n")
-        with pytest.raises(msct.FormatError, match=re.escape(f"{p}:2: "
-                                                             "non-ASCII byte 0xe9")):
-            msct.read_manifest(p)
-
-    @pytest.mark.parametrize("filename", NOT_PLAIN_NAMES)
-    def test_manifest_filename_must_be_plain(self, tmp_path, filename):
-        """A manifest cannot point outside its own directory."""
-        ckpt = tmp_path / "ckpt"
-        ckpt.mkdir()
-        msct.write_tensor(tmp_path / "outside.msct", np.ones(2))
-        (ckpt / "manifest.txt").write_text(f"w={filename}\n")
-        with pytest.raises(msct.FormatError, match="not a plain file name"):
-            msct.load_tensors(ckpt)
 
     @pytest.mark.parametrize("filename", NOT_PLAIN_NAMES + ("",))
     def test_check_plain_name_rejects(self, filename):
@@ -219,10 +179,6 @@ class TestFiles:
             msct.save_tensors(tmp_path / "ckpt", {"a_b": np.ones(1),
                                                   "a/b": np.zeros(1)})
         assert not (tmp_path / "ckpt").exists()
-
-    def test_load_missing_manifest(self, tmp_path):
-        with pytest.raises(OSError):
-            msct.load_tensors(tmp_path / "nope")
 
 
 # -- mutated inputs -----------------------------------------------------------
@@ -260,34 +216,6 @@ def mutated_blobs(draw):
     return bytes(blob)
 
 
-MANIFEST_LINES = ["stem=stem.msct", "s0b0/w1=s0b0_w1.msct",
-                  "w_embed=w_embed.msct", "b_embed=b_embed.msct"]
-
-
-@st.composite
-def mutated_manifests(draw):
-    """A valid manifest with lines deleted, repeated, moved or replaced by
-    arbitrary bytes."""
-    lines = [line.encode() for line in MANIFEST_LINES]
-    for _ in range(draw(st.integers(1, 4))):
-        how = draw(st.sampled_from(["delete", "repeat", "move", "replace"]))
-        k = draw(st.integers(0, len(lines) - 1)) if lines else None
-        if k is None:
-            lines.append(draw(st.binary(max_size=24)).replace(b"\n", b""))
-        elif how == "delete":
-            del lines[k]
-        elif how == "repeat":
-            lines.insert(k, lines[k])
-        elif how == "move":
-            lines.insert(draw(st.integers(0, len(lines) - 1)), lines.pop(k))
-        else:
-            lines[k] = draw(st.one_of(
-                st.binary(max_size=24),
-                st.text("ab=/._\\ \t\r\x00\xe9", max_size=24).map(
-                    lambda t: t.encode("latin-1")))).replace(b"\n", b"")
-    return b"".join(line + b"\n" for line in lines)
-
-
 class TestMutatedInputs:
     """Every mutation of a valid input returns a value or raises
     FormatError, and nothing else."""
@@ -300,16 +228,3 @@ class TestMutatedInputs:
             return
         assert got.dtype == np.float32
         assert len(blob) == 8 + 4 * got.ndim + 4 * got.size
-
-    @given(text=mutated_manifests())
-    def test_read_manifest(self, text):
-        with tempfile.TemporaryDirectory() as root:
-            path = os.path.join(root, "manifest.txt")
-            with open(path, "wb") as f:
-                f.write(text)
-            try:
-                entries = msct.read_manifest(path)
-            except msct.FormatError:
-                return
-        for filename in entries.values():
-            assert msct.check_plain_name(filename, path) == filename

@@ -919,6 +919,26 @@ class TestCheckpoint:
             np.testing.assert_array_equal(loaded[k],
                                           arr.astype(np.float32))
 
+    def test_files_are_config_and_one_tensor_per_parameter(self, tmp_path):
+        cfg = tiny_config(epochs=0)
+        params = full_init(cfg)
+        save_checkpoint(tmp_path, params, cfg)
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            ["config.txt", *(msct.tensor_filename(k) for k in params)])
+        assert len(params) == len(param_shapes(cfg.model)) + 1
+
+    def test_old_layout_with_manifest_loads_the_same_arrays(self, tmp_path):
+        """A checkpoint written with a ``manifest.txt`` of name=filename
+        lines, as earlier versions did, loads byte for byte as without it."""
+        cfg = tiny_config(epochs=0)
+        save_checkpoint(tmp_path, full_init(cfg), cfg)
+        before, _ = load_checkpoint(tmp_path)
+        (tmp_path / "manifest.txt").write_text("".join(
+            f"{k}={msct.tensor_filename(k)}\n" for k in sorted(before)))
+        loaded, loaded_cfg = load_checkpoint(tmp_path)
+        assert loaded_cfg == cfg and list(loaded) == list(before)
+        assert all(loaded[k].tobytes() == before[k].tobytes() for k in loaded)
+
     def test_failed_overwrite_keeps_previous_checkpoint(self, tmp_path,
                                                         monkeypatch):
         """A write that fails on its third tensor leaves the previous
@@ -1014,5 +1034,7 @@ class TestCheckpoint:
         params = full_init(cfg)
         params["extra"] = np.zeros(3)
         save_checkpoint(tmp_path, params, cfg)
-        with pytest.raises(msct.FormatError, match="'extra': the files hold .*the config needs nothing"):
+        with pytest.raises(msct.FormatError, match=re.escape(
+                f"{tmp_path / 'extra.msct'}: no parameter of the config "
+                "names this file")):
             load_checkpoint(tmp_path)
