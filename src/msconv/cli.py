@@ -189,7 +189,7 @@ def _cmd_verify(args, _extra) -> int:
         ds = load_dataset(args.data)
         pairs = read_pairs(os.path.join(args.data, "pairs.txt"), ds.names)
     else:
-        spec = replace(cfg.data, seed=cfg.data.seed + args.seed_offset)
+        spec = replace(cfg.data, seed=cfg.data.seed + 1)
         ds = gen_synthetic(spec)
         pairs = make_pairs(ds.labels, args.genuine, args.impostor,
                            seed=spec.seed)
@@ -271,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--far", type=float, default=0.01)
     p.add_argument("--genuine", type=int, default=300)
     p.add_argument("--impostor", type=int, default=1000)
-    p.add_argument("--seed-offset", type=int, default=1, dest="seed_offset")
 
     p = sub.add_parser("flops", help="parameter and flop accounting")
     p.add_argument("--config")
@@ -312,8 +311,7 @@ def main(argv=None) -> int:
         # a diverging run ends in its error line, not in numpy warnings
         with np.errstate(all="ignore"):
             return _HANDLERS[args.command](args, extra)
-    except (ConfigError, msct.FormatError, OSError, ValueError,
-            TrainingDivergedError, MemoryError) as exc:
+    except (OSError, ValueError, TrainingDivergedError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

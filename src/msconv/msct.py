@@ -3,9 +3,10 @@
 Binary layout: magic ``MSCT``, little-endian u32 rank, u32 per dimension,
 then the values as little-endian IEEE-754 float32, row-major.  Readers
 reject anything with the wrong magic or whose byte length disagrees with
-the header.  A named tensor set is one file per tensor, named by
-``tensor_filename``.  The dataset's ``labels.txt`` and ``pairs.txt`` are
-ASCII text read through ``text_lines``.
+the header.  A checkpoint holds one file per tensor, named by
+``tensor_filename``; ``train.run_tensor_shapes`` lists its tensors.  The
+dataset's ``labels.txt`` and ``pairs.txt`` are ASCII text read through
+``text_lines``.
 """
 
 from __future__ import annotations
@@ -52,9 +53,7 @@ def tensor_from_bytes(blob: bytes) -> np.ndarray:
     # index can address, even when a zero dimension leaves it empty
     if math.prod(d for d in dims if d) * 4 > sys.maxsize:
         raise FormatError(f"dimensions {dims} exceed the addressable size")
-    count = 1
-    for d in dims:
-        count *= d
+    count = math.prod(dims)
     expected = body + 4 * count
     if len(blob) != expected:
         raise FormatError(f"payload length {len(blob)} != expected {expected}")
@@ -99,25 +98,7 @@ def check_plain_name(filename: str, where: str) -> str:
 
 
 def tensor_filename(name: str) -> str:
-    """The file of tensor ``name`` in a named set: ``"s0b0/k3"`` is
+    """The file of tensor ``name`` in a checkpoint: ``"s0b0/k3"`` is
     ``s0b0_k3.msct``."""
     return name.replace("/", "_").replace(".", "_") + ".msct"
 
-
-def save_tensors(directory: str | os.PathLike,
-                 tensors: dict[str, np.ndarray]) -> None:
-    """Write one ``tensor_filename`` file per tensor, names sorted.
-
-    Raises ValueError, before writing anything, when two names map to the
-    same file.
-    """
-    entries = {name: tensor_filename(name) for name in sorted(tensors)}
-    owner: dict[str, str] = {}
-    for name, filename in entries.items():
-        first = owner.setdefault(filename, name)
-        if first != name:
-            raise ValueError(f"tensor names {first!r} and {name!r} both map "
-                             f"to the file {filename!r}")
-    os.makedirs(directory, exist_ok=True)
-    for name, filename in entries.items():
-        write_tensor(os.path.join(directory, filename), tensors[name])

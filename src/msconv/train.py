@@ -27,8 +27,8 @@ worker, since a ``Workers`` opened within a map forks nothing.  The kinds
 left over run one after another, each on every core.
 
 Run configs serialize to flat ``key = value`` text (the same format the CLI
-reads), and checkpoints echo their config alongside the tensors so a saved
-model is self-describing.
+reads).  A checkpoint is that config plus one file per tensor of
+``run_tensor_shapes``; a save refuses what a load refuses.
 """
 
 from __future__ import annotations
@@ -174,12 +174,19 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def run_tensor_shapes(cfg: RunConfig) -> dict[str, tuple[int, ...]]:
+    """Every tensor of a run in init order: the model's ``param_shapes``,
+    then the class centers.  A checkpoint holds exactly these."""
+    return {**param_shapes(cfg.model),
+            "centers": (cfg.loss.class_count, cfg.model.embed_dim)}
+
+
 def full_init(cfg: RunConfig) -> dict[str, np.ndarray]:
     """Backbone parameters plus the class-center matrix."""
     params = init_params(cfg.model, cfg.seed)
     params["centers"] = param_rng(cfg.seed, "centers").normal(
         0.0, 1.0 / np.sqrt(cfg.model.embed_dim),
-        size=(cfg.loss.class_count, cfg.model.embed_dim))
+        size=run_tensor_shapes(cfg)["centers"])
     return params
 
 
@@ -577,10 +584,31 @@ def config_to_lines(cfg: RunConfig) -> list[str]:
 
 # -- checkpoints ---------------------------------------------------------------
 
+def _check_tensors(cfg: RunConfig, tensors: dict[str, np.ndarray]) -> None:
+    """Raises msct.FormatError naming the first of ``run_tensor_shapes``, in
+    init order, that ``tensors`` (float32, as stored) lacks, holds misshapen
+    or holds non-finite, and then a tensor the table does not name."""
+    shapes = run_tensor_shapes(cfg)
+    for name, want in shapes.items():
+        got = tensors[name].shape if name in tensors else "nothing"
+        if got != want:
+            raise msct.FormatError(f"checkpoint parameter {name!r}: the files "
+                                   f"hold {got}, the config needs {want}")
+        if not np.isfinite(tensors[name]).all():
+            raise msct.FormatError(f"checkpoint parameter {name!r} holds "
+                                   "non-finite values")
+    unnamed = sorted(tensors.keys() - shapes.keys())
+    if unnamed:
+        raise msct.FormatError(f"checkpoint parameter {unnamed[0]!r}: the "
+                               "config names no such parameter")
+
+
 def save_checkpoint(directory, params: dict[str, np.ndarray],
                     cfg: RunConfig) -> None:
     """A config echo (``config.txt``) and one ``msct.tensor_filename`` file
-    per tensor; the config alone names every tensor the model needs.
+    per tensor of ``run_tensor_shapes``.  ``params``, as float32 stores it,
+    must pass ``load_checkpoint``'s check, or msct.FormatError is raised
+    before anything is written.
 
     Everything is written into a sibling directory ``.<name>.new-<pid>``,
     removed again if a write fails, which then takes the place of
@@ -590,6 +618,9 @@ def save_checkpoint(directory, params: dict[str, np.ndarray],
     checkpoint at ``directory`` and the previous one beside it as
     ``.<name>.old-<pid>``.
     """
+    with np.errstate(over="ignore"):  # an overflow is the inf checked next
+        stored = {k: np.asarray(v, dtype="<f4") for k, v in params.items()}
+    _check_tensors(cfg, stored)
     parent, name = os.path.split(os.path.abspath(directory))
     os.makedirs(parent, exist_ok=True)
     staged = os.path.join(parent, f".{name}.new-{os.getpid()}")
@@ -599,7 +630,9 @@ def save_checkpoint(directory, params: dict[str, np.ndarray],
     shutil.rmtree(old, ignore_errors=True)
     try:
         os.mkdir(staged)
-        msct.save_tensors(staged, params)
+        for key in run_tensor_shapes(cfg):
+            msct.write_tensor(
+                os.path.join(staged, msct.tensor_filename(key)), stored[key])
         with open(os.path.join(staged, "config.txt"), "w") as fh:
             fh.write("\n".join(config_to_lines(cfg)) + "\n")
         if os.path.isdir(directory):
@@ -612,30 +645,17 @@ def save_checkpoint(directory, params: dict[str, np.ndarray],
 
 
 def load_checkpoint(directory) -> tuple[dict[str, np.ndarray], RunConfig]:
-    """Tensors and config of a checkpoint directory.
-
-    The config names the tensors: each parameter of ``param_shapes`` and
-    ``centers`` is read from its ``msct.tensor_filename`` file.  Raises
-    msct.FormatError naming the first, in init order, that is missing,
-    misshapen or non-finite, and then a ``.msct`` file no parameter names;
-    other files (an old ``manifest.txt``) are ignored.
-    """
+    """Tensors and config of a checkpoint directory: the config's
+    ``run_tensor_shapes``, each read from its ``msct.tensor_filename`` file
+    and checked as ``save_checkpoint`` checks them; then a ``.msct`` file no
+    parameter names raises msct.FormatError.  Other files (an old
+    ``manifest.txt``) are ignored."""
     cfg = build_config(read_kv_file(os.path.join(directory, "config.txt")))
-    expected = {**param_shapes(cfg.model),
-                "centers": (cfg.loss.class_count, cfg.model.embed_dim)}
-    params = {}
-    for name, want in expected.items():
-        path = os.path.join(directory, msct.tensor_filename(name))
-        if os.path.exists(path):
-            params[name] = msct.read_tensor(path)
-        got = params[name].shape if name in params else "nothing"
-        if got != want:
-            raise msct.FormatError(f"checkpoint parameter {name!r}: the files "
-                                   f"hold {got}, the config needs {want}")
-        if not np.isfinite(params[name]).all():
-            raise msct.FormatError(f"checkpoint parameter {name!r} holds "
-                                   "non-finite values")
-    named = {msct.tensor_filename(name) for name in expected}
+    named = {msct.tensor_filename(k): k for k in run_tensor_shapes(cfg)}
+    params = {name: msct.read_tensor(os.path.join(directory, filename))
+              for filename, name in named.items()
+              if os.path.exists(os.path.join(directory, filename))}
+    _check_tensors(cfg, params)
     for filename in sorted(os.listdir(directory)):
         if filename.endswith(".msct") and filename not in named:
             raise msct.FormatError(f"{os.path.join(directory, filename)}: no "

@@ -481,7 +481,8 @@ class TestStateAndSerialization:
     def test_save_load_round_trip(self, tmp_path):
         """A block's six arrays round-trip through MSCT files as float32."""
         st = make_state(c_in=2, c_out=4, seed=48)
-        msct.save_tensors(tmp_path, st.params)
+        for k, arr in st.params.items():
+            msct.write_tensor(tmp_path / msct.tensor_filename(k), arr)
         assert set(st.params) == set(BLOCK_PARAM_NAMES)
         assert {p.name for p in tmp_path.iterdir()} == {
             msct.tensor_filename(k) for k in BLOCK_PARAM_NAMES}

@@ -392,6 +392,23 @@ class TestTrainCommand:
         assert err.count("\n") == 1
         assert [str(w.message) for w in caught] == []
 
+    @pytest.mark.parametrize("command, left", [
+        ("train", ["metrics.log"]), ("ablate", ["report.txt"])])
+    def test_weights_float32_cannot_hold_rejected(self, tmp_path, capsys,
+                                                  command, left):
+        """Finite float64 weights beyond float32's range end in one error
+        line naming the parameter and exit 2, with no checkpoint written:
+        stored, they would be inf, which a load refuses."""
+        out = tmp_path / "o"
+        code = cli.main([command, "--out", str(out), "--epochs", "1",
+                         "--identities", "2", "--samples_per_identity", "4",
+                         "--batch_size", "8", "--lr_init", "1e40",
+                         "--lr_min", "1e39"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: checkpoint parameter 'stem' holds non-finite values\n")
+        assert os.listdir(out) == left
+
     @pytest.mark.parametrize("command, module", [
         ("train", sys.modules["msconv.train"]), ("gen-data", cli)])
     def test_memory_error_reported(self, tmp_path, monkeypatch, capsys,

@@ -4,10 +4,15 @@ Three seed inputs are built once: a small ``gen-data`` directory, a 1-epoch
 checkpoint trained on the same synthetic spec, and the config file both
 came from.  Each example copies them, damages one file (truncation or a bit
 flip of an MSCT file; a text line deleted, repeated or moved; a file removed
-or added; an MSCT file renamed, or swapped with another beside it) and runs
-a command that reads it, in process.  The command must end in exit 0, or in
-exit 2 with exactly one ``error:`` line on stderr; an exception out of
-``cli.main`` fails the example.
+or added; an MSCT file renamed, or swapped with another beside it; one
+real-valued config entry scaled by a power of ten) and runs a command that
+reads it, in process.  The command must end in exit 0, or in exit 2 with
+exactly one ``error:`` line on stderr; an exception out of ``cli.main``
+fails the example.  A ``train`` that exits 0 must have written a checkpoint
+that ``verify`` reads with exit 0.
+
+Only real values are scaled: a size or count scaled up asks for memory or
+time in proportion, and nothing yet refuses a plan that cannot fit.
 
 The default profile runs 100 examples; ``pytest --hypothesis-profile=deep``
 (see ``conftest.py``) runs many more.
@@ -37,6 +42,12 @@ embed_dim = 8
 min_width = 2
 batch_size = 4
 epochs = 1
+noise_sigma = 0.1
+scale = 16.0
+lr_init = 0.02
+lr_min = 0.000005
+momentum = 0.9
+weight_decay = 0.0005
 """
 
 TEXT_FILES = ("data/labels.txt", "data/pairs.txt", "ckpt/config.txt",
@@ -97,7 +108,7 @@ def mutate(data, root):
     tensors = [f for f in files if f.endswith(".msct")]
     how = data.draw(st.sampled_from(
         ("truncate", "flip", "delete", "repeat", "move", "remove", "add",
-         "rename")))
+         "rename", "scale")))
     if how in ("truncate", "flip"):
         target = data.draw(st.sampled_from(tensors))
         with open(os.path.join(root, target), "rb") as fh:
@@ -142,6 +153,19 @@ def mutate(data, root):
             os.replace(a + ".swap", a)
         else:
             os.replace(a, b)
+    elif how == "scale":
+        target = "run.cfg"
+        path = os.path.join(root, target)
+        with open(path) as fh:
+            lines = fh.readlines()
+        real = [i for i, line in enumerate(lines)
+                if "." in line.partition("=")[2]]
+        i = data.draw(st.sampled_from(real))
+        key, _, value = lines[i].partition("=")
+        power = data.draw(st.integers(-45, 45))
+        lines[i] = f"{key}= {float(value) * 10.0 ** power!r}\n"
+        with open(path, "w") as fh:
+            fh.writelines(lines)
     elif how == "remove":
         target = data.draw(st.sampled_from(files))
         os.remove(os.path.join(root, target))
@@ -162,5 +186,9 @@ def test_mutated_input_ends_in_result_or_one_error(seed_tree, data):
         entry = mutate(data, work)
         name = data.draw(st.sampled_from(READERS[entry]))
         code, err = run(command(work, name))
+        if name == "train" and code == 0:
+            code, err = run(["verify", "--checkpoint", f"{work}/out/checkpoint",
+                             "--data", f"{work}/data"])
+            assert code == 0, err
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert code == 0 or (code == 2 and len(errors) == 1), (code, err)

@@ -149,7 +149,8 @@ class TestFiles:
         """One file per tensor, named by ``tensor_filename``, and nothing
         else."""
         tensors = {"stem/w": rand((3, 3, 2, 4), 2), "fc.b": rand((5,), 3)}
-        msct.save_tensors(tmp_path, tensors)
+        for name, x in tensors.items():
+            msct.write_tensor(tmp_path / msct.tensor_filename(name), x)
         assert msct.tensor_filename("stem/w") == "stem_w.msct"
         assert {p.name for p in tmp_path.iterdir()} == {"stem_w.msct",
                                                         "fc_b.msct"}
@@ -157,10 +158,8 @@ class TestFiles:
             got = msct.read_tensor(tmp_path / msct.tensor_filename(name))
             np.testing.assert_array_equal(got, x.astype(np.float32))
 
-    def test_separators_sanitized_in_filenames(self, tmp_path):
-        msct.save_tensors(tmp_path, {"a/b.c": np.ones(1)})
-        files = {p.name for p in tmp_path.iterdir()}
-        assert "a_b_c.msct" in files
+    def test_separators_sanitized_in_filenames(self):
+        assert msct.tensor_filename("a/b.c") == "a_b_c.msct"
 
     @pytest.mark.parametrize("filename", NOT_PLAIN_NAMES + ("",))
     def test_check_plain_name_rejects(self, filename):
@@ -172,13 +171,6 @@ class TestFiles:
                                           "...", ".hidden"])
     def test_check_plain_name_accepts(self, filename):
         assert msct.check_plain_name(filename, "list.txt:3") == filename
-
-    def test_colliding_names_rejected(self, tmp_path):
-        """Names that sanitize to one file raise before anything is written."""
-        with pytest.raises(ValueError, match="'a/b' and 'a_b'"):
-            msct.save_tensors(tmp_path / "ckpt", {"a_b": np.ones(1),
-                                                  "a/b": np.zeros(1)})
-        assert not (tmp_path / "ckpt").exists()
 
 
 # -- mutated inputs -----------------------------------------------------------

@@ -29,8 +29,8 @@ from msconv.train import (CONFIG_KEYS, PAIR_BLOCK, ConfigError, RunConfig,
                           build_config, config_to_lines,
                           embed_dataset, evaluate_verification,
                           format_ablation_report, full_init, load_checkpoint,
-                          lr_at, read_kv_file, save_checkpoint, sgd_step,
-                          train, verification_set)
+                          lr_at, read_kv_file, run_tensor_shapes,
+                          save_checkpoint, sgd_step, train, verification_set)
 from oracles import one_shot_embed, one_shot_verification
 from test_model import (assert_on_workers, assert_one_workspace_per_worker,
                         log_passes, plan_images, spy_on_forks)
@@ -907,6 +907,34 @@ class TestConfigText:
         assert cfg.loss.class_count == 7
 
 
+def write_files(directory, params, cfg):
+    """A checkpoint's files written one by one, unchecked, as a damaged or
+    foreign checkpoint may hold them: ``config.txt`` and one MSCT file per
+    entry of ``params``."""
+    os.makedirs(directory, exist_ok=True)
+    with open(os.path.join(directory, "config.txt"), "w") as fh:
+        fh.write("\n".join(config_to_lines(cfg)) + "\n")
+    # float32 stores what it cannot hold as inf
+    with np.errstate(over="ignore"):
+        for name, arr in params.items():
+            msct.write_tensor(
+                os.path.join(directory, msct.tensor_filename(name)), arr)
+
+
+def damaged(params, how):
+    """``params`` with one fault a save must refuse."""
+    if how == "missing":
+        del params["w_embed"]
+    elif how == "misshapen":
+        params["s0b0/k5"] = params["s0b0/k5"][:, :, :1, :]
+    elif how == "unnamed":
+        params["extra"] = np.zeros(3)
+    else:  # a value float32 holds as inf
+        value = {"inf": np.inf, "above_float32": 1e39}[how]
+        params["stem"][0, 0, 0, 0] = value
+    return params
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         cfg = tiny_config(epochs=0)
@@ -994,7 +1022,7 @@ class TestCheckpoint:
         cfg = tiny_config(epochs=0)
         params = full_init(cfg)
         del params["w_embed"]
-        save_checkpoint(tmp_path, params, cfg)
+        write_files(tmp_path, params, cfg)
         with pytest.raises(msct.FormatError, match="'w_embed': the files hold nothing"):
             load_checkpoint(tmp_path)
 
@@ -1002,7 +1030,7 @@ class TestCheckpoint:
         cfg = tiny_config(epochs=0)
         params = full_init(cfg)
         params["s0b0/k5"] = params["s0b0/k5"][:, :, :1, :]
-        save_checkpoint(tmp_path, params, cfg)
+        write_files(tmp_path, params, cfg)
         with pytest.raises(msct.FormatError, match=r"'s0b0/k5': the files hold \(3, 3, 1, 6\)"):
             load_checkpoint(tmp_path)
 
@@ -1013,7 +1041,7 @@ class TestCheckpoint:
         params["aaa"] = np.zeros(2)
         params["centers"] = params["centers"][:2]
         del params["s0b0/w_expand"]
-        save_checkpoint(tmp_path, params, cfg)
+        write_files(tmp_path, params, cfg)
         with pytest.raises(msct.FormatError, match="'s0b0/w_expand'"):
             load_checkpoint(tmp_path)
 
@@ -1033,8 +1061,62 @@ class TestCheckpoint:
         cfg = tiny_config(epochs=0)
         params = full_init(cfg)
         params["extra"] = np.zeros(3)
-        save_checkpoint(tmp_path, params, cfg)
+        write_files(tmp_path, params, cfg)
         with pytest.raises(msct.FormatError, match=re.escape(
                 f"{tmp_path / 'extra.msct'}: no parameter of the config "
                 "names this file")):
             load_checkpoint(tmp_path)
+
+    @pytest.mark.parametrize("how, message", [
+        ("missing", "'w_embed': the files hold nothing"),
+        ("misshapen", r"'s0b0/k5': the files hold \(3, 3, 1, 6\)"),
+        ("unnamed", "'extra': the config names no such parameter"),
+        ("inf", "'stem' holds non-finite values"),
+        ("above_float32", "'stem' holds non-finite values"),
+    ])
+    def test_save_refuses_what_load_refuses(self, tmp_path, monkeypatch,
+                                            how, message):
+        """Raised with load's words before anything is staged; the previous
+        checkpoint loads byte-identical.  The same files written directly
+        fail the load with the same message (an unnamed one names its
+        file, see test_unknown_parameter_rejected)."""
+        cfg = tiny_config(epochs=0)
+        ckpt = tmp_path / "checkpoint"
+        save_checkpoint(ckpt, full_init(cfg), cfg)
+        before, _ = load_checkpoint(ckpt)
+
+        def stage(*args):
+            raise AssertionError(f"staged {args}")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "mkdir", stage)
+            patch.setattr(msct, "write_tensor", stage)
+            with pytest.raises(msct.FormatError, match=message):
+                save_checkpoint(ckpt, damaged(full_init(cfg), how), cfg)
+        assert os.listdir(tmp_path) == ["checkpoint"]
+        loaded, _ = load_checkpoint(ckpt)
+        assert list(loaded) == list(before)
+        assert all(loaded[k].tobytes() == before[k].tobytes() for k in loaded)
+
+        if how != "unnamed":
+            write_files(tmp_path / "direct", damaged(full_init(cfg), how), cfg)
+            with pytest.raises(msct.FormatError, match=message):
+                load_checkpoint(tmp_path / "direct")
+
+    @pytest.mark.parametrize("stage_blocks", [
+        "1,12", "11,2", "1,12" + ",1" * 9 + ",2"])
+    def test_tensor_files_are_one_to_one(self, tmp_path, stage_blocks):
+        """No two tensors of a run share a file, with stages and blocks
+        past 9 (``s1b11`` beside ``s11b1``), so a save writes one file per
+        tensor and loads them back."""
+        count = len(stage_blocks.split(","))
+        cfg = build_config({"stage_blocks": stage_blocks,
+                            "stage_channels": ",".join(["4"] * count),
+                            "stage_strides": ",".join(["1"] * count),
+                            "stem_channels": "4", "epochs": "0"})
+        names = run_tensor_shapes(cfg)
+        assert len({msct.tensor_filename(k) for k in names}) == len(names)
+        save_checkpoint(tmp_path, full_init(cfg), cfg)
+        assert len(os.listdir(tmp_path)) == len(names) + 1
+        loaded, _ = load_checkpoint(tmp_path)
+        assert list(loaded) == list(names)
